@@ -14,7 +14,7 @@ from .plant import (CascadePlant, CustomMap, HypothesisReport, LtiSubsystem,
                     QuadraticMap, StaticMap, central_difference)
 from .scenario import (AnalysisParams, Scenario, ScenarioError, load_builtin,
                        load_scenario, save_scenario)
-from .sim import SimConfig, Trajectory, dt_guard_limit, run, step
+from .sim import SimConfig, Trajectory, dt_guard_limit, run
 
 __version__ = "0.1.0"
 
@@ -28,5 +28,5 @@ __all__ = [
     "convergence_metrics", "cyclic_direction", "detect_sliding",
     "dt_guard_limit", "fd_gradient_oracle", "load_builtin", "load_scenario",
     "reference_step", "residual_bound_check", "run", "save_scenario",
-    "sliding_variable_step", "step", "switching_sign",
+    "sliding_variable_step", "switching_sign",
 ]

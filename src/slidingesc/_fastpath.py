@@ -1,12 +1,9 @@
-"""Fast closed-loop kernels for quadratic objectives.
+"""The fast path of the closed loop, for quadratic objectives.
 
-``run_quadratic`` mirrors the generic loop in :mod:`slidingesc.sim`
-operation for operation and is compiled when numba is installed (it
-runs as plain python otherwise).  ``run_chunked`` needs only numpy: it
-advances the loop in event chunks, agreeing with the reference loop to
-rounding.  Both pin their agreement with the reference in tests.  Only
-quadratic maps are supported because the map evaluation runs inside
-the kernel.
+``run_chunked`` needs only numpy: it advances the loop in event chunks,
+agreeing with the reference loop of :mod:`slidingesc.sim` to rounding,
+as pinned in tests.  Only quadratic maps are supported because the map
+evaluation runs inside the kernel.
 """
 
 from __future__ import annotations
@@ -17,100 +14,6 @@ import numpy as np
 
 from .controller import ControllerState, sliding_variable_step
 
-try:
-    from numba import njit
-    NUMBA_AVAILABLE = True
-except Exception:  # pragma: no cover - exercised only without numba
-    NUMBA_AVAILABLE = False
-
-    def njit(*args, **kwargs):
-        def deco(fn):
-            return fn
-        return deco
-
-
-@njit(cache=True)
-def run_quadratic(A, B, C, H, z_star, y_star, v, x, dt, n_steps,
-                  p_eff, lambda_eff, rho, epsilon_sw, y_sat, y_m0,
-                  period, n_dirs, stride, plant_rate):
-    """Integrate the closed loop and log every ``stride``-th step.
-
-    Returns the logged arrays plus (ok, k_fail): ok is False when a
-    non-finite value appeared, with k_fail the step index.
-    """
-    n = A.shape[0]
-    m = B.shape[1]
-    n_rec = n_steps // stride + 1
-    t_log = np.empty(n_rec)
-    v_log = np.empty((n_rec, m))
-    x_log = np.empty((n_rec, n))
-    z_log = np.empty((n_rec, n))
-    y_log = np.empty(n_rec)
-    ym_log = np.empty(n_rec)
-    e_log = np.empty(n_rec)
-    s_log = np.empty(n_rec)
-    u_log = np.zeros((n_rec, m))
-    dir_log = np.empty(n_rec, np.int64)
-
-    pi_over_eps = math.pi / epsilon_sw
-    sub = period / n_dirs
-    y_m = y_m0
-    s_int = 0.0
-    t = 0.0
-    rec = 0
-    ok = True
-    k_fail = -1
-
-    for k in range(n_steps + 1):
-        z = C @ x
-        d = z - z_star
-        y = y_star + 0.5 * (d @ (H @ d))
-        if not math.isfinite(y):
-            ok = False
-            k_fail = k
-            break
-        e = y - y_m
-        sgn_e = 1.0 if e > 0.0 else (-1.0 if e < 0.0 else 0.0)
-        s_int += lambda_eff * sgn_e * dt
-        s = e + s_int
-        i = int((t % period) / sub)
-        if i >= n_dirs:
-            i = n_dirs - 1
-        sw = 1.0 if math.sin(pi_over_eps * s) >= 0.0 else -1.0
-        u_i = rho * sw
-
-        if k % stride == 0:
-            t_log[rec] = k * dt
-            v_log[rec] = v
-            x_log[rec] = x
-            z_log[rec] = z
-            y_log[rec] = y
-            ym_log[rec] = y_m
-            e_log[rec] = e
-            s_log[rec] = s
-            u_log[rec, i] = u_i
-            dir_log[rec] = i + 1
-            rec += 1
-
-        ym_next = y_m + p_eff * dt
-        y_m = ym_next if ym_next < y_sat else y_sat
-        t += dt
-
-        if k < n_steps:
-            dx = A @ x + B @ v
-            v[i] += dt * u_i
-            x += (dt * plant_rate) * dx
-            for j in range(n):
-                if not math.isfinite(x[j]):
-                    ok = False
-                    k_fail = k
-            if not ok:
-                break
-
-    return (t_log, v_log, x_log, z_log, y_log, ym_log, e_log, s_log,
-            u_log, dir_log, rec, ok, k_fail)
-
-
 # Steps predicted per chunk of run_chunked.
 CHUNK = 64
 
@@ -118,8 +21,16 @@ CHUNK = 64
 def run_chunked(A, B, C, H, z_star, y_star, v, x, dt, n_steps,
                 p_eff, lambda_eff, rho, epsilon_sw, y_sat, y_m0,
                 period, n_dirs, stride, plant_rate):
-    """Event-chunked closed loop: same arguments and returns as
-    :func:`run_quadratic`, numpy only.
+    """Integrate the closed loop and log every ``stride``-th step.
+
+    The arguments are the plant matrices, the quadratic map
+    (``H``, ``z_star``, ``y_star``), the initial ``v`` and ``x``, the
+    step and step count, the effective gains, the relay band, the
+    saturation and initial value of the reference, the search period
+    and direction count, the log stride and the plant rate
+    1/plant_eta.  Returns the logged arrays (t, v, x, z, y, y_m, e, s,
+    u, dir) plus (rec, ok, k_fail): rec rows are filled, and ok is
+    False when a non-finite value appeared, with k_fail the step index.
 
     While the relay sign and the search direction hold, u is constant
     and one Euler step of X = (v, x) is affine, X <- M X + b(u).  Each

@@ -31,7 +31,7 @@ from .analysis import convergence_metrics
 from .errors import ConfigurationError, SimulationAbort
 from .scenario import (ScenarioError, apply_override, builtin_scenario_dict,
                        builtin_scenario_names, get_field, scenario_from_dict)
-from .sim import run as run_sim
+from .sim import BACKENDS, run as run_sim
 from .verify import composition_check, oracle_suite, scenario_suite, sweep_suite
 
 logger = logging.getLogger(__name__)
@@ -258,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "checks (logged prominently)")
         p.add_argument("--dt-guard", choices=("on", "off"), default="on",
                        help="step-size resolution guard (default on)")
-        p.add_argument("--backend", choices=("auto", "python", "numba"),
+        p.add_argument("--backend", choices=BACKENDS,
                        default="auto", help="integration backend")
 
     p_run = sub.add_parser("run", help="simulate one scenario")

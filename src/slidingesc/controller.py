@@ -217,6 +217,11 @@ def controller_step(params: ControllerParams, state: ControllerState, y: float,
     e = y - state.y_m
     y_m_now = state.y_m
     s = sliding_variable_step(state, e, lambda_eff, dt)
+    if not math.isfinite(math.pi / params.epsilon_sw * s):
+        # a huge but finite output overflows the relay's sine argument
+        raise SimulationAbort(
+            f"non-finite switching argument for s={s} at controller time "
+            f"{state.t} (finite-escape guard)")
     index, sigma = cyclic_direction(state.t, params.search_period, params.n_dirs)
     u = control_law(rho, sigma, s, params.epsilon_sw)
     state.dir_index = index

@@ -36,14 +36,13 @@ from typing import Optional
 import numpy as np
 
 from . import _fastpath
-from .controller import (ControllerParams, ControllerState, StepTelemetry,
-                         controller_step)
+from .controller import ControllerParams, ControllerState, controller_step
 from .errors import ConfigurationError, SimulationAbort
 from .plant import CascadePlant, QuadraticMap
 
 logger = logging.getLogger(__name__)
 
-BACKENDS = ("auto", "python", "numba")
+BACKENDS = ("auto", "python")
 
 
 @dataclass
@@ -201,36 +200,14 @@ def _vicinity_curvature(plant: CascadePlant) -> np.ndarray:
     return rows
 
 
-def step(plant: CascadePlant, params: ControllerParams,
-         state: ControllerState, dt: float,
-         plant_eta: float = 1.0) -> tuple[np.ndarray, StepTelemetry]:
-    """One closed-loop step: measure y, run the controller, integrate.
-
-    The Euler update is simultaneous: x advances with the pre-update v.
-    With plant_eta = 1 the state advance is exactly
-    v += dt*u, x += dt*(A x + B v).
-    """
-    y = plant.y
-    u, telemetry = controller_step(params, state, y, dt)
-    dv, dx = plant.derivative(u)
-    plant.v = plant.v + dt * dv
-    plant.x = plant.x + (dt * (1.0 / plant_eta)) * dx
-    if not (np.all(np.isfinite(plant.x)) and np.all(np.isfinite(plant.v))):
-        raise SimulationAbort(
-            f"non-finite state after step at t={state.t:.6g} "
-            "(finite-escape guard)")
-    return u, telemetry
-
-
 def run(plant: CascadePlant, params: ControllerParams, config: SimConfig, *,
         backend: str = "auto", dt_guard: bool = True,
         skip_hypothesis_check: bool = False) -> Trajectory:
     """Run the closed loop over [0, horizon] and return the full log.
 
     ``backend`` is one of BACKENDS: ``python`` is the reference loop;
-    ``numba`` is the compiled kernel of :mod:`._fastpath` for quadratic
-    maps; ``auto`` takes the numba kernel, else the chunked numpy
-    kernel, else the python loop (see ``_choose_backend``) and logs its
+    ``auto`` runs the chunked numpy kernel of :mod:`._fastpath` on a
+    quadratic map and the python loop on any other map, and logs its
     choice at INFO level.
     Deterministic: identical inputs on one backend produce bit-identical
     trajectories.
@@ -284,39 +261,23 @@ def run(plant: CascadePlant, params: ControllerParams, config: SimConfig, *,
                 f" ({reason})" if reason else "")
     if used == "python":
         return _run_python(plant, params, config, v0, plant_eta)
-    kernel = (_fastpath.run_quadratic if used == "numba"
-              else _fastpath.run_chunked)
-    return _run_kernel(kernel, plant, params, config, v0, plant_eta)
+    return _run_kernel(plant, params, config, v0, plant_eta)
 
 
 def _choose_backend(backend: str, plant: CascadePlant) -> tuple[str, str]:
-    """The backend that runs and, when ``auto`` fell back, why.
-
-    ``auto`` takes the compiled kernel when numba is installed, else
-    the chunked numpy kernel (``chunked``); both need a quadratic map,
-    so any other map runs the python loop.  Numba comes first because
-    it was the fast path before the chunked kernel existed; which of
-    the two is faster has not been measured.
-    """
-    quadratic = isinstance(plant.map, QuadraticMap)
+    """The backend that runs and, when ``auto`` fell back, why: the
+    chunked kernel (``chunked``) needs a quadratic map."""
     if backend == "auto":
-        if not quadratic:
-            return "python", "the map is not quadratic"
-        if _fastpath.NUMBA_AVAILABLE:
-            return "numba", ""
-        return "chunked", "numba is not installed"
-    if backend == "numba" and not (quadratic and _fastpath.NUMBA_AVAILABLE):
-        raise ConfigurationError(
-            "numba backend requires numba installed and a quadratic map")
+        if isinstance(plant.map, QuadraticMap):
+            return "chunked", ""
+        return "python", "the map is not quadratic"
     return backend, ""
 
 
-def _run_kernel(kernel, plant, params, config, v0, plant_eta) -> Trajectory:
-    if not isinstance(plant.map, QuadraticMap):
-        raise ConfigurationError("the fast kernels require a quadratic map")
+def _run_kernel(plant, params, config, v0, plant_eta) -> Trajectory:
     p_eff, lambda_eff, rho = params.effective_gains()
     qmap: QuadraticMap = plant.map
-    out = kernel(
+    out = _fastpath.run_chunked(
         plant.lti.A, plant.lti.B, plant.lti.C, qmap.H, qmap.z_star,
         qmap.y_star, v0.copy(), config.x0.copy(), config.dt, config.n_steps,
         p_eff, lambda_eff, rho, params.epsilon_sw, params.y_sat,
@@ -336,6 +297,11 @@ def _run_kernel(kernel, plant, params, config, v0, plant_eta) -> Trajectory:
 
 
 def _run_python(plant, params, config, v0, plant_eta) -> Trajectory:
+    """The reference loop, built from ``controller_step`` and the plant.
+
+    The Euler update is simultaneous: x advances with the pre-update v,
+    v += dt*u and x += (dt/plant_eta)*(A x + B v).
+    """
     n_steps = config.n_steps
     stride = config.log_stride
     n_rec = n_steps // stride + 1

@@ -5,11 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from slidingesc import (CascadePlant, ConfigurationError, ControllerParams,
-                        ControllerState, CustomMap, LtiSubsystem,
-                        QuadraticMap, SimConfig, SimulationAbort,
-                        dt_guard_limit, run, step)
-from slidingesc import _fastpath, sim
+from slidingesc import (CascadePlant, ConfigurationError, ControllerState,
+                        CustomMap, LtiSubsystem, QuadraticMap, SimConfig,
+                        SimulationAbort, dt_guard_limit, run)
 from slidingesc.controller import controller_step
 
 from test_controller import make_params
@@ -23,25 +21,28 @@ def short_config(**overrides) -> SimConfig:
 
 
 class TestStep:
-    def test_single_step_hand_values(self, benchmark_plant, benchmark_params):
+    """Steps of the reference loop (``backend="python"``)."""
+
+    def test_single_step_hand_values(self, benchmark_plant):
         # rigged so the relay emits +rho e1: e = 0 -> s = 0 -> sign +1, dir 1
-        benchmark_plant.x = [-2.0, 4.0]
-        benchmark_plant.v = [0.0, 0.0]
-        state = ControllerState(y_m=benchmark_plant.y)  # e = 0 at contact
-        u, _ = step(benchmark_plant, benchmark_params, state, 1e-3)
-        rho = benchmark_params.effective_gains().rho
-        assert np.allclose(u, [rho, 0.0])
+        y0 = benchmark_plant.map.eval(np.array([-2.0, 4.0]))
+        params = make_params(p0=y0)  # e = 0 at contact
+        # a horizon must exceed one step; row 1 is the state after one
+        config = short_config(x0=[-2.0, 4.0], horizon=2e-3, plant_eta=1.0)
+        traj = run(benchmark_plant, params, config, backend="python")
+        rho = params.effective_gains().rho
+        assert np.allclose(traj.u[0], [rho, 0.0])
         # v += dt*u ; x += dt*(A x + B v) with the pre-update v
-        assert np.allclose(benchmark_plant.v, [1e-3 * rho, 0.0])
-        assert np.allclose(benchmark_plant.x, [-1.996, 4.0])
+        assert np.allclose(traj.v[1], [1e-3 * rho, 0.0])
+        assert np.allclose(traj.x[1], [-1.996, 4.0])
 
     def test_equilibrium_stays_put(self, benchmark_plant):
         params = make_params(p0=2.0, y_sat=2.0)  # reference parked at y*
-        state = ControllerState.initial(params)
-        for _ in range(50):
-            step(benchmark_plant, params, state, 1e-3)
+        traj = run(benchmark_plant, params,
+                   short_config(horizon=50e-3, plant_eta=1.0),
+                   backend="python")
         # relay dithers v but x cannot outrun it; state remains tiny
-        assert np.linalg.norm(benchmark_plant.x) < 0.1
+        assert np.linalg.norm(traj.x[-1]) < 0.1
 
     def test_hurwitz_decay_under_zero_gain(self, benchmark_lti):
         # a flat objective gives zero gain everywhere; x decays freely
@@ -88,51 +89,16 @@ class TestRunBookkeeping:
 
 class TestDeterminismAndBackends:
     def test_bit_identical_repeat(self, benchmark_params, benchmark_lti, benchmark_map):
+        # the reference loop; TestChunkedBackend reruns the chunked kernel
         runs = []
         for _ in range(2):
             plant = CascadePlant(benchmark_lti, benchmark_map)
             runs.append(run(plant, benchmark_params,
-                            short_config(x0=[-2.0, 4.0], v0=[0.5, 1.0])))
+                            short_config(x0=[-2.0, 4.0], v0=[0.5, 1.0]),
+                            backend="python"))
         for name in ("t", "v", "x", "z", "y", "y_m", "e", "s", "u"):
             assert np.array_equal(getattr(runs[0], name),
                                   getattr(runs[1], name))
-
-    def test_python_matches_numba(self, benchmark_params, benchmark_lti, benchmark_map):
-        pytest.importorskip("numba")
-        config = short_config(x0=[-2.0, 4.0], v0=[0.5, 1.0], horizon=3.0)
-        results = {}
-        for backend in ("python", "numba"):
-            plant = CascadePlant(benchmark_lti, benchmark_map)
-            results[backend] = run(plant, benchmark_params, config,
-                                   backend=backend)
-        for name in ("t", "v", "x", "z", "y", "y_m", "e", "s", "u",
-                     "dir_index"):
-            assert np.array_equal(getattr(results["python"], name),
-                                  getattr(results["numba"], name)), name
-
-    def test_numba_backend_rejects_custom_map(self, benchmark_lti):
-        plant = CascadePlant(benchmark_lti, CustomMap(lambda z: float(z[0]), dim=2))
-        with pytest.raises(ConfigurationError, match="numba backend"):
-            run(plant, make_params(), short_config(), backend="numba")
-
-    def test_uncompiled_kernel_matches_python(self, benchmark_params,
-                                              benchmark_lti, benchmark_map):
-        # the numba kernel's source mirrors the reference loop op for op;
-        # run uncompiled, it must reproduce the python backend exactly
-        config = short_config(x0=[-2.0, 4.0], v0=[0.5, 1.0], horizon=3.0)
-        reference = run(CascadePlant(benchmark_lti, benchmark_map),
-                        benchmark_params, config, backend="python")
-        kernel = getattr(_fastpath.run_quadratic, "py_func",
-                         _fastpath.run_quadratic)
-        plant = CascadePlant(benchmark_lti, benchmark_map)
-        traj = sim._run_kernel(kernel, plant, benchmark_params, config,
-                               sim.resolve_v0(plant, config),
-                               sim.resolve_plant_eta(benchmark_params, config))
-        for name in ("t", "v", "x", "z", "y", "y_m", "e", "s", "u",
-                     "dir_index"):
-            assert np.array_equal(getattr(reference, name),
-                                  getattr(traj, name)), name
-
 
 def assert_chunked_agrees(reference, chunked) -> None:
     """What "chunked agrees with python" means: the clock, reference,
@@ -148,46 +114,23 @@ def assert_chunked_agrees(reference, chunked) -> None:
                                    rtol=0.0, atol=1e-9, err_msg=name)
 
 
-def run_chunked(plant, params, config):
-    """The chunked kernel on a run's resolved inputs, as ``auto`` runs
-    it when numba is not installed."""
-    return sim._run_kernel(_fastpath.run_chunked, plant, params, config,
-                           sim.resolve_v0(plant, config),
-                           sim.resolve_plant_eta(params, config))
-
-
 class TestChunkedBackend:
-    """The numpy kernel against the reference loop; its own reruns are
-    bit-identical."""
+    """The numpy kernel (what ``auto`` runs on a quadratic map) against
+    the reference loop; its own reruns are bit-identical."""
 
     CONFIG = dict(x0=[-2.0, 4.0], v0=[0.5, 1.0], horizon=3.0)
 
     def _run(self, lti, qmap, params, backend):
         plant = CascadePlant(lti, qmap)
-        config = short_config(**self.CONFIG)
-        if backend == "chunked":
-            return run_chunked(plant, params, config)
-        return run(plant, params, config, backend=backend)
+        return run(plant, params, short_config(**self.CONFIG), backend=backend)
 
     def test_agrees_with_python(self, benchmark_params, benchmark_lti,
                                 benchmark_map):
         reference = self._run(benchmark_lti, benchmark_map, benchmark_params,
                               "python")
         chunked = self._run(benchmark_lti, benchmark_map, benchmark_params,
-                            "chunked")
+                            "auto")
         assert_chunked_agrees(reference, chunked)
-
-    @pytest.mark.skipif(_fastpath.NUMBA_AVAILABLE,
-                        reason="auto runs the numba kernel")
-    def test_auto_runs_chunked_without_numba(self, benchmark_params,
-                                             benchmark_lti, benchmark_map):
-        chunked = self._run(benchmark_lti, benchmark_map, benchmark_params,
-                            "chunked")
-        auto = self._run(benchmark_lti, benchmark_map, benchmark_params, "auto")
-        for name in ("t", "v", "x", "z", "y", "y_m", "e", "s", "u",
-                     "dir_index", "rho"):
-            assert np.array_equal(getattr(chunked, name),
-                                  getattr(auto, name)), name
 
     @pytest.mark.parametrize("seed", range(6))
     def test_agrees_on_random_plants(self, seed):
@@ -211,13 +154,13 @@ class TestChunkedBackend:
                            v0=rng.normal(size=m), log_stride=5)
         reference = run(CascadePlant(lti, qmap), params, config,
                         backend="python")
-        chunked = run_chunked(CascadePlant(lti, qmap), params, config)
+        chunked = run(CascadePlant(lti, qmap), params, config, backend="auto")
         assert_chunked_agrees(reference, chunked)
 
     def test_bit_identical_repeat(self, benchmark_params, benchmark_lti,
                                   benchmark_map):
         first, second = (self._run(benchmark_lti, benchmark_map,
-                                   benchmark_params, "chunked")
+                                   benchmark_params, "auto")
                          for _ in range(2))
         for name in ("t", "v", "x", "z", "y", "y_m", "e", "s", "u",
                      "dir_index", "rho"):
@@ -227,15 +170,9 @@ class TestChunkedBackend:
     def test_leaves_plant_at_final_state(self, benchmark_params, benchmark_lti,
                                          benchmark_map):
         plant = CascadePlant(benchmark_lti, benchmark_map)
-        traj = run_chunked(plant, benchmark_params, short_config(**self.CONFIG))
+        traj = run(plant, benchmark_params, short_config(**self.CONFIG))
         assert np.array_equal(plant.v, traj.v[-1])
         assert np.array_equal(plant.x, traj.x[-1])
-
-    def test_rejects_custom_map(self, benchmark_lti):
-        plant = CascadePlant(benchmark_lti, CustomMap(lambda z: float(z[0]), dim=2))
-        with pytest.raises(ConfigurationError, match="quadratic map"):
-            run_chunked(plant, make_params(), short_config())
-
 
 class TestBackendChoiceLogged:
     def _choices(self, caplog):
@@ -246,12 +183,8 @@ class TestBackendChoiceLogged:
                                    caplog):
         with caplog.at_level("INFO", logger="slidingesc.sim"):
             run(benchmark_plant, benchmark_params, short_config(horizon=0.01))
-        if _fastpath.NUMBA_AVAILABLE:
-            expected = "backend: requested auto, used numba"
-        else:
-            expected = ("backend: requested auto, used chunked "
-                        "(numba is not installed)")
-        assert self._choices(caplog) == [expected]
+        assert self._choices(caplog) == [
+            "backend: requested auto, used chunked"]
 
     def test_auto_on_custom_map(self, benchmark_lti, caplog):
         plant = CascadePlant(benchmark_lti, CustomMap(lambda z: 0.0, dim=2))
@@ -296,14 +229,17 @@ class TestGuards:
             run(plant, benchmark_params, config, skip_hypothesis_check=True)
         assert any("OVERRIDDEN" in r.message for r in caplog.records)
 
-    def test_finite_escape_detected(self, benchmark_map):
-        # violently unstable block escapes within the horizon
-        lti = LtiSubsystem(200.0 * np.eye(2), np.eye(2), allow_unstable=True)
+    @pytest.mark.parametrize("backend", ["auto", "python"])
+    @pytest.mark.parametrize("growth", [200.0, 5.0])
+    def test_finite_escape_detected(self, benchmark_map, growth, backend):
+        # an unstable block escapes within the horizon; at A = 5 I the
+        # output grows so large that the relay's sine argument overflows
+        lti = LtiSubsystem(growth * np.eye(2), np.eye(2), allow_unstable=True)
         plant = CascadePlant(lti, benchmark_map)
         config = SimConfig(dt=1e-2, horizon=10.0, x0=[1.0, 1.0],
                            v0=[0.0, 0.0], log_stride=1)
         with pytest.raises(SimulationAbort, match="non-finite|finite-escape"):
-            run(plant, make_params(), config, dt_guard=False,
+            run(plant, make_params(), config, backend=backend, dt_guard=False,
                 skip_hypothesis_check=True)
 
 
