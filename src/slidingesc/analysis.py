@@ -76,19 +76,16 @@ def detect_sliding(t: np.ndarray, s: np.ndarray, epsilon_sw: float,
     band = np.round(s / epsilon_sw)
     inside = np.abs(s - band * epsilon_sw) <= band_tol
 
-    segments: list[SlidingSegment] = []
-    start = None
-    for i in range(t.size):
-        if inside[i] and (start is None or band[i] == band[start]):
-            if start is None:
-                start = i
-            continue
-        if start is not None and t[i - 1] - t[start] >= min_duration:
-            segments.append(SlidingSegment(t[start], t[i - 1], int(band[start])))
-        start = i if inside[i] else None
-    if start is not None and t[-1] - t[start] >= min_duration:
-        segments.append(SlidingSegment(t[start], t[-1], int(band[start])))
-    return segments
+    # sample i continues the run of sample i-1 when both are inside on
+    # one band (an inside sample has a finite band, and -0.0 == 0.0)
+    joined = inside[1:] & inside[:-1] & (band[1:] == band[:-1])
+    starts = np.flatnonzero(inside & np.concatenate(([True], ~joined)))
+    ends = np.flatnonzero(inside & np.concatenate((~joined, [True])))
+    keep = t[ends] - t[starts] >= min_duration
+    return [SlidingSegment(t_start, t_end, int(k))
+            for t_start, t_end, k in zip(t[starts[keep]].tolist(),
+                                         t[ends[keep]].tolist(),
+                                         band[starts[keep]].tolist())]
 
 
 def convergence_metrics(traj: Trajectory, z_star, y_star: float, *,

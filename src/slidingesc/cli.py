@@ -27,6 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _tables
 from .analysis import convergence_metrics
 from .errors import ConfigurationError, SimulationAbort
 from .scenario import (ScenarioError, apply_override, builtin_scenario_dict,
@@ -71,25 +72,29 @@ def _write_plot_data(outdir: Path, traj, plant) -> None:
     """Plotter-agnostic whitespace tables for the four standard views."""
     n = traj.z.shape[1]
     m = traj.u.shape[1]
+    fmt = "%.18e"
+    t, y = (traj.t, fmt), (traj.y, fmt)
+    z = [(column, fmt) for column in traj.z.T]
+    u = [(column, fmt) for column in traj.u.T]
+    # sigma_i indicates direction i (dir_index counts from 1)
+    sigma = [(traj.dir_index == i + 1, fmt) for i in range(m)]
 
-    header = "t " + " ".join(f"z{i+1}" for i in range(n)) + " y y_m"
-    np.savetxt(outdir / "output_vs_time.dat",
-               np.column_stack([traj.t, traj.z, traj.y, traj.y_m]),
-               header=header, comments="# ")
-
+    header = "# t " + " ".join(f"z{i+1}" for i in range(n)) + " y y_m"
+    tables = [_tables.Table(outdir / "output_vs_time.dat", header,
+                            [t, *z, y, (traj.y_m, fmt)])]
     if n == 2:
-        np.savetxt(outdir / "phase_plane.dat",
-                   np.column_stack([traj.z[:, 0], traj.z[:, 1]]),
-                   header=f"z1 z2   (maximizer at {plant.map.z_star.tolist()})",
-                   comments="# ")
-
-    header = ("t " + " ".join(f"u{i+1}" for i in range(m)) + " "
+        tables.append(_tables.Table(
+            outdir / "phase_plane.dat",
+            f"# z1 z2   (maximizer at {plant.map.z_star.tolist()})", z))
+    header = ("# t " + " ".join(f"u{i+1}" for i in range(m)) + " "
               + " ".join(f"sigma{i+1}" for i in range(m)))
-    sigma = np.zeros((len(traj), m))
-    sigma[np.arange(len(traj)), traj.dir_index.astype(int) - 1] = 1.0
-    np.savetxt(outdir / "control_signals.dat",
-               np.column_stack([traj.t, traj.u, sigma]),
-               header=header, comments="# ")
+    tables.append(_tables.Table(outdir / "control_signals.dat", header,
+                                [t, *u, *sigma]))
+    if n == 2:
+        tables.append(_tables.Table(outdir / "output_path_3d.dat",
+                                    "# z1 z2 y", [*z, y],
+                                    stride=max(1, len(traj) // 2000)))
+    _tables.write_tables(tables)
 
     if n == 2:
         span = max(2.0, float(np.abs(traj.z).max()) * 1.1)
@@ -101,11 +106,6 @@ def _write_plot_data(outdir: Path, traj, plant) -> None:
                     fh.write(f"{z1:.6g} {z2:.6g} "
                              f"{plant.map.eval(np.array([z1, z2])):.6g}\n")
                 fh.write("\n")
-        stride = max(1, len(traj) // 2000)
-        np.savetxt(outdir / "output_path_3d.dat",
-                   np.column_stack([traj.z[::stride, 0], traj.z[::stride, 1],
-                                    traj.y[::stride]]),
-                   header="z1 z2 y", comments="# ")
 
 
 def _run_one(data: dict, scenario, outdir: Path, *, backend: str,

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from importlib import resources
 from typing import Any, Optional
@@ -139,6 +140,15 @@ def _require(mapping: dict, key: str, path: str):
     return mapping[key]
 
 
+def _count(value, path: str) -> int:
+    """An integral count: 3 and 3.0 pass; 2.5, true and "3" do not."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (isinstance(value, numbers.Integral)
+                    or float(value).is_integer())):
+        raise ScenarioError(f"{path}: expected an integer, got {value!r}")
+    return int(value)
+
+
 def scenario_from_dict(data: dict, *, allow_unstable: bool = False) -> Scenario:
     """Build and fully validate a Scenario from a parsed document."""
     if not isinstance(data, dict):
@@ -156,6 +166,7 @@ def scenario_from_dict(data: dict, *, allow_unstable: bool = False) -> Scenario:
         raise ScenarioError("plant.map.kind: missing required field")
 
     y_sat = ctrl.get("y_sat")
+    n_dirs = _count(_require(ctrl, "n_dirs", "controller"), "controller.n_dirs")
     try:
         params = ControllerParams(
             p=float(_require(ctrl, "p", "controller")),
@@ -167,7 +178,7 @@ def scenario_from_dict(data: dict, *, allow_unstable: bool = False) -> Scenario:
             L_h=float(_require(ctrl, "L_h", "controller")),
             eta=float(_require(ctrl, "eta", "controller")),
             T_s=float(_require(ctrl, "T_s", "controller")),
-            n_dirs=int(_require(ctrl, "n_dirs", "controller")),
+            n_dirs=n_dirs,
             scaling_mode=ctrl.get("scaling_mode", "scaled"),
             ts_scale=float(ctrl.get("ts_scale", 1.0)),
         )
@@ -180,6 +191,7 @@ def scenario_from_dict(data: dict, *, allow_unstable: bool = False) -> Scenario:
         raise ScenarioError(
             f"sim.v0: expected an array or the string 'quasi_steady', "
             f"got {v0_raw!r}")
+    log_stride = _count(sim.get("log_stride", 1), "sim.log_stride")
     try:
         sim_config = SimConfig(
             dt=float(_require(sim, "dt", "sim")),
@@ -187,7 +199,7 @@ def scenario_from_dict(data: dict, *, allow_unstable: bool = False) -> Scenario:
             x0=np.asarray(_require(sim, "x0", "sim"), dtype=float),
             v0=None if (v0_raw is None or quasi_steady)
                else np.asarray(v0_raw, dtype=float),
-            log_stride=int(sim.get("log_stride", 1)),
+            log_stride=log_stride,
             plant_eta=(None if sim.get("plant_eta") is None
                        else float(sim["plant_eta"])),
             quasi_steady=quasi_steady,

@@ -35,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import _fastpath
+from . import _fastpath, _tables
 from .controller import ControllerParams, ControllerState, controller_step
 from .errors import ConfigurationError, SimulationAbort
 from .plant import CascadePlant, QuadraticMap
@@ -123,15 +123,13 @@ class Trajectory:
 
     def to_csv(self, path) -> None:
         """Write the log as CSV, 17 significant digits, fixed column order."""
-        m = self.v.shape[1]
-        n = self.x.shape[1]
-        table = np.column_stack([
-            self.t, self.v, self.x, self.z, self.y, self.y_m, self.e,
-            self.s, self.u, self.dir_index.astype(float), self.rho,
-        ])
-        fmt = ["%.17g"] * (1 + m + 2 * n + 4 + m) + ["%d", "%.17g"]
-        np.savetxt(path, table, fmt=fmt, delimiter=",",
-                   header=",".join(self.column_header()), comments="")
+        names = self.column_header()
+        arrays = [self.t, *self.v.T, *self.x.T, *self.z.T, self.y, self.y_m,
+                  self.e, self.s, *self.u.T, self.dir_index, self.rho]
+        columns = [(values, "%d" if name == "dir" else "%.17g")
+                   for name, values in zip(names, arrays)]
+        _tables.write_tables([_tables.Table(path, ",".join(names), columns,
+                                            delimiter=",")])
 
 
 def resolve_plant_eta(params: ControllerParams,

@@ -4,10 +4,56 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slidingesc import (CascadePlant, LtiSubsystem, Metrics, QuadraticMap,
                         Trajectory, convergence_metrics, detect_sliding,
                         fd_gradient_oracle, residual_bound_check)
+
+
+def reference_detect_sliding(t, s, epsilon_sw, band_tol=None,
+                             min_duration=None):
+    """The per-sample loop ``detect_sliding`` was first written as."""
+    t = np.asarray(t, dtype=float)
+    s = np.asarray(s, dtype=float)
+    if t.size == 0:
+        return []
+    if band_tol is None:
+        band_tol = 0.25 * epsilon_sw
+    if min_duration is None:
+        spacing = float(np.median(np.diff(t))) if t.size > 1 else 0.0
+        min_duration = 50.0 * spacing
+
+    band = np.round(s / epsilon_sw)
+    inside = np.abs(s - band * epsilon_sw) <= band_tol
+
+    segments = []
+    start = None
+    for i in range(t.size):
+        if inside[i] and (start is None or band[i] == band[start]):
+            if start is None:
+                start = i
+            continue
+        if start is not None and t[i - 1] - t[start] >= min_duration:
+            segments.append((t[start], t[i - 1], int(band[start])))
+        start = i if inside[i] else None
+    if start is not None and t[-1] - t[start] >= min_duration:
+        segments.append((t[start], t[-1], int(band[start])))
+    return segments
+
+
+EPS = 0.02
+# band centres, ties between bands (round half to even), the band-edge
+# tolerance exactly, signed zeros and non-finite samples
+S_SPECIAL = [0.0, -0.0, EPS, -EPS, 2 * EPS, 0.5 * EPS, -0.5 * EPS, 1.5 * EPS,
+             0.25 * EPS, -0.25 * EPS, 0.75 * EPS, 1.25 * EPS,
+             math.nan, math.inf, -math.inf]
+s_runs = st.lists(
+    st.tuples(st.one_of(st.sampled_from(S_SPECIAL),
+                        st.floats(-0.1, 0.1, allow_nan=False)),
+              st.integers(1, 8)),
+    max_size=25)
 
 
 def synthetic_trajectory(t, z, y, s) -> Trajectory:
@@ -49,6 +95,25 @@ class TestDetectSliding:
 
     def test_empty_trace(self):
         assert detect_sliding(np.array([]), np.array([]), 0.02) == []
+
+    @given(s_runs, st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_loop(self, runs, data):
+        s = np.array([value for value, count in runs for _ in range(count)])
+        t = np.cumsum(data.draw(st.lists(
+            st.sampled_from([0.0, 0.01, 0.01, 0.01, 0.02, 0.5]),
+            min_size=s.size, max_size=s.size)))
+        band_tol = data.draw(st.sampled_from([None, 0.25 * EPS, 0.0, EPS]))
+        min_duration = data.draw(st.sampled_from([None, 0.0, 0.01, 0.05]))
+        with np.errstate(invalid="ignore"):  # inf - inf for infinite s
+            got = detect_sliding(t, s, EPS, band_tol=band_tol,
+                                 min_duration=min_duration)
+            want = reference_detect_sliding(t, s, EPS, band_tol=band_tol,
+                                            min_duration=min_duration)
+        assert [(g.t_start, g.t_end, g.band_index) for g in got] == want
+        for g in got:
+            assert isinstance(g.t_start, float) and isinstance(g.t_end, float)
+            assert type(g.band_index) is int
 
 
 class TestConvergenceMetrics:

@@ -72,6 +72,25 @@ class TestRunCommand:
                      "--override", "controller.T_s=-1")
         assert rc == EXIT_USAGE
 
+    @pytest.mark.parametrize("override", [
+        "sim.log_stride=2.5", "sim.log_stride=true", 'sim.log_stride="10"',
+        "controller.n_dirs=2.5", "controller.n_dirs=true"])
+    def test_non_integral_count_is_usage_error(self, tmp_path, capsys,
+                                               override):
+        rc = run_cli("run", "--out", str(tmp_path / "o"), *SHORT,
+                     "--override", override)
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert override.partition("=")[0] in err and "integer" in err
+
+    def test_integral_float_count_accepted(self, tmp_path):
+        out = tmp_path / "o"
+        assert run_cli("run", "--out", str(out), *SHORT,
+                       "--override", "sim.log_stride=10.0",
+                       "--override", "controller.n_dirs=2.0") == EXIT_OK
+        lines = (out / "trajectory.csv").read_text().splitlines()
+        assert len(lines) == 1 + 20000 // 10 + 1
+
     def test_dt_guard_violation_aborts(self, tmp_path, capsys):
         rc = run_cli("run", "--out", str(tmp_path / "o"),
                      "--override", "sim.dt=0.01",
