@@ -19,8 +19,7 @@ dominates it, turning a float into text:
 from __future__ import annotations
 
 from contextlib import ExitStack
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,8 +30,7 @@ import numpy as np
 BLOCK_ROWS = 64
 
 
-@dataclass(frozen=True)
-class Table:
+class Table(NamedTuple):
     """One output file: its header line (without the newline), its
     columns in order as (1-D array, %-format) pairs, the cell delimiter,
     and the row stride (every ``stride``-th row is written)."""
