@@ -2,9 +2,10 @@
 
 A table is a header line plus one line per row, each cell a column's
 value under that column's %-format, cells joined by the table's
-delimiter.  The bytes are those of ``np.savetxt`` given the same
-formats, delimiter and header, but the work is organised around what
-dominates it, turning a float into text:
+delimiter.  The bytes are those of NumPy's plain-text table writer
+given the same formats, delimiter and header (the tests compare the
+two), but the work is organised around what dominates it, turning a
+float into text:
 
 * rows are handled in blocks of ``BLOCK_ROWS``, so the text held in
   memory does not grow with the run length;
@@ -24,9 +25,9 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 # A block's strings take about 1.5 kB per row.  At 64 rows the writer's
-# peak memory stays below that of np.savetxt even on a short log, where
-# savetxt's column_stack copy is small; the per-block work then adds
-# 10-20 % to the writing time against blocks of 1024 rows.
+# peak memory stays below that of NumPy's text writer even on a short
+# log, where its column_stack copy is small; the per-block work then
+# adds 10-20 % to the writing time against blocks of 1024 rows.
 BLOCK_ROWS = 64
 
 
