@@ -98,14 +98,26 @@ def _write_plot_data(outdir: Path, traj, plant) -> None:
 
     if n == 2:
         span = max(2.0, float(np.abs(traj.z).max()) * 1.1)
-        grid = np.linspace(-span, span, 61)
-        with open(outdir / "objective_surface.dat", "w", encoding="utf-8") as fh:
-            fh.write("# z1 z2 h(z)   gnuplot splot blocks\n")
-            for z1 in grid:
-                for z2 in grid:
-                    fh.write(f"{z1:.6g} {z2:.6g} "
-                             f"{plant.map.eval(np.array([z1, z2])):.6g}\n")
-                fh.write("\n")
+        _write_objective_surface(outdir / "objective_surface.dat", plant.map,
+                                 span)
+
+
+def _write_objective_surface(path: Path, qmap, span: float) -> None:
+    """h on a 61x61 grid over [-span, span]^2 as gnuplot splot blocks.
+
+    The grid is evaluated in one batch with the arithmetic of
+    ``QuadraticMap.eval`` per point (H @ d, then d . (H d)), so the
+    values are bit-identical to evaluating the points one by one.
+    """
+    grid = np.linspace(-span, span, 61)
+    d = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1) - qmap.z_star
+    values = qmap.y_star + 0.5 * np.vecdot(d, (qmap.H @ d[..., None])[..., 0])
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("# z1 z2 h(z)   gnuplot splot blocks\n")
+        for z1, row in zip(grid, values):
+            fh.writelines(f"{z1:.6g} {z2:.6g} {h:.6g}\n"
+                          for z2, h in zip(grid, row))
+            fh.write("\n")
 
 
 def _run_one(data: dict, scenario, outdir: Path, *, backend: str,
@@ -183,6 +195,9 @@ def _sweep_worker(payload):
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
+        return EXIT_USAGE
     data, _ = _scenario_from_args(args)
     values = [v for v in (args.values or "").split(",") if v.strip()]
     if not values:
@@ -212,8 +227,11 @@ def cmd_sweep(args) -> int:
         jobs.append((raw, value, str(subdir), args.backend,
                      args.dt_guard != "off", args.allow_unstable))
 
-    if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(args.jobs) as pool:
+    # the pool starts all its workers at once, so ask for no more than
+    # there are runs
+    workers = min(args.jobs, len(jobs))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(workers) as pool:
             rows = list(pool.map(_sweep_worker, jobs))
     else:
         rows = [_sweep_worker(job) for job in jobs]
@@ -278,7 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--values", required=True,
                          help="comma-separated values")
     p_sweep.add_argument("--jobs", type=int, default=1,
-                         help="parallel runs (default 1)")
+                         help="parallel runs, at most one per value "
+                              "(default 1)")
     p_sweep.set_defaults(fn=cmd_sweep)
     return parser
 

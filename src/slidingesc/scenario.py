@@ -149,6 +149,13 @@ def _count(value, path: str) -> int:
     return int(value)
 
 
+def _real(value, path: str) -> float:
+    """A real number: 2, 2.5 and 1e-3 pass; true, "2" and null do not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ScenarioError(f"{path}: expected a number, got {value!r}")
+    return float(value)
+
+
 def scenario_from_dict(data: dict, *, allow_unstable: bool = False) -> Scenario:
     """Build and fully validate a Scenario from a parsed document."""
     if not isinstance(data, dict):
@@ -165,22 +172,27 @@ def scenario_from_dict(data: dict, *, allow_unstable: bool = False) -> Scenario:
     if "kind" not in map_spec:
         raise ScenarioError("plant.map.kind: missing required field")
 
+    for key in ("y_star", "coupling"):
+        if key in map_spec:
+            _real(map_spec[key], f"plant.map.{key}")
+
+    # numbers are checked before the constructors run, so that an error
+    # names the field once
+    gains = {key: _real(_require(ctrl, key, "controller"), f"controller.{key}")
+             for key in ("p", "p0", "lambda", "epsilon_sw", "gamma", "L_h",
+                         "eta", "T_s")}
     y_sat = ctrl.get("y_sat")
+    y_sat = math.inf if y_sat is None else _real(y_sat, "controller.y_sat")
+    ts_scale = _real(ctrl.get("ts_scale", 1.0), "controller.ts_scale")
     n_dirs = _count(_require(ctrl, "n_dirs", "controller"), "controller.n_dirs")
     try:
         params = ControllerParams(
-            p=float(_require(ctrl, "p", "controller")),
-            p0=float(_require(ctrl, "p0", "controller")),
-            y_sat=math.inf if y_sat is None else float(y_sat),
-            lam=float(_require(ctrl, "lambda", "controller")),
-            epsilon_sw=float(_require(ctrl, "epsilon_sw", "controller")),
-            gamma=float(_require(ctrl, "gamma", "controller")),
-            L_h=float(_require(ctrl, "L_h", "controller")),
-            eta=float(_require(ctrl, "eta", "controller")),
-            T_s=float(_require(ctrl, "T_s", "controller")),
+            p=gains["p"], p0=gains["p0"], y_sat=y_sat, lam=gains["lambda"],
+            epsilon_sw=gains["epsilon_sw"], gamma=gains["gamma"],
+            L_h=gains["L_h"], eta=gains["eta"], T_s=gains["T_s"],
             n_dirs=n_dirs,
             scaling_mode=ctrl.get("scaling_mode", "scaled"),
-            ts_scale=float(ctrl.get("ts_scale", 1.0)),
+            ts_scale=ts_scale,
         )
     except ConfigurationError as exc:
         raise ScenarioError(f"controller: {exc}") from exc
@@ -192,27 +204,36 @@ def scenario_from_dict(data: dict, *, allow_unstable: bool = False) -> Scenario:
             f"sim.v0: expected an array or the string 'quasi_steady', "
             f"got {v0_raw!r}")
     log_stride = _count(sim.get("log_stride", 1), "sim.log_stride")
+    dt = _real(_require(sim, "dt", "sim"), "sim.dt")
+    horizon = _real(_require(sim, "horizon", "sim"), "sim.horizon")
+    plant_eta = sim.get("plant_eta")
+    if plant_eta is not None:
+        plant_eta = _real(plant_eta, "sim.plant_eta")
     try:
         sim_config = SimConfig(
-            dt=float(_require(sim, "dt", "sim")),
-            horizon=float(_require(sim, "horizon", "sim")),
+            dt=dt,
+            horizon=horizon,
             x0=np.asarray(_require(sim, "x0", "sim"), dtype=float),
             v0=None if (v0_raw is None or quasi_steady)
                else np.asarray(v0_raw, dtype=float),
             log_stride=log_stride,
-            plant_eta=(None if sim.get("plant_eta") is None
-                       else float(sim["plant_eta"])),
+            plant_eta=plant_eta,
             quasi_steady=quasi_steady,
         )
     except ConfigurationError as exc:
         raise ScenarioError(f"sim: {exc}") from exc
 
+    delta = analysis.get("delta")
+    if delta is not None:
+        delta = _real(delta, "analysis.delta")
+    trailing_fraction = _real(analysis.get("trailing_fraction", 0.1),
+                              "analysis.trailing_fraction")
+    c_bound = _real(analysis.get("c_bound", 2.5), "analysis.c_bound")
     try:
         analysis_params = AnalysisParams(
-            delta=(None if analysis.get("delta") is None
-                   else float(analysis["delta"])),
-            trailing_fraction=float(analysis.get("trailing_fraction", 0.1)),
-            c_bound=float(analysis.get("c_bound", 2.5)),
+            delta=delta,
+            trailing_fraction=trailing_fraction,
+            c_bound=c_bound,
         )
     except ConfigurationError as exc:
         raise ScenarioError(f"analysis: {exc}") from exc

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from slidingesc import cli
 from slidingesc.cli import EXIT_FAIL, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 
 SHORT = ["--override", "sim.horizon=20", "--override", "sim.log_stride=10"]
@@ -83,6 +84,28 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert override.partition("=")[0] in err and "integer" in err
 
+    @pytest.mark.parametrize("override", [
+        "controller.gamma=true", "controller.y_sat=false", "sim.dt=true",
+        'sim.horizon="20"', "sim.dt=abc", "plant.map.coupling=true"])
+    def test_non_numeric_real_is_usage_error(self, tmp_path, capsys,
+                                             override):
+        rc = run_cli("run", "--out", str(tmp_path / "o"), *SHORT,
+                     "--override", override)
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert override.partition("=")[0] in err and "number" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_boolean_dt_in_config_is_usage_error(self, tmp_path, capsys):
+        from slidingesc.scenario import builtin_scenario_dict
+        doc = builtin_scenario_dict("coupled_bowl")
+        doc["sim"]["dt"] = True
+        cfg = tmp_path / "bool_dt.json"
+        cfg.write_text(json.dumps(doc))
+        rc = run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert rc == EXIT_USAGE
+        assert "sim.dt: expected a number, got True" in capsys.readouterr().err
+
     def test_integral_float_count_accepted(self, tmp_path):
         out = tmp_path / "o"
         assert run_cli("run", "--out", str(out), *SHORT,
@@ -136,6 +159,46 @@ class TestSweepCommand:
         assert (out / "sweep_metrics.csv").exists()
         assert (out / "controller_eta=0.01" / "metrics.json").exists()
         assert (out / "controller_eta=0.02" / "metrics.json").exists()
+
+    @pytest.mark.parametrize("jobs, values, workers", [
+        (8, "0.01,0.02", 2), (3, "0.01,0.02,0.03,0.04", 3)])
+    def test_pool_no_larger_than_value_list(self, tmp_path, monkeypatch,
+                                            jobs, values, workers):
+        # the stand-in pool records its size and runs the jobs in this
+        # process, so no worker process is started
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor",
+                            InlinePool)
+        out = tmp_path / "pool"
+        rc = run_cli("sweep", "--param", "controller.eta", "--values", values,
+                     "--jobs", str(jobs), "--out", str(out), *SHORT)
+        assert rc == EXIT_OK
+        assert sizes == [workers]
+        rows = (out / "sweep_metrics.csv").read_text().splitlines()
+        assert len(rows) == 1 + values.count(",") + 1
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_usage_error(self, tmp_path, capsys, jobs):
+        out = tmp_path / "s"
+        rc = run_cli("sweep", "--param", "controller.eta", "--values", "0.01",
+                     "--jobs", jobs, "--out", str(out), *SHORT)
+        assert rc == EXIT_USAGE
+        assert "--jobs" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_search_period_robustness(self, tmp_path):
         # full-horizon runs: the benchmark converges for halved and

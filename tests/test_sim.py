@@ -1,14 +1,20 @@
 """Closed-loop integration semantics, determinism, guards, backends."""
 
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from slidingesc import (CascadePlant, ConfigurationError, ControllerState,
                         CustomMap, LtiSubsystem, QuadraticMap, SimConfig,
-                        SimulationAbort, dt_guard_limit, run)
+                        SimulationAbort, _fastpath, dt_guard_limit, run)
 from slidingesc.controller import controller_step
+from slidingesc.scenario import builtin_scenario_dict, scenario_from_dict
 
 from test_controller import make_params
 
@@ -114,6 +120,41 @@ def assert_chunked_agrees(reference, chunked) -> None:
                                    rtol=0.0, atol=1e-9, err_msg=name)
 
 
+def matrices(rows, cols, bound=1.0):
+    return hnp.arrays(np.float64, (rows, cols),
+                      elements=st.floats(-bound, bound))
+
+
+@st.composite
+def closed_loops(draw, sub_steps):
+    """A stable plant with n, m in 1..3, a concave quadratic map, a
+    controller whose search sub-interval lasts ``sub_steps`` steps, and
+    a run, which may be shorter than the shortest chunk."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 3))
+    n_steps = draw(st.sampled_from([2, 9, _fastpath.CHUNK_MIN - 1, 600, 1500]))
+    stride = draw(st.sampled_from([d for d in range(1, 8) if n_steps % d == 0]))
+    root, skew = draw(matrices(n, n)), draw(matrices(n, n))
+    A = (-(root @ root.T) / n - draw(st.floats(0.5, 3.0)) * np.eye(n)
+         + 0.5 * (skew - skew.T))
+    lti = LtiSubsystem(A, draw(matrices(n, m)),
+                       np.eye(n) + 0.2 * draw(matrices(n, n)))
+    root = draw(matrices(n, n))
+    qmap = QuadraticMap(draw(st.floats(0.0, 3.0)),
+                        draw(matrices(1, n, 2.0))[0],
+                        -(root @ root.T + 0.5 * np.eye(n)))
+    params = make_params(p0=-2.0, y_sat=draw(st.sampled_from([3.0, math.inf])),
+                         eta=draw(st.floats(0.05, 1.0)),
+                         epsilon_sw=draw(st.floats(0.01, 0.2)), n_dirs=m)
+    dt = min(1e-3, 0.9 * dt_guard_limit(CascadePlant(lti, qmap), params,
+                                         params.eta))
+    params = dataclasses.replace(params, T_s=sub_steps * m * dt)
+    config = SimConfig(dt=dt, horizon=n_steps * dt,
+                       x0=draw(matrices(1, n, 3.0))[0],
+                       v0=draw(matrices(1, m))[0], log_stride=stride)
+    return lti, qmap, params, config
+
+
 class TestChunkedBackend:
     """The numpy kernel (what ``auto`` runs on a quadratic map) against
     the reference loop; its own reruns are bit-identical."""
@@ -155,6 +196,37 @@ class TestChunkedBackend:
         reference = run(CascadePlant(lti, qmap), params, config,
                         backend="python")
         chunked = run(CascadePlant(lti, qmap), params, config, backend="auto")
+        assert_chunked_agrees(reference, chunked)
+
+    # a sub-interval shorter than a chunk makes the kernel read the
+    # direction index row by row; a long one lets it read the index off
+    # a chunk's end points
+    @pytest.mark.parametrize("sub_steps", [5, 300, 3000])
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_agrees_on_drawn_loops(self, sub_steps, data):
+        lti, qmap, params, config = data.draw(closed_loops(sub_steps))
+        reference = run(CascadePlant(lti, qmap), params, config,
+                        backend="python")
+        chunked = run(CascadePlant(lti, qmap), params, config, backend="auto")
+        assert_chunked_agrees(reference, chunked)
+
+    def test_agrees_when_chunks_reach_their_cap(self):
+        # hovering at the maximizer the relay holds for thousands of
+        # steps, so the chunk length doubles up to CHUNK_MAX and a
+        # whole CHUNK_MAX-step chunk is accepted
+        doc = builtin_scenario_dict("residual_sweep")
+        z_star = doc["plant"]["map"]["z_star"]
+        doc["sim"].update(horizon=5.0, log_stride=1,
+                          x0=[z_star[0] + 0.03, z_star[1] - 0.02])
+        sc = scenario_from_dict(doc)
+        reference = run(sc.build_plant(), sc.controller, sc.sim,
+                        backend="python")
+        changes = np.flatnonzero(np.any(np.diff(reference.u, axis=0) != 0, axis=1)
+                                 | (np.diff(reference.dir_index) != 0))
+        longest = np.diff(np.concatenate(([0], changes + 1, [len(reference)])))
+        assert longest.max() >= 2 * _fastpath.CHUNK_MAX
+        chunked = run(sc.build_plant(), sc.controller, sc.sim, backend="auto")
         assert_chunked_agrees(reference, chunked)
 
     def test_bit_identical_repeat(self, benchmark_params, benchmark_lti,
@@ -241,6 +313,26 @@ class TestGuards:
         with pytest.raises(SimulationAbort, match="non-finite|finite-escape"):
             run(plant, make_params(), config, backend=backend, dt_guard=False,
                 skip_hypothesis_check=True)
+
+    @pytest.mark.parametrize("growth", [200.0, 5.0])
+    def test_finite_escape_warns_nothing(self, benchmark_map, growth,
+                                         monkeypatch):
+        # the chunked kernel reaches the same abort with every numpy
+        # RuntimeWarning (overflow, invalid value) turned into an error
+        kernel = _fastpath.run_chunked
+
+        def strict(*args):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                return kernel(*args)
+
+        monkeypatch.setattr(_fastpath, "run_chunked", strict)
+        lti = LtiSubsystem(growth * np.eye(2), np.eye(2), allow_unstable=True)
+        config = SimConfig(dt=1e-2, horizon=10.0, x0=[1.0, 1.0],
+                           v0=[0.0, 0.0], log_stride=1)
+        with pytest.raises(SimulationAbort, match="finite-escape"):
+            run(CascadePlant(lti, benchmark_map), make_params(), config,
+                dt_guard=False, skip_hypothesis_check=True)
 
 
 class TestQuasiSteadyStart:

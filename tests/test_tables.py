@@ -2,7 +2,9 @@
 
 ``reference_csv`` and ``reference_plot_tables`` are the oracle: the
 ``np.savetxt`` calls that ``Trajectory.to_csv`` and the CLI's plot
-tables were written with before the streaming writer replaced them.
+tables were written with before the streaming writer replaced them,
+and the point-by-point loop that wrote the objective surface before
+it was evaluated in one batch.
 """
 
 import json
@@ -13,11 +15,12 @@ import pytest
 from slidingesc import (CascadePlant, LtiSubsystem, QuadraticMap, Trajectory,
                         run)
 from slidingesc._tables import BLOCK_ROWS, format_runs
-from slidingesc.cli import EXIT_OK, _write_plot_data, main
+from slidingesc.cli import (EXIT_OK, _write_objective_surface, _write_plot_data,
+                           main)
 from slidingesc.scenario import builtin_scenario_dict, scenario_from_dict
 
 TABLES = ("trajectory.csv", "output_vs_time.dat", "phase_plane.dat",
-          "control_signals.dat", "output_path_3d.dat")
+          "control_signals.dat", "output_path_3d.dat", "objective_surface.dat")
 
 
 def reference_csv(traj, path) -> None:
@@ -61,6 +64,19 @@ def reference_plot_tables(outdir, traj, plant) -> None:
                    np.column_stack([traj.z[::stride, 0], traj.z[::stride, 1],
                                     traj.y[::stride]]),
                    header="z1 z2 y", comments="# ")
+        span = max(2.0, float(np.abs(traj.z).max()) * 1.1)
+        reference_surface(outdir / "objective_surface.dat", plant.map, span)
+
+
+def reference_surface(path, qmap, span) -> None:
+    grid = np.linspace(-span, span, 61)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("# z1 z2 h(z)   gnuplot splot blocks\n")
+        for z1 in grid:
+            for z2 in grid:
+                fh.write(f"{z1:.6g} {z2:.6g} "
+                         f"{qmap.eval(np.array([z1, z2])):.6g}\n")
+            fh.write("\n")
 
 
 def write_both(tmp_path, traj, plant):
@@ -164,6 +180,32 @@ class TestMatchesSavetxt:
         traj.rho = traj.rho[:-1]
         with pytest.raises(ValueError, match="length"):
             traj.to_csv(tmp_path / "trajectory.csv")
+
+
+class TestObjectiveSurface:
+    """The batched surface against the point-by-point oracle."""
+
+    @pytest.mark.parametrize("coupling", [0.0, 0.2, 0.5, -0.7, 0.95])
+    @pytest.mark.parametrize("z_star", [(0.0, 0.0), (0.37, -1.3)])
+    @pytest.mark.parametrize("span", [2.0, 2.2000000000000002, 5.5, 17.3])
+    def test_matches_pointwise(self, tmp_path, coupling, z_star, span):
+        qmap = QuadraticMap.from_coupling(coupling, 2.5, z_star)
+        _write_objective_surface(tmp_path / "ours.dat", qmap, span)
+        reference_surface(tmp_path / "ref.dat", qmap, span)
+        assert ((tmp_path / "ours.dat").read_bytes()
+                == (tmp_path / "ref.dat").read_bytes())
+
+    def test_matches_pointwise_general_curvature(self, tmp_path):
+        rng = np.random.default_rng(4)
+        for trial in range(5):
+            root = rng.normal(size=(2, 2))
+            qmap = QuadraticMap(rng.normal(), rng.normal(size=2),
+                                -(root @ root.T + 0.1 * np.eye(2)))
+            span = float(rng.uniform(0.5, 30.0))
+            _write_objective_surface(tmp_path / "ours.dat", qmap, span)
+            reference_surface(tmp_path / "ref.dat", qmap, span)
+            assert ((tmp_path / "ours.dat").read_bytes()
+                    == (tmp_path / "ref.dat").read_bytes()), trial
 
 
 def test_cli_run_matches_reference(tmp_path):
