@@ -2,31 +2,27 @@
 switching function, and cyclic directional search, for plants made of an
 input integrator, a stable LTI block, and an unknown static objective."""
 
-from .analysis import (Metrics, ResidualBoundResult, SlidingSegment,
-                       convergence_metrics, detect_sliding,
+from .analysis import (Metrics, convergence_metrics, detect_sliding,
                        fd_gradient_oracle, residual_bound_check)
-from .controller import (ControllerParams, ControllerState, EffectiveGains,
-                         StepTelemetry, control_law, controller_step,
-                         cyclic_direction, reference_step,
+from .controller import (ControllerParams, ControllerState, control_law,
+                         controller_step, cyclic_direction, reference_step,
                          sliding_variable_step, switching_sign)
 from .errors import ConfigurationError, SimulationAbort
-from .plant import (CascadePlant, CustomMap, HypothesisReport, LtiSubsystem,
-                    QuadraticMap, StaticMap, central_difference)
-from .scenario import (AnalysisParams, Scenario, ScenarioError, load_builtin,
-                       load_scenario, save_scenario)
+from .plant import (CascadePlant, CustomMap, LtiSubsystem, QuadraticMap,
+                    central_difference)
+from .scenario import (Scenario, ScenarioError, load_builtin, load_scenario,
+                       save_scenario)
 from .sim import SimConfig, Trajectory, dt_guard_limit, run
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalysisParams", "CascadePlant", "ConfigurationError",
-    "ControllerParams", "ControllerState", "CustomMap", "EffectiveGains",
-    "HypothesisReport", "LtiSubsystem", "Metrics", "QuadraticMap",
-    "ResidualBoundResult", "Scenario", "ScenarioError", "SimConfig",
-    "SimulationAbort", "SlidingSegment", "StaticMap", "StepTelemetry",
-    "Trajectory", "central_difference", "control_law", "controller_step",
-    "convergence_metrics", "cyclic_direction", "detect_sliding",
-    "dt_guard_limit", "fd_gradient_oracle", "load_builtin", "load_scenario",
-    "reference_step", "residual_bound_check", "run", "save_scenario",
-    "sliding_variable_step", "switching_sign",
+    "CascadePlant", "ConfigurationError", "ControllerParams",
+    "ControllerState", "CustomMap", "LtiSubsystem", "Metrics",
+    "QuadraticMap", "Scenario", "ScenarioError", "SimConfig",
+    "SimulationAbort", "Trajectory", "central_difference", "control_law",
+    "controller_step", "convergence_metrics", "cyclic_direction",
+    "detect_sliding", "dt_guard_limit", "fd_gradient_oracle", "load_builtin",
+    "load_scenario", "reference_step", "residual_bound_check", "run",
+    "save_scenario", "sliding_variable_step", "switching_sign",
 ]

@@ -68,11 +68,15 @@ def _scenario_from_args(args):
     return data, scenario_from_dict(data, allow_unstable=args.allow_unstable)
 
 
-def _write_plot_data(outdir: Path, traj, plant) -> None:
-    """Plotter-agnostic whitespace tables for the four standard views."""
+def _plot_tables(outdir: Path, traj, plant) -> list[_tables.Table]:
+    """Plotter-agnostic whitespace tables for the four standard views.
+
+    Cells use the CSV's 17 significant digits (enough to round-trip
+    every double), so written with the CSV they share its text.
+    """
     n = traj.z.shape[1]
     m = traj.u.shape[1]
-    fmt = "%.18e"
+    fmt = "%.17g"
     t, y = (traj.t, fmt), (traj.y, fmt)
     z = [(column, fmt) for column in traj.z.T]
     u = [(column, fmt) for column in traj.u.T]
@@ -94,9 +98,14 @@ def _write_plot_data(outdir: Path, traj, plant) -> None:
         tables.append(_tables.Table(outdir / "output_path_3d.dat",
                                     "# z1 z2 y", [*z, y],
                                     stride=max(1, len(traj) // 2000)))
-    _tables.write_tables(tables)
+    return tables
 
-    if n == 2:
+
+def _write_tables(outdir: Path, traj, plant) -> None:
+    """trajectory.csv and the plot tables in one pass, sharing their
+    text, then the objective surface of a two-dimensional map."""
+    traj.to_csv(outdir / "trajectory.csv", *_plot_tables(outdir, traj, plant))
+    if traj.z.shape[1] == 2:
         span = max(2.0, float(np.abs(traj.z).max()) * 1.1)
         _write_objective_surface(outdir / "objective_surface.dat", plant.map,
                                  span)
@@ -133,14 +142,13 @@ def _run_one(data: dict, scenario, outdir: Path, *, backend: str,
         delta=scenario.analysis.delta,
         trailing_fraction=scenario.analysis.trailing_fraction,
         min_duration=50.0 * scenario.sim.dt)
-    traj.to_csv(outdir / "trajectory.csv")
+    _write_tables(outdir, traj, plant)
     with open(outdir / "metrics.json", "w", encoding="utf-8") as fh:
         json.dump(metrics.to_flat_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
     with open(outdir / "scenario.json", "w", encoding="utf-8") as fh:
         json.dump(data, fh, indent=2)
         fh.write("\n")
-    _write_plot_data(outdir, traj, plant)
     return metrics.to_flat_dict()
 
 

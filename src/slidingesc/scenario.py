@@ -156,6 +156,17 @@ def _real(value, path: str) -> float:
     return float(value)
 
 
+def _reals(value, path: str):
+    """A number or a nested list of them, each element checked as
+    ``_real`` checks a number field; shapes are checked where used."""
+    if isinstance(value, (list, tuple, np.ndarray)):
+        for i, item in enumerate(value):
+            _reals(item, f"{path}[{i}]")
+    else:
+        _real(value, path)
+    return value
+
+
 def scenario_from_dict(data: dict, *, allow_unstable: bool = False) -> Scenario:
     """Build and fully validate a Scenario from a parsed document."""
     if not isinstance(data, dict):
@@ -165,9 +176,11 @@ def scenario_from_dict(data: dict, *, allow_unstable: bool = False) -> Scenario:
     sim = _require(data, "sim", "scenario")
     analysis = data.get("analysis", {})
 
-    A = _require(plant, "A", "plant")
-    B = _require(plant, "B", "plant")
+    A = _reals(_require(plant, "A", "plant"), "plant.A")
+    B = _reals(_require(plant, "B", "plant"), "plant.B")
     C = plant.get("C")
+    if C is not None:
+        _reals(C, "plant.C")
     map_spec = _require(plant, "map", "plant")
     if "kind" not in map_spec:
         raise ScenarioError("plant.map.kind: missing required field")
@@ -175,6 +188,9 @@ def scenario_from_dict(data: dict, *, allow_unstable: bool = False) -> Scenario:
     for key in ("y_star", "coupling"):
         if key in map_spec:
             _real(map_spec[key], f"plant.map.{key}")
+    for key in ("z_star", "H"):
+        if key in map_spec:
+            _reals(map_spec[key], f"plant.map.{key}")
 
     # numbers are checked before the constructors run, so that an error
     # names the field once
@@ -203,6 +219,9 @@ def scenario_from_dict(data: dict, *, allow_unstable: bool = False) -> Scenario:
         raise ScenarioError(
             f"sim.v0: expected an array or the string 'quasi_steady', "
             f"got {v0_raw!r}")
+    if v0_raw is not None and not quasi_steady:
+        _reals(v0_raw, "sim.v0")
+    x0 = _reals(_require(sim, "x0", "sim"), "sim.x0")
     log_stride = _count(sim.get("log_stride", 1), "sim.log_stride")
     dt = _real(_require(sim, "dt", "sim"), "sim.dt")
     horizon = _real(_require(sim, "horizon", "sim"), "sim.horizon")
@@ -213,7 +232,7 @@ def scenario_from_dict(data: dict, *, allow_unstable: bool = False) -> Scenario:
         sim_config = SimConfig(
             dt=dt,
             horizon=horizon,
-            x0=np.asarray(_require(sim, "x0", "sim"), dtype=float),
+            x0=np.asarray(x0, dtype=float),
             v0=None if (v0_raw is None or quasi_steady)
                else np.asarray(v0_raw, dtype=float),
             log_stride=log_stride,

@@ -121,15 +121,20 @@ class Trajectory:
         cols += ["dir", "rho"]
         return cols
 
-    def to_csv(self, path) -> None:
-        """Write the log as CSV, 17 significant digits, fixed column order."""
+    def to_csv(self, path, *tables: _tables.Table) -> None:
+        """Write the log as CSV, 17 significant digits, fixed column order.
+
+        Further ``tables`` over the same rows are written in the same
+        pass, so a value they share with the CSV at the same format is
+        turned into text once.
+        """
         names = self.column_header()
         arrays = [self.t, *self.v.T, *self.x.T, *self.z.T, self.y, self.y_m,
                   self.e, self.s, *self.u.T, self.dir_index, self.rho]
         columns = [(values, "%d" if name == "dir" else "%.17g")
                    for name, values in zip(names, arrays)]
         _tables.write_tables([_tables.Table(path, ",".join(names), columns,
-                                            delimiter=",")])
+                                            delimiter=","), *tables])
 
 
 def resolve_plant_eta(params: ControllerParams,
@@ -323,31 +328,35 @@ def _run_python(plant, params, config, v0, plant_eta) -> Trajectory:
     dt = config.dt
     plant_rate = 1.0 / plant_eta
     rec = 0
-    for k in range(n_steps + 1):
-        z = plant.z
-        y = plant.map.eval(z)
-        u, tel = controller_step(params, state, y, dt)
-        if k % stride == 0:
-            t_log[rec] = k * dt
-            v_log[rec] = plant.v
-            x_log[rec] = plant.x
-            z_log[rec] = z
-            y_log[rec] = y
-            ym_log[rec] = tel.y_m
-            e_log[rec] = tel.e
-            s_log[rec] = tel.s
-            u_log[rec] = u
-            dir_log[rec] = tel.dir_index
-            rho_log[rec] = tel.rho
-            rec += 1
-        if k < n_steps:
-            dv, dx = plant.derivative(u)
-            plant._v = plant._v + dt * dv
-            plant._x = plant._x + (dt * plant_rate) * dx
-            if not np.all(np.isfinite(plant._x)):
-                raise SimulationAbort(
-                    f"non-finite state after step at t={k * dt:.6g} "
-                    "(finite-escape guard)")
+    # an escaping plant overflows the map before the state turns
+    # non-finite; the finite-escape abort below is the signal, not a
+    # numpy RuntimeWarning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps + 1):
+            z = plant.z
+            y = plant.map.eval(z)
+            u, tel = controller_step(params, state, y, dt)
+            if k % stride == 0:
+                t_log[rec] = k * dt
+                v_log[rec] = plant.v
+                x_log[rec] = plant.x
+                z_log[rec] = z
+                y_log[rec] = y
+                ym_log[rec] = tel.y_m
+                e_log[rec] = tel.e
+                s_log[rec] = tel.s
+                u_log[rec] = u
+                dir_log[rec] = tel.dir_index
+                rho_log[rec] = tel.rho
+                rec += 1
+            if k < n_steps:
+                dv, dx = plant.derivative(u)
+                plant._v = plant._v + dt * dv
+                plant._x = plant._x + (dt * plant_rate) * dx
+                if not np.all(np.isfinite(plant._x)):
+                    raise SimulationAbort(
+                        f"non-finite state after step at t={k * dt:.6g} "
+                        "(finite-escape guard)")
     return Trajectory(t_log[:rec], v_log[:rec], x_log[:rec], z_log[:rec],
                       y_log[:rec], ym_log[:rec], e_log[:rec], s_log[:rec],
                       u_log[:rec], dir_log[:rec], rho_log[:rec])

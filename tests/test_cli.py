@@ -106,6 +106,30 @@ class TestRunCommand:
         assert rc == EXIT_USAGE
         assert "sim.dt: expected a number, got True" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override", [
+        "sim.x0=[true,4]", "sim.v0=[0.5,false]", "sim.x0=[-2,null]",
+        'plant.map.z_star=[0,"1"]', "plant.C=[[1,0],[0,true]]"])
+    def test_non_numeric_array_element_is_usage_error(self, tmp_path, capsys,
+                                                      override):
+        rc = run_cli("run", "--out", str(tmp_path / "o"), *SHORT,
+                     "--override", override)
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert override.partition("=")[0] in err and "number" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_boolean_in_plant_matrix_in_config_is_usage_error(self, tmp_path,
+                                                              capsys):
+        from slidingesc.scenario import builtin_scenario_dict
+        doc = builtin_scenario_dict("coupled_bowl")
+        doc["plant"]["A"][1][0] = True
+        cfg = tmp_path / "bool_A.json"
+        cfg.write_text(json.dumps(doc))
+        rc = run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert rc == EXIT_USAGE
+        assert ("plant.A[1][0]: expected a number, got True"
+                in capsys.readouterr().err)
+
     def test_integral_float_count_accepted(self, tmp_path):
         out = tmp_path / "o"
         assert run_cli("run", "--out", str(out), *SHORT,

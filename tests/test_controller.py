@@ -130,8 +130,10 @@ class TestCyclicDirection:
         idx2, sigma2 = cyclic_direction(t + period, period, n_dirs)
         assert 1 <= idx <= n_dirs
         assert sigma.sum() == 1.0 and sigma[idx - 1] == 1.0
-        # one period later the schedule repeats (up to fp at boundaries)
-        if abs((t % period) / (period / n_dirs) % 1.0 - 0.0) > 1e-9:
+        # one period later the schedule repeats (up to fp at boundaries:
+        # positions within 1e-9 of a sub-interval's start or end)
+        position = (t % period) / (period / n_dirs)
+        if abs(position - round(position)) > 1e-9:
             assert idx == idx2 and np.array_equal(sigma, sigma2)
 
     def test_equal_share_over_window(self):

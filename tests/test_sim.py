@@ -301,6 +301,7 @@ class TestGuards:
             run(plant, benchmark_params, config, skip_hypothesis_check=True)
         assert any("OVERRIDDEN" in r.message for r in caplog.records)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("backend", ["auto", "python"])
     @pytest.mark.parametrize("growth", [200.0, 5.0])
     def test_finite_escape_detected(self, benchmark_map, growth, backend):

@@ -2,9 +2,10 @@
 
 ``reference_csv`` and ``reference_plot_tables`` are the oracle: the
 ``np.savetxt`` calls that ``Trajectory.to_csv`` and the CLI's plot
-tables were written with before the streaming writer replaced them,
-and the point-by-point loop that wrote the objective surface before
-it was evaluated in one batch.
+tables were written with before the streaming writer replaced them
+(the plot tables at the CSV's ``%.17g``; ``%.18e`` before they were
+written in one pass with the CSV), and the point-by-point loop that
+wrote the objective surface before it was evaluated in one batch.
 """
 
 import json
@@ -14,13 +15,15 @@ import pytest
 
 from slidingesc import (CascadePlant, LtiSubsystem, QuadraticMap, Trajectory,
                         run)
-from slidingesc._tables import BLOCK_ROWS, format_runs
-from slidingesc.cli import (EXIT_OK, _write_objective_surface, _write_plot_data,
-                           main)
+from slidingesc._tables import (BLOCK_ROWS, WINDOW_ROWS, format_runs,
+                               write_tables)
+from slidingesc.cli import (EXIT_OK, _plot_tables, _write_objective_surface,
+                           _write_tables, main)
 from slidingesc.scenario import builtin_scenario_dict, scenario_from_dict
 
 TABLES = ("trajectory.csv", "output_vs_time.dat", "phase_plane.dat",
           "control_signals.dat", "output_path_3d.dat", "objective_surface.dat")
+PLOT_TABLES = TABLES[1:5]
 
 
 def reference_csv(traj, path) -> None:
@@ -35,18 +38,18 @@ def reference_csv(traj, path) -> None:
                header=",".join(traj.column_header()), comments="")
 
 
-def reference_plot_tables(outdir, traj, plant) -> None:
+def reference_plot_tables(outdir, traj, plant, fmt="%.17g") -> None:
     n = traj.z.shape[1]
     m = traj.u.shape[1]
 
     header = "t " + " ".join(f"z{i+1}" for i in range(n)) + " y y_m"
     np.savetxt(outdir / "output_vs_time.dat",
                np.column_stack([traj.t, traj.z, traj.y, traj.y_m]),
-               header=header, comments="# ")
+               fmt=fmt, header=header, comments="# ")
 
     if n == 2:
         np.savetxt(outdir / "phase_plane.dat",
-                   np.column_stack([traj.z[:, 0], traj.z[:, 1]]),
+                   np.column_stack([traj.z[:, 0], traj.z[:, 1]]), fmt=fmt,
                    header=f"z1 z2   (maximizer at {plant.map.z_star.tolist()})",
                    comments="# ")
 
@@ -56,14 +59,14 @@ def reference_plot_tables(outdir, traj, plant) -> None:
     sigma[np.arange(len(traj)), traj.dir_index.astype(int) - 1] = 1.0
     np.savetxt(outdir / "control_signals.dat",
                np.column_stack([traj.t, traj.u, sigma]),
-               header=header, comments="# ")
+               fmt=fmt, header=header, comments="# ")
 
     if n == 2:
         stride = max(1, len(traj) // 2000)
         np.savetxt(outdir / "output_path_3d.dat",
                    np.column_stack([traj.z[::stride, 0], traj.z[::stride, 1],
                                     traj.y[::stride]]),
-                   header="z1 z2 y", comments="# ")
+                   fmt=fmt, header="z1 z2 y", comments="# ")
         span = max(2.0, float(np.abs(traj.z).max()) * 1.1)
         reference_surface(outdir / "objective_surface.dat", plant.map, span)
 
@@ -84,8 +87,7 @@ def write_both(tmp_path, traj, plant):
     ours, ref = tmp_path / "ours", tmp_path / "ref"
     ours.mkdir()
     ref.mkdir()
-    traj.to_csv(ours / "trajectory.csv")
-    _write_plot_data(ours, traj, plant)
+    _write_tables(ours, traj, plant)
     reference_csv(traj, ref / "trajectory.csv")
     reference_plot_tables(ref, traj, plant)
     return ours, ref
@@ -98,6 +100,13 @@ def assert_same_tables(ours, ref) -> None:
         assert (ours / name).exists() == (ref / name).exists(), name
     for name in written:
         assert (ours / name).read_bytes() == (ref / name).read_bytes(), name
+
+
+def write_apart(outdir, traj, plant) -> None:
+    """The CSV and each plot table in a ``write_tables`` call of its own."""
+    traj.to_csv(outdir / "trajectory.csv")
+    for table in _plot_tables(outdir, traj, plant):
+        write_tables([table])
 
 
 def plant_of_dim(dim: int) -> CascadePlant:
@@ -134,6 +143,19 @@ def synthetic(rows: int, dim: int, seed: int = 0) -> Trajectory:
         rho=np.full(rows, rho))
 
 
+def at_window_edge(traj: Trajectory) -> Trajectory:
+    """Runs at the first window edge, in columns searched for runs: u
+    holds across it, rho steps from -0.0 to 0.0 at it, and y_m and s
+    hold NaN across it."""
+    edge = WINDOW_ROWS
+    traj.u[edge - 5:edge + 5] = traj.u[edge - 5]
+    traj.rho[edge - 2:edge] = -0.0
+    traj.rho[edge:edge + 2] = 0.0
+    traj.y_m[edge - 3:edge + 3] = np.nan
+    traj.s[edge - 1:edge + 1] = np.nan
+    return traj
+
+
 class TestFormatRuns:
     def test_signed_zero_and_nan_runs(self):
         values = np.array([0.0, -0.0, -0.0, 0.0, 0.0, np.nan, np.nan, -np.inf,
@@ -157,10 +179,12 @@ class TestMatchesSavetxt:
         assert_same_tables(*write_both(tmp_path, traj, plant_of_dim(dim)))
 
     def test_path_stride_across_blocks(self, tmp_path):
-        # 3 * 2000 + 1 rows give stride 3, which does not divide the
-        # block size, so the subsampled rows start mid-block
+        # 3 * 2000 + 1 rows give stride 3, which divides neither the
+        # block nor the window size, so the subsampled rows start
+        # mid-block and mid-window
         rows = 6001
-        assert BLOCK_ROWS % 3 != 0 and rows > 2 * BLOCK_ROWS
+        assert BLOCK_ROWS % 3 != 0 and WINDOW_ROWS % 3 != 0
+        assert rows > 2 * WINDOW_ROWS
         traj = synthetic(rows, 2, seed=2)
         ours, ref = write_both(tmp_path, traj, plant_of_dim(2))
         assert_same_tables(ours, ref)
@@ -175,11 +199,77 @@ class TestMatchesSavetxt:
         traj.z[5, 0] = -0.0  # z1's first block differs from x1's in one bit
         assert_same_tables(*write_both(tmp_path, traj, plant_of_dim(2)))
 
+    @pytest.mark.parametrize("rows", [WINDOW_ROWS - 1, WINDOW_ROWS,
+                                      WINDOW_ROWS + 1])
+    def test_runs_at_window_edge(self, tmp_path, rows):
+        assert WINDOW_ROWS % BLOCK_ROWS == 0
+        traj = at_window_edge(synthetic(rows, 2, seed=5))
+        assert_same_tables(*write_both(tmp_path, traj, plant_of_dim(2)))
+
+    def test_to_csv_alone(self, tmp_path):
+        traj = at_window_edge(synthetic(WINDOW_ROWS + 1, 2, seed=6))
+        (tmp_path / "ours").mkdir()
+        traj.to_csv(tmp_path / "ours" / "trajectory.csv")
+        reference_csv(traj, tmp_path / "ref.csv")
+        assert [p.name for p in (tmp_path / "ours").iterdir()] == [
+            "trajectory.csv"]
+        assert ((tmp_path / "ours" / "trajectory.csv").read_bytes()
+                == (tmp_path / "ref.csv").read_bytes())
+
     def test_ragged_columns_rejected(self, tmp_path):
         traj = synthetic(10, 2)
         traj.rho = traj.rho[:-1]
         with pytest.raises(ValueError, match="length"):
             traj.to_csv(tmp_path / "trajectory.csv")
+
+
+class TestOnePass:
+    """The CSV and the plot tables written in one ``write_tables`` call."""
+
+    @pytest.mark.parametrize("rows", [1, WINDOW_ROWS - 1, WINDOW_ROWS + 1])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_joint_equals_apart(self, tmp_path, rows, dim):
+        traj = synthetic(rows, dim, seed=7)
+        if rows > WINDOW_ROWS:
+            at_window_edge(traj)
+        plant = plant_of_dim(dim)
+        joint, apart = tmp_path / "joint", tmp_path / "apart"
+        joint.mkdir()
+        apart.mkdir()
+        traj.to_csv(joint / "trajectory.csv",
+                    *_plot_tables(joint, traj, plant))
+        write_apart(apart, traj, plant)
+        names = sorted(p.name for p in apart.iterdir())
+        assert names == sorted(p.name for p in joint.iterdir())
+        assert "trajectory.csv" in names and "control_signals.dat" in names
+        for name in names:
+            assert ((joint / name).read_bytes()
+                    == (apart / name).read_bytes()), name
+
+    @pytest.mark.parametrize("source", ["synthetic", "coupled_bowl"])
+    def test_cells_parse_as_before(self, tmp_path, source):
+        """Every plot-table cell parses to the float64 that the former
+        ``%.18e`` text parses to, bit for bit."""
+        if source == "synthetic":
+            traj = at_window_edge(synthetic(WINDOW_ROWS + 1, 2, seed=8))
+            plant = plant_of_dim(2)
+        else:
+            sc = scenario_from_dict(builtin_scenario_dict("coupled_bowl"))
+            sc.sim.horizon, sc.sim.log_stride = 5.0, 1
+            plant = sc.build_plant()
+            traj = run(plant, sc.controller, sc.sim)
+        ours, before = tmp_path / "ours", tmp_path / "before"
+        ours.mkdir()
+        before.mkdir()
+        _write_tables(ours, traj, plant)
+        reference_plot_tables(before, traj, plant, fmt="%.18e")
+        for name in PLOT_TABLES:
+            now = (ours / name).read_text().splitlines()
+            old = (before / name).read_text().splitlines()
+            assert now[0] == old[0] and len(now) == len(old), name
+            now, old = np.loadtxt(ours / name), np.loadtxt(before / name)
+            assert now.shape == old.shape, name
+            assert np.array_equal(now.view(np.int64), old.view(np.int64)), name
 
 
 class TestObjectiveSurface:
