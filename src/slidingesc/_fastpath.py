@@ -12,7 +12,8 @@ import math
 
 import numpy as np
 
-from .controller import ControllerState, sliding_variable_step
+from .controller import (ControllerState, direction_index,
+                         sliding_variable_step)
 
 # Bounds on the steps predicted per chunk of run_chunked: a chunk
 # predicts about twice the previous chunk's accepted run.
@@ -105,7 +106,6 @@ def run_chunked(A, B, C, H, z_star, y_star, v, x, dt, n_steps,
     arg_scale, y_offset, s_step, zero = (
         np.array(c) for c in (pi_over_eps, y_star, lambda_eff * dt, 0.0))
     sub = period / n_dirs
-    last_dir = n_dirs - 1
     # when a chunk spans less than half a sub-interval, its direction index
     # (monotone within a period) changes inside it only if its last row's
     # differs from its first row's
@@ -191,10 +191,9 @@ def run_chunked(A, B, C, H, z_star, y_star, v, x, dt, n_steps,
                 # rows whose relay sign differs from the chunk's
                 event = sine < zero if up else sine >= zero
                 idx = None
-                if not (ends_decide and min(int(T.item(R) % period / sub),
-                                            last_dir) == i):
-                    idx = np.minimum((np.remainder(T, period) / sub)
-                                     .astype(np.int64), last_dir)
+                if not (ends_decide
+                        and direction_index(T.item(R), period, n_dirs) == i):
+                    idx = direction_index(T, period, n_dirs)
                     event |= idx != i
                 event[0] = False
                 J = int(event.argmax()) or R

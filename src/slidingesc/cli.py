@@ -265,8 +265,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="slidingesc",
         description="Sliding-mode extremum seeking: simulate, verify, sweep.")
-    parser.add_argument("--log-level", default="WARNING",
-                        help="python logging level (default WARNING)")
+    parser.add_argument("--log-level", default="WARNING", type=str.upper,
+                        choices=("DEBUG", "INFO", "WARNING", "ERROR",
+                                 "CRITICAL"),
+                        help="python logging level, case-insensitive "
+                             "(default WARNING)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
@@ -313,8 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    logging.basicConfig(level=getattr(logging, args.log_level.upper(),
-                                      logging.WARNING))
+    logging.basicConfig(level=args.log_level)
     try:
         return args.fn(args)
     except FileNotFoundError as exc:

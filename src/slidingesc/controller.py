@@ -167,6 +167,23 @@ def sliding_variable_step(state: ControllerState, e: float, lambda_eff: float,
     return e + state.s_int
 
 
+def direction_index(t: float | np.ndarray, period: float,
+                    n_dirs: int) -> int | np.ndarray:
+    """0-based search direction at time t >= 0, for a float or an array
+    of times.
+
+    The period is cut into n_dirs sub-intervals of equal duration
+    period/n_dirs; the index is capped at n_dirs - 1 against the
+    floating-point edge at a period boundary.  Both forms give the same
+    index for the same time.
+    """
+    sub = period / n_dirs
+    if isinstance(t, np.ndarray):
+        return np.minimum((np.remainder(t, period) / sub).astype(np.int64),
+                          n_dirs - 1)
+    return min(int(t % period / sub), n_dirs - 1)
+
+
 def cyclic_direction(t: float, period: float, n_dirs: int) -> tuple[int, np.ndarray]:
     """Active search direction at time t: index in 1..n_dirs plus the
     corresponding standard basis vector.
@@ -176,10 +193,7 @@ def cyclic_direction(t: float, period: float, n_dirs: int) -> tuple[int, np.ndar
     """
     if t < 0.0:
         raise ConfigurationError(f"t must be >= 0, got {t}")
-    sub = period / n_dirs
-    i = int((t % period) / sub)
-    if i >= n_dirs:          # floating-point edge at a period boundary
-        i = n_dirs - 1
+    i = direction_index(t, period, n_dirs)
     sigma = np.zeros(n_dirs)
     sigma[i] = 1.0
     return i + 1, sigma

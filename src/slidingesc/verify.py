@@ -17,8 +17,8 @@ import numpy as np
 
 from .analysis import convergence_metrics, fd_gradient_oracle, residual_bound_check
 from .controller import (ControllerParams, ControllerState, control_law,
-                         controller_step, cyclic_direction, reference_step,
-                         sliding_variable_step)
+                         controller_step, cyclic_direction, direction_index,
+                         reference_step, sliding_variable_step)
 from .scenario import Scenario, load_builtin
 from .sim import SimConfig, run
 
@@ -84,18 +84,24 @@ def oracle_suite(scenario: Optional[Scenario] = None,
 
 def _controller_invariants(rng: np.random.Generator,
                            draws: int) -> tuple[bool, str]:
+    # (low, high) of each draw's nine parameter uniforms, in draw order:
+    # one call with these bounds returns, bit for bit, what nine scalar
+    # calls would
+    low, high = np.array([(-2.0, 2.0),     # p0
+                          (0.05, 5.0),     # p
+                          (-1.0, 3.0),     # y_sat - p0
+                          (0.1, 10.0),     # lambda
+                          (1e-3, 0.5),     # epsilon_sw
+                          (1e-3, 1.0),     # gamma
+                          (1e-2, 2.0),     # L_h
+                          (1e-4, 1.0),     # eta
+                          (0.5, 20.0)]).T  # T_s
     for i in range(draws):
-        p0 = float(rng.uniform(-2.0, 2.0))
+        p0, p, sat_offset, lam, epsilon_sw, gamma, L_h, eta, T_s = (
+            rng.uniform(low, high).tolist())
         params = ControllerParams(
-            p=float(rng.uniform(0.05, 5.0)),
-            p0=p0,
-            y_sat=max(p0, p0 + float(rng.uniform(-1.0, 3.0))),
-            lam=float(rng.uniform(0.1, 10.0)),
-            epsilon_sw=float(rng.uniform(1e-3, 0.5)),
-            gamma=float(rng.uniform(1e-3, 1.0)),
-            L_h=float(rng.uniform(1e-2, 2.0)),
-            eta=float(rng.uniform(1e-4, 1.0)),
-            T_s=float(rng.uniform(0.5, 20.0)),
+            p=p, p0=p0, y_sat=max(p0, p0 + sat_offset), lam=lam,
+            epsilon_sw=epsilon_sw, gamma=gamma, L_h=L_h, eta=eta, T_s=T_s,
             n_dirs=int(rng.integers(1, 6)),
             scaling_mode="scaled",
         )
@@ -113,12 +119,10 @@ def _controller_invariants(rng: np.random.Generator,
         idx2, sigma2 = cyclic_direction(t + period, period, params.n_dirs)
         if idx != idx2 or not np.array_equal(sigma, sigma2):
             return False, f"draw {i}: scheduler not periodic at t={t}"
-        counts = np.zeros(params.n_dirs)
         probes = 64 * params.n_dirs
-        for j in range(probes):
-            k, _ = cyclic_direction((j + 0.5) * period / probes, period,
-                                    params.n_dirs)
-            counts[k - 1] += 1
+        probe_t = (np.arange(probes) + 0.5) * period / probes
+        counts = np.bincount(direction_index(probe_t, period, params.n_dirs),
+                             minlength=params.n_dirs)
         if not np.all(counts == probes / params.n_dirs):
             return False, f"draw {i}: direction shares {counts} not equal"
 
@@ -133,8 +137,8 @@ def _controller_invariants(rng: np.random.Generator,
         # reference: monotone nondecreasing and never above saturation
         state = ControllerState.initial(params)
         prev = state.y_m
-        for _ in range(20):
-            ym = reference_step(state, p_eff, params.y_sat, float(rng.uniform(1e-4, 1.0)))
+        for dt in rng.uniform(1e-4, 1.0, 20).tolist():
+            ym = reference_step(state, p_eff, params.y_sat, dt)
             if ym < prev - 1e-15 or ym > params.y_sat + 1e-15:
                 return False, f"draw {i}: reference not monotone/saturated"
             prev = ym
@@ -142,9 +146,7 @@ def _controller_invariants(rng: np.random.Generator,
         # sliding variable: |s - e| bounded by the accumulated gain*time
         state = ControllerState.initial(params)
         acc = 0.0
-        for _ in range(20):
-            dt = float(rng.uniform(1e-4, 0.5))
-            e = float(rng.uniform(-5.0, 5.0))
+        for dt, e in rng.uniform((1e-4, -5.0), (0.5, 5.0), (20, 2)).tolist():
             s_val = sliding_variable_step(state, e, lambda_eff, dt)
             acc += dt
             if abs(s_val - e) > lambda_eff * acc + 1e-12:

@@ -259,3 +259,17 @@ class TestVerifyCommand:
         assert run_cli("verify", "oracles") == EXIT_OK
         out = capsys.readouterr().out
         assert "[PASS]" in out and "[FAIL]" not in out
+
+
+class TestLogLevel:
+    @pytest.mark.parametrize("level", ["bogus", "basic_format"])
+    def test_unknown_level_is_usage_error(self, capsys, level):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("--log-level", level, "verify", "oracles")
+        assert exc.value.code == EXIT_USAGE
+        assert "--log-level" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("level", ["debug", "Info", "WARNING"])
+    def test_standard_names_any_case(self, level):
+        args = cli.build_parser().parse_args(["--log-level", level, "verify"])
+        assert args.log_level == level.upper()

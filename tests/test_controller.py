@@ -11,6 +11,7 @@ from slidingesc import (ConfigurationError, ControllerParams, ControllerState,
                         SimulationAbort, control_law, controller_step,
                         cyclic_direction, reference_step,
                         sliding_variable_step, switching_sign)
+from slidingesc.controller import direction_index
 
 
 def make_params(**overrides) -> ControllerParams:
@@ -143,6 +144,29 @@ class TestCyclicDirection:
             idx, _ = cyclic_direction((j + 0.5) * period / probes, period, n)
             counts[idx - 1] += 1
         assert np.all(counts == probes / n)
+
+
+class TestDirectionIndex:
+    @given(st.lists(st.floats(0.0, 1e4), max_size=20),
+           st.lists(st.integers(0, 200), max_size=20),
+           st.floats(0.1, 50.0), st.integers(1, 8))
+    @settings(max_examples=200, deadline=None)
+    def test_array_form_matches_scalar_form(self, times, js, period, n_dirs):
+        # the edges where the two forms could round apart: sub-interval
+        # starts, their neighbours one ulp away, multiples of the period
+        starts = np.array([j * period / n_dirs for j in js])
+        cycles = np.array([j * period for j in js])
+        t = np.concatenate([times, starts, cycles,
+                            np.nextafter(starts, np.inf),
+                            np.nextafter(starts, -np.inf),
+                            np.nextafter(cycles, np.inf),
+                            np.nextafter(cycles, -np.inf)])
+        t = t[t >= 0.0]
+        got = direction_index(t, period, n_dirs)
+        assert got.dtype == np.int64
+        expected = [cyclic_direction(x, period, n_dirs)[0] - 1
+                    for x in t.tolist()]
+        assert got.tolist() == expected
 
 
 class TestControlLaw:
