@@ -12,8 +12,7 @@ import math
 
 import numpy as np
 
-from .controller import (ControllerState, direction_index,
-                         sliding_variable_step)
+from .controller import ControllerState, sliding_variable_step
 
 # Bounds on the steps predicted per chunk of run_chunked: a chunk
 # predicts about twice the previous chunk's accepted run.
@@ -23,14 +22,14 @@ CHUNK_MAX = 256
 
 def run_chunked(A, B, C, H, z_star, y_star, v, x, dt, n_steps,
                 p_eff, lambda_eff, rho, epsilon_sw, y_sat, y_m0,
-                period, n_dirs, stride, plant_rate):
+                sub_steps, n_dirs, stride, plant_rate):
     """Integrate the closed loop and log every ``stride``-th step.
 
     The arguments are the plant matrices, the quadratic map
     (``H``, ``z_star``, ``y_star``), the initial ``v`` and ``x``, the
     step and step count, the effective gains, the relay band, the
-    saturation and initial value of the reference, the search period
-    and direction count, the log stride and the plant rate
+    saturation and initial value of the reference, the steps per search
+    direction and the direction count, the log stride and the plant rate
     1/plant_eta.  Returns the rec logged rows of (t, v, x, z, y, y_m, e,
     s, u, dir) plus (rec, ok, k_fail): ok is False when a non-finite
     value appeared, with k_fail the step index.
@@ -40,13 +39,14 @@ def run_chunked(A, B, C, H, z_star, y_star, v, x, dt, n_steps,
     chunk therefore predicts up to K steps at once, with one matvec of
     the powers M^j and their partial sums, evaluates the controller on
     all of them in vector form, and accepts the steps before the first
-    one whose relay sign or direction differs from the chunk's first
-    step (an event); the next chunk starts there, and K is about twice
-    the run just accepted, between CHUNK_MIN and CHUNK_MAX.  The
-    reference ramp, the sliding integral and the accumulated clock are
-    running sums formed in step order, so they follow
-    ``controller_step``'s arithmetic exactly; the predicted states agree
-    with the step-by-step recurrence to rounding.
+    one whose relay sign differs from the chunk's first step (an
+    event); the next chunk starts there, and K is about twice the run
+    just accepted, between CHUNK_MIN and CHUNK_MAX.  The direction
+    follows the step counter k as in ``controller.direction_index``, so
+    a chunk also ends where the next direction starts.  The reference
+    ramp and the sliding integral are running sums formed in step order,
+    so they follow ``controller_step``'s arithmetic exactly; the
+    predicted states agree with the step-by-step recurrence to rounding.
     """
     n = A.shape[0]
     m = B.shape[1]
@@ -105,14 +105,8 @@ def run_chunked(A, B, C, H, z_star, y_star, v, x, dt, n_steps,
     # 0-d arrays: ufuncs take them with less overhead than Python floats
     arg_scale, y_offset, s_step, zero = (
         np.array(c) for c in (pi_over_eps, y_star, lambda_eff * dt, 0.0))
-    sub = period / n_dirs
-    # when a chunk spans less than half a sub-interval, its direction index
-    # (monotone within a period) changes inside it only if its last row's
-    # differs from its first row's
-    ends_decide = (cap + 1) * dt < 0.5 * sub
     ramp = np.full(cap + 1, p_eff * dt)
     saturated = np.full(cap + 1, y_sat)
-    clock = np.full(cap + 1, dt)
     inc = np.empty(cap + 2)
 
     n_rec = n_steps // stride + 1
@@ -145,8 +139,7 @@ def run_chunked(A, B, C, H, z_star, y_star, v, x, dt, n_steps,
     if not math.isfinite(y0):
         return result(0, False, 0)
     s0 = sliding_variable_step(ControllerState(y_m0), y0 - y_m0, lambda_eff, dt)
-    i = 0                      # the schedule starts on direction 1
-    y_m, s_int, t = y_m0, 0.0, 0.0
+    y_m, s_int = y_m0, 0.0
     k = rec = 0
     K = min(CHUNK_MIN, cap)
     # rows past an event are discarded predictions, so overflow there is
@@ -154,11 +147,13 @@ def run_chunked(A, B, C, H, z_star, y_star, v, x, dt, n_steps,
     with np.errstate(over="ignore", invalid="ignore"):
         # the relay sign of step 0 by the same np.sin as every later row
         # (a non-finite argument gives nan, i.e. -1, as in the rows); each
-        # later chunk starts with the sign and direction its first step
-        # was given
+        # later chunk starts with the sign its first step was given
         up = int(np.sin(pi_over_eps * np.array([s0]))[0] >= 0.0)
         while True:
-            R = min(K, n_steps - k)
+            # the direction of step k by controller.direction_index's
+            # formula; the chunk stops at the next direction's first step
+            i = k // sub_steps % n_dirs
+            R = min(K, n_steps - k, sub_steps - k % sub_steps)
             rows = R + 1
             code = 2 * i + up
             xt[:N] = w0[:N]
@@ -184,17 +179,10 @@ def run_chunked(A, B, C, H, z_star, y_star, v, x, dt, n_steps,
             if R == 0:
                 J = 1
             else:
-                clock[0] = t
-                T = np.add.accumulate(clock[:rows])
                 arg = arg_scale * S
                 sine = np.sin(arg)
                 # rows whose relay sign differs from the chunk's
                 event = sine < zero if up else sine >= zero
-                idx = None
-                if not (ends_decide
-                        and direction_index(T.item(R), period, n_dirs) == i):
-                    idx = direction_index(T, period, n_dirs)
-                    event |= idx != i
                 event[0] = False
                 J = int(event.argmax()) or R
                 # a non-finite entry makes these sums of squares non-finite
@@ -223,8 +211,6 @@ def run_chunked(A, B, C, H, z_star, y_star, v, x, dt, n_steps,
 
             k += J
             w0, y0, y_m = W[J], Y.item(J), ym.item(J)
-            s_int, t = acc.item(J), T.item(J)
+            s_int = acc.item(J)
             up = int(sine.item(J) >= 0.0)
-            if idx is not None:
-                i = int(idx[J])
             K = min(max(2 * J, CHUNK_MIN), cap)

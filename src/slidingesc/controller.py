@@ -7,7 +7,8 @@ The control law is
     e(t) = y(t) - y_m(t),
 
 where y_m is a saturated reference ramp and sigma(t) cycles through the
-standard basis directions, one per sub-interval of the search period.
+standard basis directions, one per sub-interval of the search period;
+a sub-interval is a whole number of steps, counted by the integer k.
 The periodic switching function makes the law independent of the sign of
 the control direction, so no gradient or control-direction knowledge is
 needed.
@@ -73,7 +74,8 @@ class ControllerParams:
         slope and the sliding gain are multiplied by it and the
         modulation amplitude carries the matching factor.
     T_s : float
-        Cyclic search period (s).
+        Cyclic search period (s).  A run needs each direction's share,
+        T_s*ts_scale/n_dirs, to be a whole number of its steps.
     n_dirs : int
         Number of search directions; must equal the plant input
         dimension.
@@ -122,6 +124,11 @@ class ControllerParams:
     def search_period(self) -> float:
         return self.T_s * self.ts_scale
 
+    def sub_steps(self, dt: float) -> int:
+        """Steps of dt per search direction (must be a whole number)."""
+        return whole_steps(self.search_period / self.n_dirs, dt,
+                           "controller.T_s * ts_scale / n_dirs")
+
     def effective_gains(self) -> EffectiveGains:
         """Ramp slope, sliding gain and modulation amplitude actually used.
 
@@ -137,12 +144,12 @@ class ControllerParams:
 
 @dataclass
 class ControllerState:
-    """Evolving quantities owned by one controller instance."""
+    """Evolving quantities owned by one controller instance; k counts
+    the steps taken, so the controller's time is k*dt."""
 
     y_m: float
     s_int: float = 0.0
-    t: float = 0.0
-    dir_index: int = 1
+    k: int = 0
 
     @classmethod
     def initial(cls, params: ControllerParams) -> "ControllerState":
@@ -167,33 +174,34 @@ def sliding_variable_step(state: ControllerState, e: float, lambda_eff: float,
     return e + state.s_int
 
 
-def direction_index(t: float | np.ndarray, period: float,
+def whole_steps(duration: float, dt: float, field: str) -> int:
+    """Steps of dt in ``duration``; ConfigurationError naming ``field``
+    unless that is a whole number >= 1 (to a relative 1e-9)."""
+    steps = duration / dt
+    n = round(steps) if math.isfinite(steps) else 0
+    if n < 1 or abs(n * dt - duration) > 1e-9 * max(1.0, duration):
+        raise ConfigurationError(f"{field} ({duration}) must be an integer "
+                                 f"number of steps of dt ({dt})")
+    return n
+
+
+def direction_index(k: int | np.ndarray, sub_steps: int,
                     n_dirs: int) -> int | np.ndarray:
-    """0-based search direction at time t >= 0, for a float or an array
-    of times.
-
-    The period is cut into n_dirs sub-intervals of equal duration
-    period/n_dirs; the index is capped at n_dirs - 1 against the
-    floating-point edge at a period boundary.  Both forms give the same
-    index for the same time.
-    """
-    sub = period / n_dirs
-    if isinstance(t, np.ndarray):
-        return np.minimum((np.remainder(t, period) / sub).astype(np.int64),
-                          n_dirs - 1)
-    return min(int(t % period / sub), n_dirs - 1)
+    """0-based search direction at step k >= 0, an int or an integer
+    array: each direction holds for sub_steps steps in turn."""
+    return k // sub_steps % n_dirs
 
 
-def cyclic_direction(t: float, period: float, n_dirs: int) -> tuple[int, np.ndarray]:
-    """Active search direction at time t: index in 1..n_dirs plus the
+def cyclic_direction(k: int, sub_steps: int, n_dirs: int) -> tuple[int, np.ndarray]:
+    """Active search direction at step k: index in 1..n_dirs plus the
     corresponding standard basis vector.
 
-    Sub-intervals have equal duration period/n_dirs and the schedule is
-    exactly periodic.
+    Every direction holds for sub_steps steps, so the schedule repeats
+    exactly every n_dirs*sub_steps steps.
     """
-    if t < 0.0:
-        raise ConfigurationError(f"t must be >= 0, got {t}")
-    i = direction_index(t, period, n_dirs)
+    if k < 0:
+        raise ConfigurationError(f"k must be >= 0, got {k}")
+    i = direction_index(k, sub_steps, n_dirs)
     sigma = np.zeros(n_dirs)
     sigma[i] = 1.0
     return i + 1, sigma
@@ -220,13 +228,14 @@ def controller_step(params: ControllerParams, state: ControllerState, y: float,
     """One controller update: measure, switch, then advance the clocks.
 
     Order: e = y - y_m with the current reference; sliding integral is
-    advanced and s formed; the direction is read off the current clock;
-    u is emitted; finally the reference and the clock move to t + dt.
-    Telemetry carries the values used for u, i.e. the signals at time t.
+    advanced and s formed; the direction is read off the step counter
+    k; u is emitted; finally the reference moves on by dt and k by one.
+    Telemetry carries the values used for u, i.e. the signals at step k.
     """
     if not math.isfinite(y):
         raise SimulationAbort(
-            f"non-finite measured output y={y} at controller time {state.t}")
+            f"non-finite measured output y={y} at step {state.k} "
+            f"(t={state.k * dt:.6g})")
     p_eff, lambda_eff, rho = params.effective_gains()
     e = y - state.y_m
     y_m_now = state.y_m
@@ -234,11 +243,10 @@ def controller_step(params: ControllerParams, state: ControllerState, y: float,
     if not math.isfinite(math.pi / params.epsilon_sw * s):
         # a huge but finite output overflows the relay's sine argument
         raise SimulationAbort(
-            f"non-finite switching argument for s={s} at controller time "
-            f"{state.t} (finite-escape guard)")
-    index, sigma = cyclic_direction(state.t, params.search_period, params.n_dirs)
+            f"non-finite switching argument for s={s} at step {state.k} "
+            f"(t={state.k * dt:.6g}, finite-escape guard)")
+    index, sigma = cyclic_direction(state.k, params.sub_steps(dt), params.n_dirs)
     u = control_law(rho, sigma, s, params.epsilon_sw)
-    state.dir_index = index
     reference_step(state, p_eff, params.y_sat, dt)
-    state.t += dt
+    state.k += 1
     return u, StepTelemetry(y_m_now, e, s, index, rho)

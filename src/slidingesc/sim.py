@@ -36,7 +36,8 @@ from typing import Optional
 import numpy as np
 
 from . import _fastpath, _tables
-from .controller import ControllerParams, ControllerState, controller_step
+from .controller import (ControllerParams, ControllerState, controller_step,
+                         whole_steps)
 from .errors import ConfigurationError, SimulationAbort
 from .plant import CascadePlant, QuadraticMap
 
@@ -82,7 +83,7 @@ class SimConfig:
 
     @property
     def n_steps(self) -> int:
-        return int(round(self.horizon / self.dt))
+        return whole_steps(self.horizon, self.dt, "horizon")
 
 
 @dataclass
@@ -212,6 +213,8 @@ def run(plant: CascadePlant, params: ControllerParams, config: SimConfig, *,
     ``auto`` runs the chunked numpy kernel of :mod:`._fastpath` on a
     quadratic map and the python loop on any other map, and logs its
     choice at INFO level.
+    The horizon and each direction's ``search_period / n_dirs`` must be
+    whole numbers of steps (ConfigurationError otherwise).
     Deterministic: identical inputs on one backend produce bit-identical
     trajectories.
     Aborts (raises SimulationAbort) on non-finite signals, on a failed
@@ -229,10 +232,7 @@ def run(plant: CascadePlant, params: ControllerParams, config: SimConfig, *,
             f"x0 must have dimension {plant.lti.n}, got {config.x0.shape}")
 
     n_steps = config.n_steps
-    if abs(n_steps * config.dt - config.horizon) > 1e-9 * max(1.0, config.horizon):
-        raise ConfigurationError(
-            f"horizon ({config.horizon}) must be an integer number of steps "
-            f"of dt ({config.dt})")
+    params.sub_steps(config.dt)    # checked here, before any work is done
     if n_steps % config.log_stride != 0:
         raise ConfigurationError(
             f"log_stride ({config.log_stride}) must divide the step count "
@@ -284,8 +284,8 @@ def _run_kernel(plant, params, config, v0, plant_eta) -> Trajectory:
         plant.lti.A, plant.lti.B, plant.lti.C, qmap.H, qmap.z_star,
         qmap.y_star, v0.copy(), config.x0.copy(), config.dt, config.n_steps,
         p_eff, lambda_eff, rho, params.epsilon_sw, params.y_sat,
-        min(params.p0, params.y_sat), params.search_period, params.n_dirs,
-        config.log_stride, 1.0 / plant_eta)
+        min(params.p0, params.y_sat), params.sub_steps(config.dt),
+        params.n_dirs, config.log_stride, 1.0 / plant_eta)
     (t, v, x, z, y, y_m, e, s, u, dir_index, rec, ok, k_fail) = out
     if not ok:
         raise SimulationAbort(

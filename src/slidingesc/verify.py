@@ -86,7 +86,7 @@ def _controller_invariants(rng: np.random.Generator,
                            draws: int) -> tuple[bool, str]:
     # (low, high) of each draw's nine parameter uniforms, in draw order:
     # one call with these bounds returns, bit for bit, what nine scalar
-    # calls would
+    # calls would; T_s gives each direction a whole number of steps dt
     low, high = np.array([(-2.0, 2.0),     # p0
                           (0.05, 5.0),     # p
                           (-1.0, 3.0),     # y_sat - p0
@@ -95,14 +95,16 @@ def _controller_invariants(rng: np.random.Generator,
                           (1e-3, 1.0),     # gamma
                           (1e-2, 2.0),     # L_h
                           (1e-4, 1.0),     # eta
-                          (0.5, 20.0)]).T  # T_s
+                          (1e-4, 0.1)]).T  # dt
     for i in range(draws):
-        p0, p, sat_offset, lam, epsilon_sw, gamma, L_h, eta, T_s = (
+        p0, p, sat_offset, lam, epsilon_sw, gamma, L_h, eta, dt = (
             rng.uniform(low, high).tolist())
+        n_dirs = int(rng.integers(1, 6))
+        sub_steps = int(rng.integers(1, 65))
         params = ControllerParams(
             p=p, p0=p0, y_sat=max(p0, p0 + sat_offset), lam=lam,
-            epsilon_sw=epsilon_sw, gamma=gamma, L_h=L_h, eta=eta, T_s=T_s,
-            n_dirs=int(rng.integers(1, 6)),
+            epsilon_sw=epsilon_sw, gamma=gamma, L_h=L_h, eta=eta,
+            T_s=sub_steps * n_dirs * dt, n_dirs=n_dirs,
             scaling_mode="scaled",
         )
         p_eff, lambda_eff, rho = params.effective_gains()
@@ -112,18 +114,20 @@ def _controller_invariants(rng: np.random.Generator,
         if rho < floor - 1e-12:
             return False, f"draw {i}: rho {rho} below bound {floor}"
 
-        # scheduler: periodicity and equal share over one period
-        period = params.search_period
-        t = float(rng.uniform(0.0, 3.0 * period))
-        idx, sigma = cyclic_direction(t, period, params.n_dirs)
-        idx2, sigma2 = cyclic_direction(t + period, period, params.n_dirs)
+        # scheduler: whole steps per direction, periodicity, and an equal
+        # share of every step of one period
+        if params.sub_steps(dt) != sub_steps:
+            return False, f"draw {i}: T_s does not give {sub_steps} steps"
+        period = n_dirs * sub_steps
+        k = int(rng.integers(0, 3 * period))
+        idx, sigma = cyclic_direction(k, sub_steps, n_dirs)
+        idx2, sigma2 = cyclic_direction(k + period, sub_steps, n_dirs)
         if idx != idx2 or not np.array_equal(sigma, sigma2):
-            return False, f"draw {i}: scheduler not periodic at t={t}"
-        probes = 64 * params.n_dirs
-        probe_t = (np.arange(probes) + 0.5) * period / probes
-        counts = np.bincount(direction_index(probe_t, period, params.n_dirs),
-                             minlength=params.n_dirs)
-        if not np.all(counts == probes / params.n_dirs):
+            return False, f"draw {i}: scheduler not periodic at k={k}"
+        counts = np.bincount(
+            direction_index(np.arange(period), sub_steps, n_dirs),
+            minlength=n_dirs)
+        if not np.all(counts == sub_steps):
             return False, f"draw {i}: direction shares {counts} not equal"
 
         # control law: exactly one nonzero entry of magnitude rho
@@ -159,35 +163,35 @@ def composition_check(draws: int = 200) -> CheckResult:
     rng = np.random.default_rng(ORACLE_SEED + 1)
     t0 = time.perf_counter()
     for i in range(draws):
+        dt = float(rng.uniform(1e-4, 0.5))
+        n_dirs = int(rng.integers(1, 5))
+        sub_steps = int(rng.integers(1, 200))
         params = ControllerParams(
             p=float(rng.uniform(0.05, 5.0)), p0=0.0,
             y_sat=float(rng.uniform(0.5, 5.0)),
             lam=float(rng.uniform(0.1, 10.0)),
             epsilon_sw=float(rng.uniform(1e-3, 0.5)),
             gamma=0.1, L_h=0.1, eta=float(rng.uniform(1e-3, 1.0)),
-            T_s=float(rng.uniform(0.5, 20.0)),
-            n_dirs=int(rng.integers(1, 5)))
+            T_s=sub_steps * n_dirs * dt, n_dirs=n_dirs)
         state_a = ControllerState(y_m=float(rng.uniform(-1.0, 1.0)),
                                   s_int=float(rng.uniform(-1.0, 1.0)),
-                                  t=float(rng.uniform(0.0, 50.0)))
-        state_b = ControllerState(state_a.y_m, state_a.s_int, state_a.t)
+                                  k=int(rng.integers(0, 10**6)))
+        state_b = ControllerState(state_a.y_m, state_a.s_int, state_a.k)
         y = float(rng.uniform(-30.0, 30.0))
-        dt = float(rng.uniform(1e-4, 0.5))
 
         u, tel = controller_step(params, state_a, y, dt)
 
         p_eff, lambda_eff, rho = params.effective_gains()
         e = y - state_b.y_m
         s = sliding_variable_step(state_b, e, lambda_eff, dt)
-        idx, sigma = cyclic_direction(state_b.t, params.search_period,
-                                      params.n_dirs)
+        idx, sigma = cyclic_direction(state_b.k, sub_steps, n_dirs)
         u_manual = control_law(rho, sigma, s, params.epsilon_sw)
         reference_step(state_b, p_eff, params.y_sat, dt)
-        state_b.t += dt
+        state_b.k += 1
 
         same = (np.array_equal(u, u_manual) and tel.e == e and tel.s == s
                 and tel.dir_index == idx and state_a.y_m == state_b.y_m
-                and state_a.t == state_b.t and state_a.s_int == state_b.s_int)
+                and state_a.k == state_b.k and state_a.s_int == state_b.s_int)
         if not same:
             return _timed("controller_step_composition", False,
                           f"draw {i}: composition mismatch", t0)

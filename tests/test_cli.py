@@ -73,6 +73,14 @@ class TestRunCommand:
                      "--override", "controller.T_s=-1")
         assert rc == EXIT_USAGE
 
+    def test_fractional_steps_per_direction_is_usage_error(self, tmp_path,
+                                                          capsys):
+        # T_s/n_dirs = 2.50005 s is not a whole number of 1 ms steps
+        rc = run_cli("run", "--out", str(tmp_path / "o"), *SHORT,
+                     "--override", "controller.T_s=5.0001")
+        assert rc == EXIT_USAGE
+        assert "controller.T_s" in capsys.readouterr().err
+
     @pytest.mark.parametrize("override", [
         "sim.log_stride=2.5", "sim.log_stride=true", 'sim.log_stride="10"',
         "controller.n_dirs=2.5", "controller.n_dirs=true"])

@@ -11,7 +11,7 @@ from slidingesc import (ConfigurationError, ControllerParams, ControllerState,
                         SimulationAbort, control_law, controller_step,
                         cyclic_direction, reference_step,
                         sliding_variable_step, switching_sign)
-from slidingesc.controller import direction_index
+from slidingesc.controller import direction_index, whole_steps
 
 
 def make_params(**overrides) -> ControllerParams:
@@ -109,64 +109,79 @@ class TestSlidingVariable:
 
 class TestCyclicDirection:
     def test_start_of_cycle(self):
-        idx, sigma = cyclic_direction(0.0, 5.0, 2)
+        idx, sigma = cyclic_direction(0, 2500, 2)
         assert idx == 1 and np.array_equal(sigma, [1.0, 0.0])
 
     def test_second_half_cycle(self):
-        idx, sigma = cyclic_direction(2.6, 5.0, 2)
+        idx, sigma = cyclic_direction(2500, 2500, 2)
         assert idx == 2 and np.array_equal(sigma, [0.0, 1.0])
+        assert cyclic_direction(2499, 2500, 2)[0] == 1
 
     def test_period_wraps(self):
-        idx, _ = cyclic_direction(5.0, 5.0, 2)
-        assert idx == 1
+        assert cyclic_direction(4999, 2500, 2)[0] == 2
+        assert cyclic_direction(5000, 2500, 2)[0] == 1
 
     def test_negative_time_rejected(self):
         with pytest.raises(ConfigurationError):
-            cyclic_direction(-0.1, 5.0, 2)
+            cyclic_direction(-1, 2500, 2)
 
-    @given(st.floats(0.0, 1e4), st.floats(0.1, 50.0), st.integers(1, 8))
+    @given(st.integers(0, 10**9), st.integers(1, 10**5), st.integers(1, 8))
     @settings(max_examples=200, deadline=None)
-    def test_periodicity_and_basis(self, t, period, n_dirs):
-        idx, sigma = cyclic_direction(t, period, n_dirs)
-        idx2, sigma2 = cyclic_direction(t + period, period, n_dirs)
+    def test_periodicity_and_basis(self, k, sub_steps, n_dirs):
+        idx, sigma = cyclic_direction(k, sub_steps, n_dirs)
+        idx2, sigma2 = cyclic_direction(k + n_dirs * sub_steps, sub_steps,
+                                        n_dirs)
         assert 1 <= idx <= n_dirs
         assert sigma.sum() == 1.0 and sigma[idx - 1] == 1.0
-        # one period later the schedule repeats (up to fp at boundaries:
-        # positions within 1e-9 of a sub-interval's start or end)
-        position = (t % period) / (period / n_dirs)
-        if abs(position - round(position)) > 1e-9:
-            assert idx == idx2 and np.array_equal(sigma, sigma2)
+        # one period later the schedule repeats, on every step
+        assert idx == idx2 and np.array_equal(sigma, sigma2)
 
     def test_equal_share_over_window(self):
-        n, period, probes = 3, 6.0, 600
+        n, sub_steps = 3, 200
         counts = np.zeros(n)
-        for j in range(probes):
-            idx, _ = cyclic_direction((j + 0.5) * period / probes, period, n)
+        for k in range(7 * n * sub_steps, 8 * n * sub_steps):
+            idx, _ = cyclic_direction(k, sub_steps, n)
             counts[idx - 1] += 1
-        assert np.all(counts == probes / n)
+        assert np.all(counts == sub_steps)
 
 
 class TestDirectionIndex:
-    @given(st.lists(st.floats(0.0, 1e4), max_size=20),
+    @given(st.lists(st.integers(0, 10**9), max_size=20),
            st.lists(st.integers(0, 200), max_size=20),
-           st.floats(0.1, 50.0), st.integers(1, 8))
+           st.integers(1, 10**5), st.integers(1, 8))
     @settings(max_examples=200, deadline=None)
-    def test_array_form_matches_scalar_form(self, times, js, period, n_dirs):
-        # the edges where the two forms could round apart: sub-interval
-        # starts, their neighbours one ulp away, multiples of the period
-        starts = np.array([j * period / n_dirs for j in js])
-        cycles = np.array([j * period for j in js])
-        t = np.concatenate([times, starts, cycles,
-                            np.nextafter(starts, np.inf),
-                            np.nextafter(starts, -np.inf),
-                            np.nextafter(cycles, np.inf),
-                            np.nextafter(cycles, -np.inf)])
-        t = t[t >= 0.0]
-        got = direction_index(t, period, n_dirs)
+    def test_array_form_matches_scalar_form(self, steps, js, sub_steps,
+                                            n_dirs):
+        # sub-interval starts, multiples of the period and their
+        # neighbours one step away
+        starts = np.array([j * sub_steps for j in js], dtype=np.int64)
+        cycles = starts * n_dirs
+        k = np.concatenate([np.array(steps, dtype=np.int64), starts, cycles,
+                            starts + 1, starts - 1, cycles + 1, cycles - 1])
+        k = k[k >= 0]
+        got = direction_index(k, sub_steps, n_dirs)
         assert got.dtype == np.int64
-        expected = [cyclic_direction(x, period, n_dirs)[0] - 1
-                    for x in t.tolist()]
+        expected = [cyclic_direction(x, sub_steps, n_dirs)[0] - 1
+                    for x in k.tolist()]
         assert got.tolist() == expected
+
+    @given(st.integers(0, 10**9), st.integers(1, 10**5), st.integers(1, 8))
+    @settings(max_examples=200, deadline=None)
+    def test_schedule_definition(self, k, sub_steps, n_dirs):
+        # the position in the period, in whole sub-intervals
+        period = n_dirs * sub_steps
+        assert direction_index(k, sub_steps, n_dirs) == k % period // sub_steps
+
+
+class TestWholeSteps:
+    def test_whole_number(self):
+        assert whole_steps(12.6, 1e-3, "horizon") == 12600
+        assert make_params().sub_steps(1e-3) == 2500
+
+    @pytest.mark.parametrize("duration", [2.50005, 1e-4, 0.0, 1e308])
+    def test_fraction_or_none_names_field(self, duration):
+        with pytest.raises(ConfigurationError, match="horizon"):
+            whole_steps(duration, 1e-3, "horizon")
 
 
 class TestControlLaw:
@@ -227,35 +242,36 @@ class TestControllerStep:
     def test_matches_sub_operations(self):
         rng = np.random.default_rng(3)
         for _ in range(200):
-            params = make_params(T_s=float(rng.uniform(0.5, 20)),
-                                 n_dirs=int(rng.integers(1, 5)),
+            dt = float(rng.uniform(1e-4, 0.5))
+            n_dirs, sub_steps = (int(d) for d in rng.integers(1, [5, 200]))
+            params = make_params(T_s=sub_steps * n_dirs * dt, n_dirs=n_dirs,
                                  eta=float(rng.uniform(1e-3, 1.0)))
             state_a = ControllerState(y_m=float(rng.uniform(-1, 1)),
                                       s_int=float(rng.uniform(-1, 1)),
-                                      t=float(rng.uniform(0, 50)))
-            state_b = ControllerState(state_a.y_m, state_a.s_int, state_a.t)
+                                      k=int(rng.integers(0, 10**6)))
+            state_b = ControllerState(state_a.y_m, state_a.s_int, state_a.k)
             y = float(rng.uniform(-30, 30))
-            dt = float(rng.uniform(1e-4, 0.5))
             u, tel = controller_step(params, state_a, y, dt)
 
             p_eff, lambda_eff, rho = params.effective_gains()
             e = y - state_b.y_m
             s = sliding_variable_step(state_b, e, lambda_eff, dt)
-            idx, sigma = cyclic_direction(state_b.t, params.search_period,
-                                          params.n_dirs)
+            idx, sigma = cyclic_direction(state_b.k, sub_steps, n_dirs)
             u_manual = control_law(rho, sigma, s, params.epsilon_sw)
             reference_step(state_b, p_eff, params.y_sat, dt)
-            state_b.t += dt
+            state_b.k += 1
 
             assert np.array_equal(u, u_manual)
             assert (tel.e, tel.s, tel.dir_index) == (e, s, idx)
-            assert (state_a.y_m, state_a.s_int, state_a.t) == \
-                   (state_b.y_m, state_b.s_int, state_b.t)
+            assert (state_a.y_m, state_a.s_int, state_a.k) == \
+                   (state_b.y_m, state_b.s_int, state_b.k)
 
     def test_non_finite_output_aborts(self):
         params = make_params()
         state = ControllerState.initial(params)
-        with pytest.raises(SimulationAbort, match="non-finite"):
+        state.k = 7
+        with pytest.raises(SimulationAbort,
+                           match=r"non-finite.*step 7 \(t=0\.007\)"):
             controller_step(params, state, float("nan"), 1e-3)
 
     def test_reference_never_decreasing_nor_above_sat(self):

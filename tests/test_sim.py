@@ -15,6 +15,7 @@ from slidingesc import (CascadePlant, ConfigurationError, ControllerState,
                         SimulationAbort, _fastpath, dt_guard_limit, run)
 from slidingesc.controller import controller_step
 from slidingesc.scenario import builtin_scenario_dict, scenario_from_dict
+from slidingesc.sim import BACKENDS
 
 from test_controller import make_params
 
@@ -87,10 +88,29 @@ class TestRunBookkeeping:
         with pytest.raises(ConfigurationError, match="integer number"):
             run(benchmark_plant, benchmark_params, short_config(horizon=0.0105))
 
+    def test_search_sub_interval_must_be_integer_steps(self, benchmark_plant):
+        params = make_params(T_s=5.0001)
+        with pytest.raises(ConfigurationError, match="T_s"):
+            run(benchmark_plant, params, short_config())
+
     def test_n_dirs_must_match_inputs(self, benchmark_plant):
         params = make_params(n_dirs=3)
         with pytest.raises(ConfigurationError, match="n_dirs"):
             run(benchmark_plant, params, short_config())
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_direction_follows_step_counter(backend):
+    # the benchmark's schedule, 2500 steps per direction, past the steps
+    # 2500, 10000 and 12500 where a clock summed from dt falls short of
+    # the sub-interval's start
+    doc = builtin_scenario_dict("coupled_bowl")
+    doc["sim"].update(horizon=12.6, log_stride=1)
+    sc = scenario_from_dict(doc)
+    traj = run(sc.build_plant(), sc.controller, sc.sim, backend=backend)
+    k = np.arange(len(traj))
+    assert len(traj) == 12601
+    assert np.array_equal(traj.dir_index, k % 5000 // 2500 + 1)
 
 
 class TestDeterminismAndBackends:
@@ -176,7 +196,8 @@ class TestChunkedBackend:
     @pytest.mark.parametrize("seed", range(6))
     def test_agrees_on_random_plants(self, seed):
         # n and m from 1 to 3, a general C, a log stride, and search
-        # periods short enough to change direction inside a chunk
+        # sub-intervals of 5 to CHUNK_MAX steps, which end inside chunks
+        # that would otherwise have run on
         rng = np.random.default_rng(seed)
         n, m = (int(d) for d in rng.integers(1, 4, size=2))
         skew = rng.normal(size=(n, n))
@@ -187,10 +208,11 @@ class TestChunkedBackend:
         qmap = QuadraticMap(rng.uniform(0.0, 3.0), rng.normal(size=n),
                             -(root @ root.T + 0.5 * np.eye(n)))
         params = make_params(p0=-2.0, y_sat=3.0, eta=rng.uniform(0.05, 1.0),
-                             epsilon_sw=rng.uniform(0.01, 0.2),
-                             T_s=rng.uniform(0.05, 2.0), n_dirs=m)
+                             epsilon_sw=rng.uniform(0.01, 0.2), n_dirs=m)
         dt = min(1e-3, 0.9 * dt_guard_limit(CascadePlant(lti, qmap), params,
                                              params.eta))
+        sub_steps = int(rng.integers(5, _fastpath.CHUNK_MAX + 1))
+        params = dataclasses.replace(params, T_s=sub_steps * m * dt)
         config = SimConfig(dt=dt, horizon=2000 * dt, x0=2.0 * rng.normal(size=n),
                            v0=rng.normal(size=m), log_stride=5)
         reference = run(CascadePlant(lti, qmap), params, config,
@@ -198,9 +220,8 @@ class TestChunkedBackend:
         chunked = run(CascadePlant(lti, qmap), params, config, backend="auto")
         assert_chunked_agrees(reference, chunked)
 
-    # a sub-interval shorter than a chunk makes the kernel read the
-    # direction index row by row; a long one lets it read the index off
-    # a chunk's end points
+    # a direction change ends the chunk it falls in: sub-intervals shorter
+    # than the shortest chunk end every chunk, longer ones only some
     @pytest.mark.parametrize("sub_steps", [5, 300, 3000])
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(data=st.data())

@@ -22,11 +22,13 @@ def scalar_invariant_draws(rng, draws):
             gamma=float(rng.uniform(1e-3, 1.0)),
             L_h=float(rng.uniform(1e-2, 2.0)),
             eta=float(rng.uniform(1e-4, 1.0)),
-            T_s=float(rng.uniform(0.5, 20.0)),
-            n_dirs=int(rng.integers(1, 6)),
-            scaling_mode="scaled",
         )
-        t = float(rng.uniform(0.0, 3.0 * params["T_s"]))
+        dt = float(rng.uniform(1e-4, 0.1))
+        n_dirs = int(rng.integers(1, 6))
+        sub_steps = int(rng.integers(1, 65))
+        params.update(T_s=sub_steps * n_dirs * dt, n_dirs=n_dirs,
+                      scaling_mode="scaled")
+        k = int(rng.integers(0, 3 * n_dirs * sub_steps))
         s = float(rng.uniform(-50.0, 50.0))
         ramp = [float(rng.uniform(1e-4, 1.0)) for _ in range(20)]
         sliding = []
@@ -34,7 +36,7 @@ def scalar_invariant_draws(rng, draws):
             dt = float(rng.uniform(1e-4, 0.5))
             e = float(rng.uniform(-5.0, 5.0))
             sliding.append((e, dt))
-        yield params, t, s, ramp, sliding
+        yield params, (k, sub_steps, n_dirs), s, ramp, sliding
 
 
 def recorder(monkeypatch, name, record):
@@ -49,12 +51,12 @@ def recorder(monkeypatch, name, record):
 
 
 def test_invariant_draws_replay_scalar_stream(monkeypatch):
-    seen = {"params": [], "t": [], "s": [], "ramp": [], "sliding": []}
+    seen = {"params": [], "k": [], "s": [], "ramp": [], "sliding": []}
     recorder(monkeypatch, "ControllerParams",
              lambda **kw: seen["params"].append(kw))
-    # called at t and at t + period: the drawn time is the first
+    # called at k and at k + period: the drawn step is the first
     recorder(monkeypatch, "cyclic_direction",
-             lambda t, period, n: seen["t"].append(t))
+             lambda k, sub_steps, n: seen["k"].append((k, sub_steps, n)))
     recorder(monkeypatch, "control_law",
              lambda rho, sigma, s, eps: seen["s"].append(s))
     recorder(monkeypatch, "reference_step",
@@ -68,7 +70,7 @@ def test_invariant_draws_replay_scalar_stream(monkeypatch):
     expected = list(scalar_invariant_draws(
         np.random.default_rng(verify.ORACLE_SEED), DRAWS))
     assert seen["params"] == [params for params, *_ in expected]
-    assert seen["t"][::2] == [t for _, t, *_ in expected]
+    assert seen["k"][::2] == [k for _, k, *_ in expected]
     assert seen["s"] == [s for _, _, s, *_ in expected]
     assert seen["ramp"] == [dt for *_, ramp, _ in expected for dt in ramp]
     assert seen["sliding"] == [pair for *_, sliding in expected
