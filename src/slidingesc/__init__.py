@@ -8,7 +8,7 @@ from .controller import (ControllerParams, ControllerState, control_law,
                          controller_step, cyclic_direction, reference_step,
                          sliding_variable_step, switching_sign)
 from .errors import ConfigurationError, SimulationAbort
-from .plant import (CascadePlant, CustomMap, LtiSubsystem, QuadraticMap,
+from .plant import (CascadePlant, LtiSubsystem, QuadraticMap,
                     central_difference)
 from .scenario import (Scenario, ScenarioError, load_builtin, load_scenario,
                        save_scenario)
@@ -18,11 +18,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CascadePlant", "ConfigurationError", "ControllerParams",
-    "ControllerState", "CustomMap", "LtiSubsystem", "Metrics",
-    "QuadraticMap", "Scenario", "ScenarioError", "SimConfig",
-    "SimulationAbort", "Trajectory", "central_difference", "control_law",
-    "controller_step", "convergence_metrics", "cyclic_direction",
-    "detect_sliding", "dt_guard_limit", "fd_gradient_oracle", "load_builtin",
-    "load_scenario", "reference_step", "residual_bound_check", "run",
-    "save_scenario", "sliding_variable_step", "switching_sign",
+    "ControllerState", "LtiSubsystem", "Metrics", "QuadraticMap",
+    "Scenario", "ScenarioError", "SimConfig", "SimulationAbort",
+    "Trajectory", "central_difference", "control_law", "controller_step",
+    "convergence_metrics", "cyclic_direction", "detect_sliding",
+    "dt_guard_limit", "fd_gradient_oracle", "load_builtin", "load_scenario",
+    "reference_step", "residual_bound_check", "run", "save_scenario",
+    "sliding_variable_step", "switching_sign",
 ]

@@ -1,9 +1,9 @@
-"""The fast path of the closed loop, for quadratic objectives.
+"""The fast path of the closed loop.
 
 ``run_chunked`` needs only numpy: it advances the loop in event chunks,
 agreeing with the reference loop of :mod:`slidingesc.sim` to rounding,
-as pinned in tests.  Only quadratic maps are supported because the map
-evaluation runs inside the kernel.
+as pinned in tests.  The quadratic objective is folded into the
+kernel's affine prediction.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from .controller import ControllerState, sliding_variable_step
+from .errors import SimulationAbort
 
 # Bounds on the steps predicted per chunk of run_chunked: a chunk
 # predicts about twice the previous chunk's accepted run.
@@ -30,9 +31,8 @@ def run_chunked(A, B, C, H, z_star, y_star, v, x, dt, n_steps,
     step and step count, the effective gains, the relay band, the
     saturation and initial value of the reference, the steps per search
     direction and the direction count, the log stride and the plant rate
-    1/plant_eta.  Returns the rec logged rows of (t, v, x, z, y, y_m, e,
-    s, u, dir) plus (rec, ok, k_fail): ok is False when a non-finite
-    value appeared, with k_fail the step index.
+    1/plant_eta.  Returns the logged rows of (t, v, x, z, y, y_m, e, s,
+    u, dir); raises SimulationAbort when a non-finite value appears.
 
     While the relay sign and the search direction hold, u is constant
     and one Euler step of X = (v, x) is affine, X <- M X + b(u).  Each
@@ -116,7 +116,12 @@ def run_chunked(A, B, C, H, z_star, y_star, v, x, dt, n_steps,
     s_log = np.empty(n_rec)
     code_log = np.empty(n_rec, np.int64)   # 2 * direction index + up
 
-    def result(rec, ok, k_fail):
+    def escape(k_fail):
+        return SimulationAbort(
+            f"non-finite state after step at t={k_fail * dt:.6g} "
+            "(finite-escape guard)")
+
+    def result(rec):
         # t, z, e, u and dir from what was logged, in place where the
         # log is no longer needed
         t = np.arange(0.0, rec * stride, stride)
@@ -127,7 +132,7 @@ def run_chunked(A, B, C, H, z_star, y_star, v, x, dt, n_steps,
         code //= 2
         code += 1
         return (t, w_log[:rec, :m], w_log[:rec, m:N], w_log[:rec, D], y, ym,
-                y - ym, s_log[:rec], u, code, rec, ok, k_fail)
+                y - ym, s_log[:rec], u, code)
 
     xt = np.zeros(P)
     xt[:m] = v
@@ -137,7 +142,7 @@ def run_chunked(A, B, C, H, z_star, y_star, v, x, dt, n_steps,
         w0 = G[:L] @ xt
         y0 = float(np.vecdot(w0[D], w0[N + n:]) + y_star)
     if not math.isfinite(y0):
-        return result(0, False, 0)
+        raise escape(0)
     s0 = sliding_variable_step(ControllerState(y_m0), y0 - y_m0, lambda_eff, dt)
     y_m, s_int = y_m0, 0.0
     k = rec = 0
@@ -194,7 +199,7 @@ def run_chunked(A, B, C, H, z_star, y_star, v, x, dt, n_steps,
                     if not finite[f] and f <= J:
                         # the state is non-finite after step k+f-1, or its
                         # output or relay argument is at step k+f
-                        return result(rec, False, k + f - (0 if x_ok[f] else 1))
+                        raise escape(k + f - (0 if x_ok[f] else 1))
 
             first = (-k) % stride
             if first < J:
@@ -207,7 +212,7 @@ def run_chunked(A, B, C, H, z_star, y_star, v, x, dt, n_steps,
                 code_log[rec:r1] = code
                 rec = r1
             if R == 0:
-                return result(rec, True, -1)
+                return result(rec)
 
             k += J
             w0, y0, y_m = W[J], Y.item(J), ym.item(J)

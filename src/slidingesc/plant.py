@@ -124,22 +124,7 @@ class LtiSubsystem:
                 f"hurwitz={self.is_hurwitz})")
 
 
-class StaticMap:
-    """Base for the scalar objective y = h(z).  Subclasses provide
-    :meth:`eval` and optionally an analytic :meth:`gradient`."""
-
-    dim: int
-
-    def eval(self, z) -> float:
-        raise NotImplementedError
-
-    def gradient(self, z) -> np.ndarray:
-        """Analytic gradient when available, else central differences."""
-        return central_difference(lambda pt: self.eval(pt),
-                                  np.asarray(z, dtype=float))
-
-
-class QuadraticMap(StaticMap):
+class QuadraticMap:
     """Concave quadratic objective h(z) = y* + (z - z*)^T H (z - z*) / 2.
 
     Parameters
@@ -153,8 +138,6 @@ class QuadraticMap(StaticMap):
         ``check`` is disabled (used only to inspect deliberately broken
         configurations).
     """
-
-    kind = "quadratic"
 
     def __init__(self, y_star: float, z_star, H, *, check: bool = True) -> None:
         self.y_star = float(y_star)
@@ -196,33 +179,6 @@ class QuadraticMap(StaticMap):
         return self.H @ d
 
 
-class CustomMap(StaticMap):
-    """Objective given by a callback, with optional analytic gradient.
-
-    Smoothness and radial unboundedness of the callback are assumed, not
-    checkable; the hypothesis report marks them accordingly.
-    """
-
-    kind = "custom"
-
-    def __init__(self, fn: Callable[[np.ndarray], float], dim: int,
-                 grad: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-                 fd_step: float = FD_STEP) -> None:
-        self.fn = fn
-        self.grad = grad
-        self.dim = int(dim)
-        self.fd_step = float(fd_step)
-
-    def eval(self, z) -> float:
-        return float(self.fn(_as_vector(z, self.dim, "z")))
-
-    def gradient(self, z) -> np.ndarray:
-        z = _as_vector(z, self.dim, "z")
-        if self.grad is not None:
-            return np.asarray(self.grad(z), dtype=float).reshape(-1)
-        return central_difference(lambda pt: float(self.fn(pt)), z, self.fd_step)
-
-
 @dataclass
 class HypothesisCheck:
     name: str
@@ -262,7 +218,7 @@ class CascadePlant:
     the explicit state setters, so instances are safe to share read-only.
     """
 
-    def __init__(self, lti: LtiSubsystem, objective: StaticMap,
+    def __init__(self, lti: LtiSubsystem, objective: QuadraticMap,
                  v=None, x=None) -> None:
         if objective.dim != lti.n:
             raise ConfigurationError(
@@ -323,29 +279,19 @@ class CascadePlant:
         rep.checks.append(HypothesisCheck(
             "H1 parameter set", "assumed",
             "uncertain plant parameters lie in a compact set; not machine-checkable"))
-        if isinstance(self.map, QuadraticMap):
-            rep.checks.append(HypothesisCheck(
-                "H2 smoothness", "pass", "quadratic objective is smooth everywhere"))
-        else:
-            rep.checks.append(HypothesisCheck(
-                "H2 smoothness", "assumed",
-                "custom objective assumed continuously differentiable on R^n"))
+        rep.checks.append(HypothesisCheck(
+            "H2 smoothness", "pass", "quadratic objective is smooth everywhere"))
         eig_str = np.array2string(self.lti.eigenvalues, precision=4)
         rep.checks.append(HypothesisCheck(
             "H3 stable subsystem", "pass" if self.lti.is_hurwitz else "fail",
             f"eigenvalues of A: {eig_str}"))
-        if isinstance(self.map, QuadraticMap):
-            grad_at_star = self.map.gradient(self.map.z_star)
-            stationary = bool(np.allclose(grad_at_star, 0.0, atol=1e-12))
-            ok = self.map.is_symmetric and self.map.is_negative_definite and stationary
-            rep.checks.append(HypothesisCheck(
-                "H4 unique maximum", "pass" if ok else "fail",
-                f"curvature eigenvalues {np.array2string(self.map.curvature_eigs, precision=4)}, "
-                f"gradient at maximizer {grad_at_star}"))
-        else:
-            rep.checks.append(HypothesisCheck(
-                "H4 unique maximum", "assumed",
-                "custom objective: unique interior maximum not machine-checkable"))
+        grad_at_star = self.map.gradient(self.map.z_star)
+        stationary = bool(np.allclose(grad_at_star, 0.0, atol=1e-12))
+        ok = self.map.is_symmetric and self.map.is_negative_definite and stationary
+        rep.checks.append(HypothesisCheck(
+            "H4 unique maximum", "pass" if ok else "fail",
+            f"curvature eigenvalues {np.array2string(self.map.curvature_eigs, precision=4)}, "
+            f"gradient at maximizer {grad_at_star}"))
         rep.checks.append(HypothesisCheck(
             "H5 radial unboundedness", "assumed",
             "boundedness of |y| must imply boundedness of the state; " + recorded))

@@ -25,8 +25,7 @@ Schema (field names are the contract; the syntax is plain JSON):
 
 "y_sat": null means unbounded.  A quadratic map takes either an explicit
 "H" or, for the two-input benchmark family, "coupling" (the bowl
-h = y* - (z1^2 + z2^2 - 2*c*z1*z2)).  Custom maps are constructible via
-the API only; scenario files describe quadratic objectives.
+h = y* - (z1^2 + z2^2 - 2*c*z1*z2)).  Every number must be finite.
 """
 
 from __future__ import annotations
@@ -150,9 +149,12 @@ def _count(value, path: str) -> int:
 
 
 def _real(value, path: str) -> float:
-    """A real number: 2, 2.5 and 1e-3 pass; true, "2" and null do not."""
+    """A finite real number: 2, 2.5 and 1e-3 pass; true, "2", null, NaN
+    and Infinity do not."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ScenarioError(f"{path}: expected a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ScenarioError(f"{path}: expected a finite number, got {value!r}")
     return float(value)
 
 

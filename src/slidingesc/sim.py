@@ -39,7 +39,7 @@ from . import _fastpath, _tables
 from .controller import (ControllerParams, ControllerState, controller_step,
                          whole_steps)
 from .errors import ConfigurationError, SimulationAbort
-from .plant import CascadePlant, QuadraticMap
+from .plant import CascadePlant
 
 logger = logging.getLogger(__name__)
 
@@ -179,7 +179,7 @@ def dt_guard_limit(plant: CascadePlant, params: ControllerParams,
 
     _, _, rho = params.effective_gains()
     box = math.sqrt(params.epsilon_sw)
-    gain_rows = np.abs(plant.lti.dc_gain.T @ _vicinity_curvature(plant))
+    gain_rows = np.abs(plant.lti.dc_gain.T @ plant.map.H)
     k_hat = float(np.max(gain_rows.sum(axis=1))) * box
     if k_hat <= 0.0:
         band_term = math.inf
@@ -188,31 +188,14 @@ def dt_guard_limit(plant: CascadePlant, params: ControllerParams,
     return min(euler_term, band_term)
 
 
-def _vicinity_curvature(plant: CascadePlant) -> np.ndarray:
-    """Row-wise gradient bound source: the curvature for quadratic maps,
-    a gradient-slope estimate from axis probes otherwise."""
-    if isinstance(plant.map, QuadraticMap):
-        return plant.map.H
-    n = plant.lti.n
-    box = math.sqrt(1e-2)  # conservative unit-free default box
-    rows = np.zeros((n, n))
-    for i in range(n):
-        probe = np.zeros(n)
-        probe[i] = box
-        g = plant.map.gradient(probe)
-        rows[:, i] = g / box
-    return rows
-
-
 def run(plant: CascadePlant, params: ControllerParams, config: SimConfig, *,
         backend: str = "auto", dt_guard: bool = True,
         skip_hypothesis_check: bool = False) -> Trajectory:
     """Run the closed loop over [0, horizon] and return the full log.
 
     ``backend`` is one of BACKENDS: ``python`` is the reference loop;
-    ``auto`` runs the chunked numpy kernel of :mod:`._fastpath` on a
-    quadratic map and the python loop on any other map, and logs its
-    choice at INFO level.
+    ``auto`` runs the chunked numpy kernel of :mod:`._fastpath`.  The
+    backend asked for and the one used are logged at INFO level.
     The horizon and each direction's ``search_period / n_dirs`` must be
     whole numbers of steps (ConfigurationError otherwise).
     Deterministic: identical inputs on one backend produce bit-identical
@@ -259,44 +242,26 @@ def run(plant: CascadePlant, params: ControllerParams, config: SimConfig, *,
         raise ConfigurationError(
             f"v0 must have dimension {plant.lti.m}, got {v0.shape}")
 
-    used, reason = _choose_backend(backend, plant)
-    logger.info("backend: requested %s, used %s%s", backend, used,
-                f" ({reason})" if reason else "")
+    used = "chunked" if backend == "auto" else backend
+    logger.info("backend: requested %s, used %s", backend, used)
     if used == "python":
         return _run_python(plant, params, config, v0, plant_eta)
     return _run_kernel(plant, params, config, v0, plant_eta)
 
 
-def _choose_backend(backend: str, plant: CascadePlant) -> tuple[str, str]:
-    """The backend that runs and, when ``auto`` fell back, why: the
-    chunked kernel (``chunked``) needs a quadratic map."""
-    if backend == "auto":
-        if isinstance(plant.map, QuadraticMap):
-            return "chunked", ""
-        return "python", "the map is not quadratic"
-    return backend, ""
-
-
 def _run_kernel(plant, params, config, v0, plant_eta) -> Trajectory:
     p_eff, lambda_eff, rho = params.effective_gains()
-    qmap: QuadraticMap = plant.map
-    out = _fastpath.run_chunked(
+    qmap = plant.map
+    t, v, x, z, y, y_m, e, s, u, dir_index = _fastpath.run_chunked(
         plant.lti.A, plant.lti.B, plant.lti.C, qmap.H, qmap.z_star,
         qmap.y_star, v0.copy(), config.x0.copy(), config.dt, config.n_steps,
         p_eff, lambda_eff, rho, params.epsilon_sw, params.y_sat,
         min(params.p0, params.y_sat), params.sub_steps(config.dt),
         params.n_dirs, config.log_stride, 1.0 / plant_eta)
-    (t, v, x, z, y, y_m, e, s, u, dir_index, rec, ok, k_fail) = out
-    if not ok:
-        raise SimulationAbort(
-            f"non-finite state after step at t={k_fail * config.dt:.6g} "
-            "(finite-escape guard)")
-    rho_log = np.full(rec, rho)
-    plant.v = v[rec - 1]
-    plant.x = x[rec - 1]
-    return Trajectory(t[:rec], v[:rec], x[:rec], z[:rec], y[:rec],
-                      y_m[:rec], e[:rec], s[:rec], u[:rec],
-                      dir_index[:rec], rho_log)
+    plant.v = v[-1]
+    plant.x = x[-1]
+    return Trajectory(t, v, x, z, y, y_m, e, s, u, dir_index,
+                      np.full(t.size, rho))
 
 
 def _run_python(plant, params, config, v0, plant_eta) -> Trajectory:

@@ -94,7 +94,8 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("override", [
         "controller.gamma=true", "controller.y_sat=false", "sim.dt=true",
-        'sim.horizon="20"', "sim.dt=abc", "plant.map.coupling=true"])
+        'sim.horizon="20"', "sim.dt=abc", "plant.map.coupling=true",
+        "plant.map.y_star=NaN"])
     def test_non_numeric_real_is_usage_error(self, tmp_path, capsys,
                                              override):
         rc = run_cli("run", "--out", str(tmp_path / "o"), *SHORT,

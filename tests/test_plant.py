@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slidingesc import (CascadePlant, ConfigurationError, CustomMap,
-                        LtiSubsystem, QuadraticMap, central_difference)
+from slidingesc import (CascadePlant, ConfigurationError, LtiSubsystem,
+                        QuadraticMap, central_difference)
 
 
 class TestLtiSubsystem:
@@ -94,24 +94,6 @@ class TestQuadraticMap:
         assert np.allclose(bowl.gradient(z), fd, rtol=1e-6, atol=1e-6)
 
 
-class TestCustomMap:
-    def test_eval_and_fd_gradient(self):
-        ridge = CustomMap(lambda z: float(z[0] - z[1] ** 2), dim=2)
-        assert ridge.eval([2.0, 1.0]) == pytest.approx(1.0)
-        assert np.allclose(ridge.gradient([0.5, 1.5]), [1.0, -3.0], atol=1e-8)
-
-    def test_analytic_gradient_preferred(self):
-        calls = []
-
-        def grad(z):
-            calls.append(1)
-            return np.array([1.0, 0.0])
-
-        flat = CustomMap(lambda z: float(z[0]), dim=2, grad=grad)
-        assert np.allclose(flat.gradient([0.0, 0.0]), [1.0, 0.0])
-        assert calls
-
-
 class TestCascadePlant:
     def test_derivative_hand_value(self, benchmark_plant):
         benchmark_plant.x = [-2.0, 4.0]
@@ -180,10 +162,3 @@ class TestHypothesisReport:
         report = CascadePlant(benchmark_lti, bowl).check_hypotheses()
         assert any(c.name.startswith("H4") and c.status == "fail"
                    for c in report.failures())
-
-    def test_custom_map_assumed(self, benchmark_lti):
-        plant = CascadePlant(benchmark_lti, CustomMap(lambda z: float(z[0]), dim=2))
-        report = plant.check_hypotheses()
-        assert report.ok
-        by_name = {c.name: c for c in report.checks}
-        assert by_name["H4 unique maximum"].status == "assumed"

@@ -97,6 +97,17 @@ class TestValidation:
         sc = scenario_from_dict(benchmark_doc)
         assert math.isinf(sc.controller.y_sat)
 
+    @pytest.mark.parametrize("path, value", [
+        ("plant.map.y_star", "NaN"), ("plant.map.y_star", "-Infinity"),
+        ("plant.map.z_star", "[Infinity,0]"), ("sim.x0", "[NaN,0]"),
+        ("controller.p0", "NaN"), ("controller.y_sat", "Infinity"),
+        ("plant.A", "[[0,1],[-Infinity,-2]]")])
+    def test_non_finite_number_names_field(self, benchmark_doc, path, value):
+        apply_override(benchmark_doc, path, value)
+        with pytest.raises(ScenarioError,
+                           match=rf"^{path}.*: expected a finite number"):
+            scenario_from_dict(benchmark_doc)
+
     def test_explicit_curvature_matrix(self, benchmark_doc):
         benchmark_doc["plant"]["map"] = {
             "kind": "quadratic", "y_star": 1.0, "z_star": [0.0, 0.0],

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from slidingesc import (CascadePlant, ConfigurationError, ControllerState,
-                        CustomMap, LtiSubsystem, QuadraticMap, SimConfig,
+                        LtiSubsystem, QuadraticMap, SimConfig,
                         SimulationAbort, _fastpath, dt_guard_limit, run)
 from slidingesc.controller import controller_step
 from slidingesc.scenario import builtin_scenario_dict, scenario_from_dict
@@ -51,9 +51,9 @@ class TestStep:
         # relay dithers v but x cannot outrun it; state remains tiny
         assert np.linalg.norm(traj.x[-1]) < 0.1
 
-    def test_hurwitz_decay_under_zero_gain(self, benchmark_lti):
-        # a flat objective gives zero gain everywhere; x decays freely
-        plant = CascadePlant(benchmark_lti, CustomMap(lambda z: 0.0, dim=2))
+    def test_hurwitz_decay_under_zero_gain(self, benchmark_lti, benchmark_map):
+        # with u forced to 0 the map plays no part; x decays freely
+        plant = CascadePlant(benchmark_lti, benchmark_map)
         plant.x = [-2.0, 4.0]
         params = make_params(p0=0.0, y_sat=0.0)
         state = ControllerState.initial(params)
@@ -176,8 +176,8 @@ def closed_loops(draw, sub_steps):
 
 
 class TestChunkedBackend:
-    """The numpy kernel (what ``auto`` runs on a quadratic map) against
-    the reference loop; its own reruns are bit-identical."""
+    """The numpy kernel (what ``auto`` runs) against the reference loop;
+    its own reruns are bit-identical."""
 
     CONFIG = dict(x0=[-2.0, 4.0], v0=[0.5, 1.0], horizon=3.0)
 
@@ -279,13 +279,6 @@ class TestBackendChoiceLogged:
         assert self._choices(caplog) == [
             "backend: requested auto, used chunked"]
 
-    def test_auto_on_custom_map(self, benchmark_lti, caplog):
-        plant = CascadePlant(benchmark_lti, CustomMap(lambda z: 0.0, dim=2))
-        with caplog.at_level("INFO", logger="slidingesc.sim"):
-            run(plant, make_params(), short_config(horizon=0.01))
-        assert self._choices(caplog) == [
-            "backend: requested auto, used python (the map is not quadratic)"]
-
     def test_named_backend(self, benchmark_plant, benchmark_params, caplog):
         with caplog.at_level("INFO", logger="slidingesc.sim"):
             run(benchmark_plant, benchmark_params, short_config(horizon=0.01),
@@ -369,17 +362,20 @@ class TestQuasiSteadyStart:
 
 
 class TestTrackingSanity:
-    def test_linear_objective_tracks_ramp(self, benchmark_lti):
-        # no maximum, unbounded reference: the output must lock onto the
-        # ramp, with the error settling inside the switching band scale
-        slope = np.array([1.0, 0.5])
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_linear_objective_tracks_ramp(self, benchmark_lti, backend):
+        # a nearly linear objective, h = g.z - c|z|^2/2 with its maximum
+        # far beyond the run, and an unbounded reference: the output must
+        # lock onto the ramp, with the error settling inside the
+        # switching band scale
+        slope, c = np.array([1.0, 0.5]), 1e-4
         plant = CascadePlant(benchmark_lti,
-                             CustomMap(lambda z: float(slope @ z), dim=2,
-                                       grad=lambda z: slope))
+                             QuadraticMap(slope @ slope / (2 * c), slope / c,
+                                          -c * np.eye(2)))
         params = make_params(y_sat=math.inf)
         config = SimConfig(dt=1e-3, horizon=25.0, x0=[-1.0, -1.0],
                            v0=[0.0, 0.0], log_stride=10)
-        traj = run(plant, params, config)
+        traj = run(plant, params, config, backend=backend)
         gains = params.effective_gains()
         late = traj.e[traj.t >= 20.0]
         assert np.abs(late).max() <= 2 * params.epsilon_sw + \
