@@ -17,15 +17,29 @@ float into text:
 * bit-identical columns are formatted once per format, however many
   tables of one call show them (with ``C = I`` the output z repeats the
   state x);
-* a column without repeated neighbours skips the search for runs.
+* a column without repeated neighbours skips the search for runs;
+* a log of ``SPLIT_ROWS`` rows or more is written by two processes: the
+  rows are cut at a window edge near the middle, and a forked child
+  writes the second half into an anonymous temporary file per table,
+  opened in the table's directory, which this process appends to the
+  first half once the child has ended.  Both halves number rows from
+  the start of the log, so the bytes are those of one process.  Where
+  ``os.fork`` is missing or fails, one process writes all the rows and
+  a warning says so.
 """
 
 from __future__ import annotations
 
-from contextlib import ExitStack
+import logging
+import os
+import shutil
+import tempfile
+from contextlib import ExitStack, suppress
 from typing import NamedTuple, Sequence
 
 import numpy as np
+
+logger = logging.getLogger(__name__)
 
 # A block's strings take about 1.5 kB per row.  At 64 rows the writer's
 # peak memory stays below that of NumPy's text writer even on a short
@@ -40,6 +54,11 @@ BLOCK_ROWS = 64
 # output changes at most rows (0.47 MB above it at 16 blocks), and the
 # search's numpy calls are paid once per 256 rows instead of per 64.
 WINDOW_ROWS = 4 * BLOCK_ROWS
+# From this many rows on, a forked child writes the second half of them.
+# One fork and wait of an 86 MB process take 2.4-2.7 ms (2-core host),
+# the time to write some 220 rows of the CSV and its plot tables, so at
+# this length the child's half of the rows saves about ten times that.
+SPLIT_ROWS = 16 * WINDOW_ROWS
 
 
 class Table(NamedTuple):
@@ -91,10 +110,80 @@ def _source(sources: list, values, fmt: str) -> int:
     return len(sources) - 1
 
 
-def write_tables(tables: Sequence[Table]) -> None:
-    """Write every table in one pass over the rows.
+def _write_rows(tables: Sequence[Table], files, sources, layout,
+                start: int, stop: int) -> None:
+    """Rows ``[start, stop)`` of every table, ``start`` a multiple of
+    ``WINDOW_ROWS``.  Row numbers are absolute, so any split of the rows
+    at window edges writes the bytes of one call over them all."""
+    for lo in range(start, stop, BLOCK_ROWS):
+        hi = min(lo + BLOCK_ROWS, stop)
+        at = lo % WINDOW_ROWS
+        if at == 0:
+            window = [format_runs(values[lo:lo + WINDOW_ROWS], fmt)
+                      if runs else None for values, fmt, runs in sources]
+        text = [window[i][at:at + hi - lo] if runs
+                else [fmt % v for v in values[lo:hi].tolist()]
+                for i, (values, fmt, runs) in enumerate(sources)]
+        for table, fh, columns in zip(tables, files, layout):
+            first = -lo % table.stride  # first row of the block to write
+            cells = [text[i][first::table.stride] for i in columns]
+            lines = list(map(table.delimiter.join, zip(*cells)))
+            if lines:
+                lines.append("")  # the newline after the last row
+                fh.write("\n".join(lines))
 
-    All columns of all tables have the same length.
+
+def _write_split(tables: Sequence[Table], files, sources, layout,
+                 n_rows: int) -> None:
+    """Rows ``[0, mid)`` here and ``[mid, n_rows)`` in a forked child,
+    which writes them to an anonymous temporary file per table (in the
+    table's directory) that this process then appends.  The child ends
+    with ``os._exit``: it runs no exit handler, flushes none of this
+    process's buffers and writes nothing else."""
+    mid = round(n_rows / (2 * WINDOW_ROWS)) * WINDOW_ROWS
+    with ExitStack() as stack:
+        parts = [stack.enter_context(tempfile.TemporaryFile(
+                     "w+", encoding="utf-8",
+                     dir=os.path.dirname(os.path.abspath(table.path))))
+                 for table in tables]
+        for fh in files:
+            fh.flush()  # leave no text of ours in the buffers the child gets
+        try:
+            pid = os.fork()
+        except (AttributeError, OSError) as exc:  # no os.fork, or it failed
+            logger.warning("tables written in one process: %r", exc)
+            _write_rows(tables, files, sources, layout, 0, n_rows)
+            return
+        if pid == 0:
+            status = 1
+            try:
+                _write_rows(tables, parts, sources, layout, mid, n_rows)
+                for part in parts:
+                    part.flush()
+                status = 0
+            finally:
+                os._exit(status)
+        try:
+            _write_rows(tables, files, sources, layout, 0, mid)
+        finally:
+            _, status = os.waitpid(pid, 0)
+        code = os.waitstatus_to_exitcode(status)
+        if code != 0:
+            names = ", ".join(str(table.path) for table in tables)
+            raise OSError(f"rows {mid} to {n_rows} of {names}: the writing "
+                          f"process ended with status {code}")
+        for fh, part in zip(files, parts):
+            fh.flush()
+            part.seek(0)
+            shutil.copyfileobj(part.buffer, fh.buffer)
+
+
+def write_tables(tables: Sequence[Table]) -> None:
+    """Write every table in one pass over the rows, the second half of
+    them in a forked child process from ``SPLIT_ROWS`` rows on.
+
+    All columns of all tables have the same length.  A table whose
+    writing raised is removed rather than left cut short.
     """
     lengths = {len(values) for table in tables for values, _ in table.columns}
     if len(lengths) != 1:
@@ -106,21 +195,16 @@ def write_tables(tables: Sequence[Table]) -> None:
     with ExitStack() as stack:
         files = [stack.enter_context(open(table.path, "w", encoding="utf-8"))
                  for table in tables]
-        for table, fh in zip(tables, files):
-            fh.write(table.header + "\n")
-        for lo in range(0, n_rows, BLOCK_ROWS):
-            hi = min(lo + BLOCK_ROWS, n_rows)
-            at = lo % WINDOW_ROWS
-            if at == 0:
-                window = [format_runs(values[lo:lo + WINDOW_ROWS], fmt)
-                          if runs else None for values, fmt, runs in sources]
-            text = [window[i][at:at + hi - lo] if runs
-                    else [fmt % v for v in values[lo:hi].tolist()]
-                    for i, (values, fmt, runs) in enumerate(sources)]
-            for table, fh, columns in zip(tables, files, layout):
-                first = -lo % table.stride  # first row of the block to write
-                cells = [text[i][first::table.stride] for i in columns]
-                lines = list(map(table.delimiter.join, zip(*cells)))
-                if lines:
-                    lines.append("")  # the newline after the last row
-                    fh.write("\n".join(lines))
+        try:
+            for table, fh in zip(tables, files):
+                fh.write(table.header + "\n")
+            if n_rows >= SPLIT_ROWS:
+                _write_split(tables, files, sources, layout, n_rows)
+            else:
+                _write_rows(tables, files, sources, layout, 0, n_rows)
+        except BaseException:
+            stack.close()
+            for table in tables:
+                with suppress(FileNotFoundError):
+                    os.unlink(table.path)
+            raise

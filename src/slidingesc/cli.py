@@ -116,16 +116,17 @@ def _write_objective_surface(path: Path, qmap, span: float) -> None:
 
     The grid is evaluated in one batch with the arithmetic of
     ``QuadraticMap.eval`` per point (H @ d, then d . (H d)), so the
-    values are bit-identical to evaluating the points one by one.
+    values are bit-identical to evaluating the points one by one.  The
+    61 grid labels are formatted once, not on each of the 3721 lines.
     """
     grid = np.linspace(-span, span, 61)
     d = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1) - qmap.z_star
     values = qmap.y_star + 0.5 * np.vecdot(d, (qmap.H @ d[..., None])[..., 0])
+    labels = [f"{g:.6g}" for g in grid.tolist()]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# z1 z2 h(z)   gnuplot splot blocks\n")
-        for z1, row in zip(grid, values):
-            fh.writelines(f"{z1:.6g} {z2:.6g} {h:.6g}\n"
-                          for z2, h in zip(grid, row))
+        for z1, row in zip(labels, values.tolist()):
+            fh.writelines(f"{z1} {z2} {h:.6g}\n" for z2, h in zip(labels, row))
             fh.write("\n")
 
 

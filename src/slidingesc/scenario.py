@@ -25,7 +25,8 @@ Schema (field names are the contract; the syntax is plain JSON):
 
 "y_sat": null means unbounded.  A quadratic map takes either an explicit
 "H" or, for the two-input benchmark family, "coupling" (the bowl
-h = y* - (z1^2 + z2^2 - 2*c*z1*z2)).  Every number must be finite.
+h = y* - (z1^2 + z2^2 - 2*c*z1*z2)), not both.  Every number must be
+finite, and a field the schema does not name is refused.
 """
 
 from __future__ import annotations
@@ -47,6 +48,18 @@ from .sim import SimConfig
 
 class ScenarioError(ConfigurationError):
     """Parse or validation failure, carrying the offending field path."""
+
+
+# The fields of each object of the schema, by the object's dot-path.
+_FIELDS = {
+    "": ("name", "description", "plant", "controller", "sim", "analysis"),
+    "plant": ("A", "B", "C", "map"),
+    "plant.map": ("kind", "y_star", "z_star", "coupling", "H"),
+    "controller": ("p", "p0", "y_sat", "lambda", "epsilon_sw", "gamma", "L_h",
+                   "eta", "T_s", "n_dirs", "scaling_mode", "ts_scale"),
+    "sim": ("dt", "horizon", "x0", "v0", "log_stride", "plant_eta"),
+    "analysis": ("delta", "trailing_fraction", "c_bound"),
+}
 
 
 @dataclass
@@ -133,6 +146,19 @@ class Scenario:
         }
 
 
+def _known(mapping, path: str) -> dict:
+    """``mapping``, checked to be an object with no field outside
+    ``_FIELDS[path]``."""
+    if not isinstance(mapping, dict):
+        raise ScenarioError(f"{path or 'top level'}: expected a JSON object")
+    for key in mapping:
+        if key not in _FIELDS[path]:
+            name = f"{path}.{key}" if path else key
+            raise ScenarioError(f"{name}: unknown field (known: "
+                                f"{', '.join(_FIELDS[path])})")
+    return mapping
+
+
 def _require(mapping: dict, key: str, path: str):
     if key not in mapping:
         raise ScenarioError(f"{path}.{key}: missing required field")
@@ -171,21 +197,24 @@ def _reals(value, path: str):
 
 def scenario_from_dict(data: dict, *, allow_unstable: bool = False) -> Scenario:
     """Build and fully validate a Scenario from a parsed document."""
-    if not isinstance(data, dict):
-        raise ScenarioError("top level: expected a JSON object")
-    plant = _require(data, "plant", "scenario")
-    ctrl = _require(data, "controller", "scenario")
-    sim = _require(data, "sim", "scenario")
-    analysis = data.get("analysis", {})
+    _known(data, "")
+    plant = _known(_require(data, "plant", "scenario"), "plant")
+    ctrl = _known(_require(data, "controller", "scenario"), "controller")
+    sim = _known(_require(data, "sim", "scenario"), "sim")
+    analysis = _known(data.get("analysis", {}), "analysis")
 
     A = _reals(_require(plant, "A", "plant"), "plant.A")
     B = _reals(_require(plant, "B", "plant"), "plant.B")
     C = plant.get("C")
     if C is not None:
         _reals(C, "plant.C")
-    map_spec = _require(plant, "map", "plant")
-    if "kind" not in map_spec:
-        raise ScenarioError("plant.map.kind: missing required field")
+    map_spec = _known(_require(plant, "map", "plant"), "plant.map")
+    _require(map_spec, "kind", "plant.map")
+    if ("coupling" in map_spec) == ("H" in map_spec):
+        raise ScenarioError("plant.map: give exactly one of coupling and H")
+    if "H" in map_spec:  # the coupling family has defaults for both
+        _require(map_spec, "y_star", "plant.map")
+        _require(map_spec, "z_star", "plant.map")
 
     for key in ("y_star", "coupling"):
         if key in map_spec:

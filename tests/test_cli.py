@@ -105,6 +105,18 @@ class TestRunCommand:
         assert override.partition("=")[0] in err and "number" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("override, field", [
+        ("sim.dtt=5e-4", "sim.dtt: unknown field"),
+        ("plant.map.H=[[1,0],[0,1]]", "exactly one of coupling and H")])
+    def test_unknown_or_conflicting_field_is_usage_error(self, tmp_path,
+                                                         capsys, override,
+                                                         field):
+        rc = run_cli("run", "--out", str(tmp_path / "o"), *SHORT,
+                     "--override", override)
+        assert rc == EXIT_USAGE
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_boolean_dt_in_config_is_usage_error(self, tmp_path, capsys):
         from slidingesc.scenario import builtin_scenario_dict
         doc = builtin_scenario_dict("coupled_bowl")

@@ -1,11 +1,16 @@
 """Scenario schema: loading, validation paths, round-trips, overrides."""
 
+import importlib.util
 import json
 import math
+import re
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import slidingesc
 from slidingesc import ScenarioError, load_builtin, load_scenario, save_scenario
 from slidingesc.scenario import (apply_override, builtin_scenario_dict,
                                  builtin_scenario_names, get_field,
@@ -108,6 +113,43 @@ class TestValidation:
                            match=rf"^{path}.*: expected a finite number"):
             scenario_from_dict(benchmark_doc)
 
+    @pytest.mark.parametrize("path", [
+        "comment", "plant.D", "plant.map.scale", "controller.gain",
+        "sim.dtt", "analysis.margin"])
+    def test_unknown_field_named(self, benchmark_doc, path):
+        apply_override(benchmark_doc, path, "1")
+        with pytest.raises(ScenarioError,
+                           match=rf"^{re.escape(path)}: unknown field"):
+            scenario_from_dict(benchmark_doc)
+
+    @pytest.mark.parametrize("section", ["plant", "plant.map", "controller",
+                                         "sim", "analysis"])
+    def test_section_must_be_object(self, benchmark_doc, section):
+        apply_override(benchmark_doc, section, "[1, 2]")
+        with pytest.raises(ScenarioError,
+                           match=rf"^{section}: expected a JSON object"):
+            scenario_from_dict(benchmark_doc)
+
+    def test_coupling_with_curvature_matrix_refused(self, benchmark_doc):
+        # a positive-definite H, which QuadraticMap would refuse, must
+        # not be passed over in favour of the coupling
+        benchmark_doc["plant"]["map"]["H"] = [[1.0, 0.0], [0.0, 1.0]]
+        with pytest.raises(ScenarioError, match="exactly one of coupling"):
+            scenario_from_dict(benchmark_doc)
+        del benchmark_doc["plant"]["map"]["coupling"]
+        with pytest.raises(ScenarioError, match="plant.*definite"):
+            scenario_from_dict(benchmark_doc)
+
+    def test_map_needs_coupling_or_curvature(self, benchmark_doc):
+        del benchmark_doc["plant"]["map"]["coupling"]
+        with pytest.raises(ScenarioError, match="exactly one of coupling"):
+            scenario_from_dict(benchmark_doc)
+        benchmark_doc["plant"]["map"]["H"] = [[-1.0, 0.0], [0.0, -1.0]]
+        del benchmark_doc["plant"]["map"]["y_star"]
+        with pytest.raises(ScenarioError,
+                           match="plant.map.y_star: missing required field"):
+            scenario_from_dict(benchmark_doc)
+
     def test_explicit_curvature_matrix(self, benchmark_doc):
         benchmark_doc["plant"]["map"] = {
             "kind": "quadratic", "y_star": 1.0, "z_star": [0.0, 0.0],
@@ -127,6 +169,24 @@ class TestRoundTrip:
         assert again.analysis == sc.analysis
         assert np.array_equal(again.sim.x0, sc.sim.x0)
         assert again.sim.dt == sc.sim.dt
+
+    @pytest.mark.parametrize("name", builtin_scenario_names())
+    def test_builtin_to_dict_loads(self, name):
+        sc = load_builtin(name)
+        assert scenario_from_dict(sc.to_dict()).to_dict() == sc.to_dict()
+
+    def test_benchmark_documents_load(self, monkeypatch):
+        bench = Path(__file__).resolve().parent.parent / "perfbench"
+        monkeypatch.syspath_prepend(str(bench))
+        spec = importlib.util.spec_from_file_location("perfbench_run",
+                                                      bench / "run.py")
+        harness = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, harness)
+        spec.loader.exec_module(harness)
+        for workload in harness.WORKLOADS.values():
+            for seed in (0, 1, 2):
+                scenario_from_dict(
+                    harness.make_document(slidingesc, workload, seed))
 
     def test_parse_error(self, tmp_path):
         path = tmp_path / "broken.json"

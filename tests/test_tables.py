@@ -9,14 +9,16 @@ wrote the objective surface before it was evaluated in one batch.
 """
 
 import json
+import logging
+import os
 
 import numpy as np
 import pytest
 
 from slidingesc import (CascadePlant, LtiSubsystem, QuadraticMap, Trajectory,
-                        run)
-from slidingesc._tables import (BLOCK_ROWS, WINDOW_ROWS, format_runs,
-                               write_tables)
+                        _tables, run)
+from slidingesc._tables import (BLOCK_ROWS, SPLIT_ROWS, WINDOW_ROWS, Table,
+                               format_runs, write_tables)
 from slidingesc.cli import (EXIT_OK, _plot_tables, _write_objective_surface,
                            _write_tables, main)
 from slidingesc.scenario import builtin_scenario_dict, scenario_from_dict
@@ -143,11 +145,10 @@ def synthetic(rows: int, dim: int, seed: int = 0) -> Trajectory:
         rho=np.full(rows, rho))
 
 
-def at_window_edge(traj: Trajectory) -> Trajectory:
-    """Runs at the first window edge, in columns searched for runs: u
-    holds across it, rho steps from -0.0 to 0.0 at it, and y_m and s
-    hold NaN across it."""
-    edge = WINDOW_ROWS
+def at_window_edge(traj: Trajectory, edge: int = WINDOW_ROWS) -> Trajectory:
+    """Runs at a window edge (the first by default), in columns searched
+    for runs: u holds across it, rho steps from -0.0 to 0.0 at it, and
+    y_m and s hold NaN across it."""
     traj.u[edge - 5:edge + 5] = traj.u[edge - 5]
     traj.rho[edge - 2:edge] = -0.0
     traj.rho[edge:edge + 2] = 0.0
@@ -272,6 +273,143 @@ class TestOnePass:
             assert np.array_equal(now.view(np.int64), old.view(np.int64)), name
 
 
+def split_point(rows: int) -> int:
+    """The window edge nearest half the rows, where the writer splits."""
+    return round(rows / (2 * WINDOW_ROWS)) * WINDOW_ROWS
+
+
+def every_third(outdir, traj) -> Table:
+    return Table(outdir / "every_third.dat", "# t y",
+                 [(traj.t, "%.17g"), (traj.y, "%.17g")], stride=3)
+
+
+def write_all(outdir, traj, plant) -> None:
+    """The CSV, the plot tables and a stride-3 table in one call."""
+    traj.to_csv(outdir / "trajectory.csv", *_plot_tables(outdir, traj, plant),
+                every_third(outdir, traj))
+
+
+def split_case(rows: int) -> Trajectory:
+    """A log with a relay run, -0.0 and NaN across the split point (in a
+    column searched for runs and in one that is not)."""
+    mid = split_point(rows)
+    traj = at_window_edge(synthetic(rows, 2, seed=9), edge=mid)
+    traj.e[mid - 1:mid + 1] = -0.0, np.nan
+    traj.z[mid - 1:mid + 1, 0] = np.nan, -0.0
+    return traj
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children ``os.fork`` starts in this process."""
+    real_fork, pids = os.fork, []
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def assert_reaped(pids) -> None:
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def fail_in(monkeypatch, where: str) -> None:
+    """Make ``_write_rows`` raise in the child or in the parent only."""
+    parent, real = os.getpid(), _tables._write_rows
+
+    def write_rows(*args):
+        if (os.getpid() == parent) == (where == "parent"):
+            raise RuntimeError(f"fails in the {where}")
+        return real(*args)
+
+    monkeypatch.setattr(_tables, "_write_rows", write_rows)
+
+
+class TestSplit:
+    """From ``SPLIT_ROWS`` rows on, a forked child writes the rows from
+    the window edge nearest the middle; the bytes are those of one
+    process and of ``np.savetxt``."""
+
+    @pytest.mark.parametrize("rows", [SPLIT_ROWS - 1, SPLIT_ROWS,
+                                      SPLIT_ROWS + 1, 2 * SPLIT_ROWS + 777])
+    def test_matches_one_process_and_savetxt(self, tmp_path, monkeypatch,
+                                             forks, rows):
+        assert WINDOW_ROWS * 2 < split_point(rows) < rows
+        traj = split_case(rows)
+        plant = plant_of_dim(2)
+        split, one, ref = (tmp_path / name for name in ("split", "one", "ref"))
+        for outdir in (split, one, ref):
+            outdir.mkdir()
+        write_all(split, traj, plant)
+        assert len(forks) == (rows >= SPLIT_ROWS)
+        assert_reaped(forks)
+        monkeypatch.setattr(_tables, "SPLIT_ROWS", rows + 1)
+        write_all(one, traj, plant)
+        assert len(forks) == (rows >= SPLIT_ROWS)
+
+        reference_csv(traj, ref / "trajectory.csv")
+        reference_plot_tables(ref, traj, plant)
+        (ref / "objective_surface.dat").unlink()
+        np.savetxt(ref / "every_third.dat",
+                   np.column_stack([traj.t[::3], traj.y[::3]]), fmt="%.17g",
+                   header="t y", comments="# ")
+        names = sorted(p.name for p in ref.iterdir())
+        assert "every_third.dat" in names and "output_path_3d.dat" in names
+        for outdir in (split, one):
+            assert sorted(p.name for p in outdir.iterdir()) == names
+            for name in names:
+                assert ((outdir / name).read_bytes()
+                        == (ref / name).read_bytes()), (outdir.name, name)
+
+    @pytest.mark.parametrize("where", ["child", "parent"])
+    def test_failure_raises_reaps_and_removes(self, tmp_path, monkeypatch,
+                                              forks, where):
+        traj = split_case(SPLIT_ROWS)
+        fail_in(monkeypatch, where)
+        if where == "child":
+            with pytest.raises(OSError, match="trajectory.csv.*status 1"):
+                write_all(tmp_path, traj, plant_of_dim(2))
+        else:
+            with pytest.raises(RuntimeError, match="parent"):
+                write_all(tmp_path, traj, plant_of_dim(2))
+        assert len(forks) == 1
+        assert_reaped(forks)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("fork", ["fails", "missing"])
+    def test_without_fork_one_process(self, tmp_path, monkeypatch, caplog,
+                                      fork):
+        traj = split_case(SPLIT_ROWS + 1)
+        plant = plant_of_dim(2)
+        one, alone = tmp_path / "one", tmp_path / "alone"
+        one.mkdir()
+        alone.mkdir()
+        monkeypatch.setattr(_tables, "SPLIT_ROWS", SPLIT_ROWS + 2)
+        write_all(one, traj, plant)
+        monkeypatch.undo()
+        if fork == "fails":
+            def no_fork():
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            monkeypatch.setattr(os, "fork", no_fork)
+        else:
+            monkeypatch.delattr(os, "fork")
+        with caplog.at_level(logging.WARNING, logger="slidingesc._tables"):
+            write_all(alone, traj, plant)
+        assert [r.levelname for r in caplog.records] == ["WARNING"]
+        assert "one process" in caplog.records[0].getMessage()
+        names = sorted(p.name for p in one.iterdir())
+        assert sorted(p.name for p in alone.iterdir()) == names
+        for name in names:
+            assert (alone / name).read_bytes() == (one / name).read_bytes()
+
+
 class TestObjectiveSurface:
     """The batched surface against the point-by-point oracle."""
 
@@ -298,12 +436,19 @@ class TestObjectiveSurface:
                     == (tmp_path / "ref.dat").read_bytes()), trial
 
 
-def test_cli_run_matches_reference(tmp_path):
-    """``run`` on coupled_bowl logging every step writes every table as
-    the oracle writes the same scenario's trajectory."""
+LONG_RUN = ["--override", "sim.horizon=5", "--override", "sim.log_stride=1"]
+
+
+def test_cli_run_matches_reference(tmp_path, forks):
+    """``run`` on coupled_bowl logging every step (5001 rows, written by
+    two processes) writes every table as the oracle writes the same
+    scenario's trajectory, and nothing else."""
     out = tmp_path / "run"
-    assert main(["run", "--out", str(out), "--override", "sim.horizon=5",
-                 "--override", "sim.log_stride=1"]) == EXIT_OK
+    assert main(["run", "--out", str(out), *LONG_RUN]) == EXIT_OK
+    assert len(forks) == 1
+    assert_reaped(forks)
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        [*TABLES, "metrics.json", "scenario.json"])
 
     doc = builtin_scenario_dict("coupled_bowl")
     doc["sim"]["horizon"] = 5
@@ -317,3 +462,15 @@ def test_cli_run_matches_reference(tmp_path):
     reference_csv(traj, ref / "trajectory.csv")
     reference_plot_tables(ref, traj, plant)
     assert_same_tables(out, ref)
+
+
+def test_cli_run_failed_child(tmp_path, monkeypatch, forks):
+    """A child that fails fails the run and leaves no table, no stray
+    file and no process behind."""
+    fail_in(monkeypatch, "child")
+    out = tmp_path / "run"
+    with pytest.raises(OSError, match="status 1"):
+        main(["run", "--out", str(out), *LONG_RUN])
+    assert len(forks) == 1
+    assert_reaped(forks)
+    assert list(out.iterdir()) == []
