@@ -21,18 +21,16 @@ CHUNK_MIN = 32
 CHUNK_MAX = 256
 
 
-def run_chunked(A, B, C, H, z_star, y_star, v, x, dt, n_steps,
-                p_eff, lambda_eff, rho, epsilon_sw, y_sat, y_m0,
-                sub_steps, n_dirs, stride, plant_rate):
+def run_chunked(A, B, C, H, z_star, y_star, v, x, dt, n_steps, constants,
+                stride, plant_rate):
     """Integrate the closed loop and log every ``stride``-th step.
 
     The arguments are the plant matrices, the quadratic map
     (``H``, ``z_star``, ``y_star``), the initial ``v`` and ``x``, the
-    step and step count, the effective gains, the relay band, the
-    saturation and initial value of the reference, the steps per search
-    direction and the direction count, the log stride and the plant rate
-    1/plant_eta.  Returns the logged rows of (t, v, x, z, y, y_m, e, s,
-    u, dir); raises SimulationAbort when a non-finite value appears.
+    step and step count, the controller's ``ControllerConstants`` for
+    that step, the log stride and the plant rate 1/plant_eta.  Returns
+    the logged rows of (t, v, x, z, y, y_m, e, s, u, dir); raises
+    SimulationAbort when a non-finite value appears.
 
     While the relay sign and the search direction hold, u is constant
     and one Euler step of X = (v, x) is affine, X <- M X + b(u).  Each
@@ -48,6 +46,11 @@ def run_chunked(A, B, C, H, z_star, y_star, v, x, dt, n_steps,
     so they follow ``controller_step``'s arithmetic exactly; the
     predicted states agree with the step-by-step recurrence to rounding.
     """
+    p_eff, lambda_eff, rho = (constants.p_eff, constants.lambda_eff,
+                              constants.rho)
+    epsilon_sw, y_sat, y_m0 = (constants.epsilon_sw, constants.y_sat,
+                               constants.y_m0)
+    sub_steps, n_dirs = constants.sub_steps, constants.n_dirs
     n = A.shape[0]
     m = B.shape[1]
     N = m + n          # stacked state X = (v, x)

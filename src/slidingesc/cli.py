@@ -11,7 +11,7 @@ sweep   repeat a scenario over a list of values for one numeric field,
         writing per-value runs plus an aggregated metrics table.
 
 Exit codes: 0 success, 1 failed checks or aborted run, 2 usage or
-configuration error, 3 missing input file.  The default output
+configuration error, 3 I/O error.  The default output
 directory is $SLIDINGESC_OUT, else ./out.
 """
 
@@ -320,7 +320,7 @@ def main(argv=None) -> int:
     logging.basicConfig(level=args.log_level)
     try:
         return args.fn(args)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (ScenarioError, ConfigurationError) as exc:

@@ -28,8 +28,6 @@ import numpy as np
 
 from .errors import ConfigurationError, SimulationAbort
 
-SCALING_MODES = ("scaled", "unscaled")
-
 
 class EffectiveGains(NamedTuple):
     p_eff: float
@@ -42,7 +40,6 @@ class StepTelemetry(NamedTuple):
     e: float
     s: float
     dir_index: int
-    rho: float
 
 
 @dataclass
@@ -70,22 +67,17 @@ class ControllerParams:
         Lower bound on the gradient magnitude outside the vicinity of
         the extremum; sets the modulation amplitude.
     eta : float
-        Time-scale parameter in (0, 1].  In ``scaled`` mode the ramp
-        slope and the sliding gain are multiplied by it and the
-        modulation amplitude carries the matching factor.
+        Time-scale parameter in (0, 1].  The ramp slope and the sliding
+        gain are multiplied by it and the modulation amplitude carries
+        the matching factor.
     T_s : float
         Cyclic search period (s).  A run needs each direction's share,
-        T_s*ts_scale/n_dirs, to be a whole number of its steps.
+        T_s/n_dirs, to be a whole number of its steps.
     n_dirs : int
         Number of search directions; must equal the plant input
         dimension.
-    scaling_mode : str
-        "scaled" applies the time-scale factor, "unscaled" is the
-        static-map design with eta treated as 1.
-    ts_scale : float
-        Multiplier applied to T_s to form the effective search period
-        (lets the period be declared on either clock; default 1, i.e.
-        physical time).
+
+    A run reads these through the record ``resolve(dt)`` builds once.
     """
 
     p: float
@@ -98,13 +90,11 @@ class ControllerParams:
     eta: float
     T_s: float
     n_dirs: int
-    scaling_mode: str = "scaled"
-    ts_scale: float = 1.0
 
     def __post_init__(self) -> None:
         positive = {"p": self.p, "lambda": self.lam,
                     "epsilon_sw": self.epsilon_sw, "gamma": self.gamma,
-                    "L_h": self.L_h, "T_s": self.T_s, "ts_scale": self.ts_scale}
+                    "L_h": self.L_h, "T_s": self.T_s}
         for name, value in positive.items():
             if not (value > 0.0) or not math.isfinite(value):
                 raise ConfigurationError(f"{name} must be > 0, got {value}")
@@ -112,34 +102,45 @@ class ControllerParams:
             raise ConfigurationError(f"eta must be in (0, 1], got {self.eta}")
         if self.n_dirs < 1:
             raise ConfigurationError(f"n_dirs must be >= 1, got {self.n_dirs}")
-        if self.scaling_mode not in SCALING_MODES:
-            raise ConfigurationError(
-                f"scaling_mode must be one of {SCALING_MODES}, got "
-                f"{self.scaling_mode!r}")
         if math.isnan(self.y_sat) or self.y_sat < self.p0:
             raise ConfigurationError(
                 f"y_sat ({self.y_sat}) must be >= p0 ({self.p0})")
 
-    @property
-    def search_period(self) -> float:
-        return self.T_s * self.ts_scale
-
     def sub_steps(self, dt: float) -> int:
         """Steps of dt per search direction (must be a whole number)."""
-        return whole_steps(self.search_period / self.n_dirs, dt,
-                           "controller.T_s * ts_scale / n_dirs")
+        return whole_steps(self.T_s / self.n_dirs, dt,
+                           "controller.T_s / n_dirs")
 
     def effective_gains(self) -> EffectiveGains:
-        """Ramp slope, sliding gain and modulation amplitude actually used.
+        """Ramp slope, sliding gain and modulation amplitude actually used:
+        (eta*p, eta*lambda, eta/L_h*(p+lambda) + eta*gamma)."""
+        rho = self.eta / self.L_h * (self.p + self.lam) + self.eta * self.gamma
+        return EffectiveGains(self.eta * self.p, self.eta * self.lam, rho)
 
-        scaled:   (eta*p, eta*lambda, eta/L_h*(p+lambda) + eta*gamma)
-        unscaled: (p, lambda, (p+lambda)/L_h + gamma)
-        """
-        if self.scaling_mode == "scaled":
-            rho = self.eta / self.L_h * (self.p + self.lam) + self.eta * self.gamma
-            return EffectiveGains(self.eta * self.p, self.eta * self.lam, rho)
-        rho = (self.p + self.lam) / self.L_h + self.gamma
-        return EffectiveGains(self.p, self.lam, rho)
+    def resolve(self, dt: float) -> "ControllerConstants":
+        """The constants of a run with step dt, worked out once;
+        ConfigurationError unless T_s/n_dirs is a whole number of steps."""
+        p_eff, lambda_eff, rho = self.effective_gains()
+        return ControllerConstants(
+            p_eff, lambda_eff, rho, self.epsilon_sw, self.y_sat,
+            min(self.p0, self.y_sat), self.sub_steps(dt), self.n_dirs)
+
+
+@dataclass(frozen=True, slots=True)
+class ControllerConstants:
+    """What one run of the controller reads, resolved from
+    ``ControllerParams`` for its step: the effective gains, the relay
+    band, the reference's saturation and initial value, and the search
+    schedule's steps per direction and direction count."""
+
+    p_eff: float
+    lambda_eff: float
+    rho: float
+    epsilon_sw: float
+    y_sat: float
+    y_m0: float
+    sub_steps: int
+    n_dirs: int
 
 
 @dataclass
@@ -152,8 +153,8 @@ class ControllerState:
     k: int = 0
 
     @classmethod
-    def initial(cls, params: ControllerParams) -> "ControllerState":
-        return cls(y_m=min(params.p0, params.y_sat))
+    def initial(cls, constants: ControllerConstants) -> "ControllerState":
+        return cls(y_m=constants.y_m0)
 
 
 def reference_step(state: ControllerState, p_eff: float, y_sat: float,
@@ -223,30 +224,31 @@ def control_law(rho: float, sigma: np.ndarray, s: float,
     return rho * sigma * switching_sign(s, epsilon_sw)
 
 
-def controller_step(params: ControllerParams, state: ControllerState, y: float,
-                    dt: float) -> tuple[np.ndarray, StepTelemetry]:
+def controller_step(constants: ControllerConstants, state: ControllerState,
+                    y: float, dt: float) -> tuple[np.ndarray, StepTelemetry]:
     """One controller update: measure, switch, then advance the clocks.
 
     Order: e = y - y_m with the current reference; sliding integral is
     advanced and s formed; the direction is read off the step counter
     k; u is emitted; finally the reference moves on by dt and k by one.
     Telemetry carries the values used for u, i.e. the signals at step k.
+    ``constants`` is ``ControllerParams.resolve(dt)`` for the same dt.
     """
     if not math.isfinite(y):
         raise SimulationAbort(
             f"non-finite measured output y={y} at step {state.k} "
             f"(t={state.k * dt:.6g})")
-    p_eff, lambda_eff, rho = params.effective_gains()
     e = y - state.y_m
     y_m_now = state.y_m
-    s = sliding_variable_step(state, e, lambda_eff, dt)
-    if not math.isfinite(math.pi / params.epsilon_sw * s):
+    s = sliding_variable_step(state, e, constants.lambda_eff, dt)
+    if not math.isfinite(math.pi / constants.epsilon_sw * s):
         # a huge but finite output overflows the relay's sine argument
         raise SimulationAbort(
             f"non-finite switching argument for s={s} at step {state.k} "
             f"(t={state.k * dt:.6g}, finite-escape guard)")
-    index, sigma = cyclic_direction(state.k, params.sub_steps(dt), params.n_dirs)
-    u = control_law(rho, sigma, s, params.epsilon_sw)
-    reference_step(state, p_eff, params.y_sat, dt)
+    index, sigma = cyclic_direction(state.k, constants.sub_steps,
+                                    constants.n_dirs)
+    u = control_law(constants.rho, sigma, s, constants.epsilon_sw)
+    reference_step(state, constants.p_eff, constants.y_sat, dt)
     state.k += 1
-    return u, StepTelemetry(y_m_now, e, s, index, rho)
+    return u, StepTelemetry(y_m_now, e, s, index)

@@ -12,13 +12,13 @@ Schema (field names are the contract; the syntax is plain JSON):
       "controller": {
         "p": 1.0, "p0": 0.0, "y_sat": 2.5, "lambda": 4.0,
         "epsilon_sw": 0.02, "gamma": 0.1, "L_h": 0.1, "eta": 0.01,
-        "T_s": 5.0, "n_dirs": 2, "scaling_mode": "scaled", "ts_scale": 1.0
+        "T_s": 5.0, "n_dirs": 2
       },
       "sim": {
         "dt": 0.001, "horizon": 1500.0, "x0": [-2, 4],
         "v0": [0.5, 1.0],            # or "quasi_steady", or omitted (zeros)
         "log_stride": 100,
-        "plant_eta": null            # null: controller eta (scaled) / 1
+        "plant_eta": null            # null: the controller's eta
       },
       "analysis": {"delta": null, "trailing_fraction": 0.1, "c_bound": 2.5}
     }
@@ -56,7 +56,7 @@ _FIELDS = {
     "plant": ("A", "B", "C", "map"),
     "plant.map": ("kind", "y_star", "z_star", "coupling", "H"),
     "controller": ("p", "p0", "y_sat", "lambda", "epsilon_sw", "gamma", "L_h",
-                   "eta", "T_s", "n_dirs", "scaling_mode", "ts_scale"),
+                   "eta", "T_s", "n_dirs"),
     "sim": ("dt", "horizon", "x0", "v0", "log_stride", "plant_eta"),
     "analysis": ("delta", "trailing_fraction", "c_bound"),
 }
@@ -119,8 +119,6 @@ class Scenario:
             "gamma": self.controller.gamma, "L_h": self.controller.L_h,
             "eta": self.controller.eta, "T_s": self.controller.T_s,
             "n_dirs": self.controller.n_dirs,
-            "scaling_mode": self.controller.scaling_mode,
-            "ts_scale": self.controller.ts_scale,
         }
         sim: dict[str, Any] = {
             "dt": self.sim.dt, "horizon": self.sim.horizon,
@@ -230,7 +228,6 @@ def scenario_from_dict(data: dict, *, allow_unstable: bool = False) -> Scenario:
                          "eta", "T_s")}
     y_sat = ctrl.get("y_sat")
     y_sat = math.inf if y_sat is None else _real(y_sat, "controller.y_sat")
-    ts_scale = _real(ctrl.get("ts_scale", 1.0), "controller.ts_scale")
     n_dirs = _count(_require(ctrl, "n_dirs", "controller"), "controller.n_dirs")
     try:
         params = ControllerParams(
@@ -238,8 +235,6 @@ def scenario_from_dict(data: dict, *, allow_unstable: bool = False) -> Scenario:
             epsilon_sw=gains["epsilon_sw"], gamma=gains["gamma"],
             L_h=gains["L_h"], eta=gains["eta"], T_s=gains["T_s"],
             n_dirs=n_dirs,
-            scaling_mode=ctrl.get("scaling_mode", "scaled"),
-            ts_scale=ts_scale,
         )
     except ConfigurationError as exc:
         raise ScenarioError(f"controller: {exc}") from exc

@@ -16,13 +16,12 @@ i.e. its derivative is applied 1/eta_p faster than the controller
 clock.  This is the singular-perturbation (sensor block) form that the
 residual bound |y - y*| <= O(sqrt(eta) + epsilon) is stated for, and it
 realizes the design premise that the linear dynamics are fast relative
-to the slowed controller.  In ``scaled`` mode eta_p defaults to the
-controller's eta; in ``unscaled`` mode it defaults to 1, which reduces
-x' to A x + B v exactly.  (Integrating the plant on the controller
-clock while only the controller gains are slowed leaves the relay's
-switching faster than the plant's own lag for this design's gain
-formulas, and the closed loop then fails to slide regardless of the
-step size; the decision record for this package documents the
+to the slowed controller.  eta_p defaults to the controller's eta;
+eta_p = 1 reduces x' to A x + B v exactly.  (Integrating the plant on
+the controller clock while only the controller gains are slowed leaves
+the relay's switching faster than the plant's own lag for this design's
+gain formulas, and the closed loop then fails to slide regardless of
+the step size; the decision record for this package documents the
 experiments.)
 """
 
@@ -51,10 +50,9 @@ class SimConfig:
     """Integration setup for one run.
 
     ``plant_eta`` is the time-scale separation factor of the LTI block
-    (see module docstring); ``None`` selects the controller's eta in
-    scaled mode and 1.0 in unscaled mode.  ``quasi_steady`` replaces v0
-    by the value solving B v0 = -A x0, so the run starts on the
-    quasi-steady manifold consistent with x0.
+    (see module docstring); ``None`` selects the controller's eta.
+    ``quasi_steady`` replaces v0 by the value solving B v0 = -A x0, so
+    the run starts on the quasi-steady manifold consistent with x0.
     """
 
     dt: float
@@ -138,13 +136,6 @@ class Trajectory:
                                             delimiter=","), *tables])
 
 
-def resolve_plant_eta(params: ControllerParams,
-                      config: SimConfig) -> float:
-    if config.plant_eta is not None:
-        return config.plant_eta
-    return params.eta if params.scaling_mode == "scaled" else 1.0
-
-
 def resolve_v0(plant: CascadePlant, config: SimConfig) -> np.ndarray:
     if config.quasi_steady:
         # B v0 = -A x0 puts x0 on the quasi-steady manifold
@@ -196,8 +187,9 @@ def run(plant: CascadePlant, params: ControllerParams, config: SimConfig, *,
     ``backend`` is one of BACKENDS: ``python`` is the reference loop;
     ``auto`` runs the chunked numpy kernel of :mod:`._fastpath`.  The
     backend asked for and the one used are logged at INFO level.
-    The horizon and each direction's ``search_period / n_dirs`` must be
-    whole numbers of steps (ConfigurationError otherwise).
+    The horizon and each direction's ``controller.T_s / n_dirs`` must be
+    whole numbers of steps (ConfigurationError otherwise).  Both loops
+    read the controller through the one record ``params.resolve(dt)``.
     Deterministic: identical inputs on one backend produce bit-identical
     trajectories.
     Aborts (raises SimulationAbort) on non-finite signals, on a failed
@@ -215,7 +207,7 @@ def run(plant: CascadePlant, params: ControllerParams, config: SimConfig, *,
             f"x0 must have dimension {plant.lti.n}, got {config.x0.shape}")
 
     n_steps = config.n_steps
-    params.sub_steps(config.dt)    # checked here, before any work is done
+    constants = params.resolve(config.dt)   # before any work is done
     if n_steps % config.log_stride != 0:
         raise ConfigurationError(
             f"log_stride ({config.log_stride}) must divide the step count "
@@ -228,7 +220,7 @@ def run(plant: CascadePlant, params: ControllerParams, config: SimConfig, *,
             raise SimulationAbort(f"hypothesis check failed ({lines})")
         logger.warning("HYPOTHESIS CHECK OVERRIDDEN, running anyway: %s", lines)
 
-    plant_eta = resolve_plant_eta(params, config)
+    plant_eta = params.eta if config.plant_eta is None else config.plant_eta
     limit = dt_guard_limit(plant, params, plant_eta)
     if config.dt > limit:
         msg = (f"dt={config.dt:g} exceeds the resolution guard limit "
@@ -245,26 +237,23 @@ def run(plant: CascadePlant, params: ControllerParams, config: SimConfig, *,
     used = "chunked" if backend == "auto" else backend
     logger.info("backend: requested %s, used %s", backend, used)
     if used == "python":
-        return _run_python(plant, params, config, v0, plant_eta)
-    return _run_kernel(plant, params, config, v0, plant_eta)
+        return _run_python(plant, constants, config, v0, plant_eta)
+    return _run_kernel(plant, constants, config, v0, plant_eta)
 
 
-def _run_kernel(plant, params, config, v0, plant_eta) -> Trajectory:
-    p_eff, lambda_eff, rho = params.effective_gains()
+def _run_kernel(plant, constants, config, v0, plant_eta) -> Trajectory:
     qmap = plant.map
     t, v, x, z, y, y_m, e, s, u, dir_index = _fastpath.run_chunked(
         plant.lti.A, plant.lti.B, plant.lti.C, qmap.H, qmap.z_star,
         qmap.y_star, v0.copy(), config.x0.copy(), config.dt, config.n_steps,
-        p_eff, lambda_eff, rho, params.epsilon_sw, params.y_sat,
-        min(params.p0, params.y_sat), params.sub_steps(config.dt),
-        params.n_dirs, config.log_stride, 1.0 / plant_eta)
+        constants, config.log_stride, 1.0 / plant_eta)
     plant.v = v[-1]
     plant.x = x[-1]
     return Trajectory(t, v, x, z, y, y_m, e, s, u, dir_index,
-                      np.full(t.size, rho))
+                      np.full(t.size, constants.rho))
 
 
-def _run_python(plant, params, config, v0, plant_eta) -> Trajectory:
+def _run_python(plant, constants, config, v0, plant_eta) -> Trajectory:
     """The reference loop, built from ``controller_step`` and the plant.
 
     The Euler update is simultaneous: x advances with the pre-update v,
@@ -285,11 +274,10 @@ def _run_python(plant, params, config, v0, plant_eta) -> Trajectory:
     s_log = np.empty(n_rec)
     u_log = np.zeros((n_rec, m))
     dir_log = np.empty(n_rec, dtype=np.int64)
-    rho_log = np.empty(n_rec)
 
     plant.v = v0.copy()
     plant.x = config.x0.copy()
-    state = ControllerState.initial(params)
+    state = ControllerState.initial(constants)
     dt = config.dt
     plant_rate = 1.0 / plant_eta
     rec = 0
@@ -300,7 +288,7 @@ def _run_python(plant, params, config, v0, plant_eta) -> Trajectory:
         for k in range(n_steps + 1):
             z = plant.z
             y = plant.map.eval(z)
-            u, tel = controller_step(params, state, y, dt)
+            u, tel = controller_step(constants, state, y, dt)
             if k % stride == 0:
                 t_log[rec] = k * dt
                 v_log[rec] = plant.v
@@ -312,7 +300,6 @@ def _run_python(plant, params, config, v0, plant_eta) -> Trajectory:
                 s_log[rec] = tel.s
                 u_log[rec] = u
                 dir_log[rec] = tel.dir_index
-                rho_log[rec] = tel.rho
                 rec += 1
             if k < n_steps:
                 dv, dx = plant.derivative(u)
@@ -324,4 +311,5 @@ def _run_python(plant, params, config, v0, plant_eta) -> Trajectory:
                         "(finite-escape guard)")
     return Trajectory(t_log[:rec], v_log[:rec], x_log[:rec], z_log[:rec],
                       y_log[:rec], ym_log[:rec], e_log[:rec], s_log[:rec],
-                      u_log[:rec], dir_log[:rec], rho_log[:rec])
+                      u_log[:rec], dir_log[:rec],
+                      np.full(rec, constants.rho))

@@ -105,9 +105,10 @@ def _controller_invariants(rng: np.random.Generator,
             p=p, p0=p0, y_sat=max(p0, p0 + sat_offset), lam=lam,
             epsilon_sw=epsilon_sw, gamma=gamma, L_h=L_h, eta=eta,
             T_s=sub_steps * n_dirs * dt, n_dirs=n_dirs,
-            scaling_mode="scaled",
         )
-        p_eff, lambda_eff, rho = params.effective_gains()
+        constants = params.resolve(dt)
+        p_eff, lambda_eff, rho = (constants.p_eff, constants.lambda_eff,
+                                  constants.rho)
 
         # modulation dominates the scaled disturbance bound
         floor = params.eta * ((params.p + params.lam) / params.L_h + params.gamma)
@@ -116,7 +117,7 @@ def _controller_invariants(rng: np.random.Generator,
 
         # scheduler: whole steps per direction, periodicity, and an equal
         # share of every step of one period
-        if params.sub_steps(dt) != sub_steps:
+        if constants.sub_steps != sub_steps:
             return False, f"draw {i}: T_s does not give {sub_steps} steps"
         period = n_dirs * sub_steps
         k = int(rng.integers(0, 3 * period))
@@ -139,7 +140,7 @@ def _controller_invariants(rng: np.random.Generator,
             return False, f"draw {i}: u={u} not a single +-rho component"
 
         # reference: monotone nondecreasing and never above saturation
-        state = ControllerState.initial(params)
+        state = ControllerState.initial(constants)
         prev = state.y_m
         for dt in rng.uniform(1e-4, 1.0, 20).tolist():
             ym = reference_step(state, p_eff, params.y_sat, dt)
@@ -148,7 +149,7 @@ def _controller_invariants(rng: np.random.Generator,
             prev = ym
 
         # sliding variable: |s - e| bounded by the accumulated gain*time
-        state = ControllerState.initial(params)
+        state = ControllerState.initial(constants)
         acc = 0.0
         for dt, e in rng.uniform((1e-4, -5.0), (0.5, 5.0), (20, 2)).tolist():
             s_val = sliding_variable_step(state, e, lambda_eff, dt)
@@ -179,7 +180,7 @@ def composition_check(draws: int = 200) -> CheckResult:
         state_b = ControllerState(state_a.y_m, state_a.s_int, state_a.k)
         y = float(rng.uniform(-30.0, 30.0))
 
-        u, tel = controller_step(params, state_a, y, dt)
+        u, tel = controller_step(params.resolve(dt), state_a, y, dt)
 
         p_eff, lambda_eff, rho = params.effective_gains()
         e = y - state_b.y_m

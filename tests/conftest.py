@@ -28,7 +28,7 @@ def benchmark_plant(benchmark_lti, benchmark_map) -> CascadePlant:
 def benchmark_params() -> ControllerParams:
     return ControllerParams(p=1.0, p0=0.0, y_sat=2.5, lam=4.0,
                             epsilon_sw=0.02, gamma=0.1, L_h=0.1, eta=0.01,
-                            T_s=5.0, n_dirs=2, scaling_mode="scaled")
+                            T_s=5.0, n_dirs=2)
 
 
 # Heavy suites, executed once per session and shared by the acceptance

@@ -68,6 +68,16 @@ class TestRunCommand:
         assert rc == EXIT_IO
         assert "absent.json" in capsys.readouterr().err
 
+    def test_output_under_a_file_is_io_error(self, tmp_path, capsys):
+        # making the output directory raises NotADirectoryError; main
+        # returns the exit code instead of letting it escape
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        rc = run_cli("run", "--out", str(afile / "sub"), *SHORT)
+        assert rc == EXIT_IO
+        error = capsys.readouterr().err
+        assert error.startswith("error: ") and "afile" in error
+
     def test_invalid_override_is_usage_error(self, tmp_path):
         rc = run_cli("run", "--out", str(tmp_path / "o"),
                      "--override", "controller.T_s=-1")
@@ -245,7 +255,7 @@ class TestSweepCommand:
         assert "--jobs" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_search_period_robustness(self, tmp_path):
+    def test_T_s_robustness(self, tmp_path):
         # full-horizon runs: the benchmark converges for halved and
         # doubled search periods as well
         out = tmp_path / "ts"

@@ -1,5 +1,6 @@
 """Controller pieces: gains, ramp, sliding variable, scheduler, relay."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -16,8 +17,7 @@ from slidingesc.controller import direction_index, whole_steps
 
 def make_params(**overrides) -> ControllerParams:
     base = dict(p=1.0, p0=0.0, y_sat=2.5, lam=4.0, epsilon_sw=0.02,
-                gamma=0.1, L_h=0.1, eta=0.01, T_s=5.0, n_dirs=2,
-                scaling_mode="scaled")
+                gamma=0.1, L_h=0.1, eta=0.01, T_s=5.0, n_dirs=2)
     base.update(overrides)
     return ControllerParams(**base)
 
@@ -30,19 +30,6 @@ class TestEffectiveGains:
         # 0.01/0.1 * 5 + 0.001
         assert gains.rho == pytest.approx(0.501)
 
-    def test_unscaled(self):
-        gains = make_params(scaling_mode="unscaled").effective_gains()
-        assert gains.p_eff == pytest.approx(1.0)
-        assert gains.lambda_eff == pytest.approx(4.0)
-        assert gains.rho == pytest.approx(50.1)
-
-    def test_eta_one_degenerate(self):
-        scaled = make_params(eta=1.0).effective_gains()
-        unscaled = make_params(eta=1.0, scaling_mode="unscaled").effective_gains()
-        assert scaled.p_eff == unscaled.p_eff
-        assert scaled.lambda_eff == unscaled.lambda_eff
-        assert scaled.rho == pytest.approx(unscaled.rho)
-
     def test_validation(self):
         with pytest.raises(ConfigurationError, match="T_s"):
             make_params(T_s=-1.0)
@@ -50,11 +37,25 @@ class TestEffectiveGains:
             make_params(eta=1.5)
         with pytest.raises(ConfigurationError, match="y_sat"):
             make_params(y_sat=-1.0, p0=0.0)
-        with pytest.raises(ConfigurationError, match="scaling_mode"):
-            make_params(scaling_mode="fast")
 
     def test_unbounded_reference_allowed(self):
         assert make_params(y_sat=math.inf).y_sat == math.inf
+
+    def test_resolve(self):
+        params = make_params(p0=0.5)
+        constants = params.resolve(1e-3)
+        assert (constants.p_eff, constants.lambda_eff, constants.rho) == \
+            params.effective_gains()
+        assert (constants.epsilon_sw, constants.y_sat, constants.y_m0) == \
+            (0.02, 2.5, 0.5)
+        assert (constants.sub_steps, constants.n_dirs) == (2500, 2)
+        assert ControllerState.initial(constants).y_m == 0.5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            constants.rho = 1.0
+        # 2.5 s per direction is not a whole number of 3 ms steps
+        with pytest.raises(ConfigurationError,
+                           match=r"controller\.T_s / n_dirs"):
+            params.resolve(3e-3)
 
 
 class TestReferenceRamp:
@@ -222,7 +223,7 @@ class TestControllerStep:
     def test_zero_error_composition(self):
         params = make_params()
         state = ControllerState(y_m=1.0)
-        u, tel = controller_step(params, state, 1.0, 1e-3)
+        u, tel = controller_step(params.resolve(1e-3), state, 1.0, 1e-3)
         assert tel.e == 0.0 and tel.s == 0.0
         assert np.allclose(u, [params.effective_gains().rho, 0.0])
 
@@ -230,8 +231,9 @@ class TestControllerStep:
         # y = -26 against a fresh reference: e = s-integral drift puts the
         # relay in the negative half-band, so the first kick is -rho e1
         params = make_params()
-        state = ControllerState.initial(params)
-        u, tel = controller_step(params, state, -26.0, 1e-3)
+        constants = params.resolve(1e-3)
+        state = ControllerState.initial(constants)
+        u, tel = controller_step(constants, state, -26.0, 1e-3)
         gains = params.effective_gains()
         assert tel.y_m == 0.0
         assert tel.e == pytest.approx(-26.0)
@@ -251,7 +253,7 @@ class TestControllerStep:
                                       k=int(rng.integers(0, 10**6)))
             state_b = ControllerState(state_a.y_m, state_a.s_int, state_a.k)
             y = float(rng.uniform(-30, 30))
-            u, tel = controller_step(params, state_a, y, dt)
+            u, tel = controller_step(params.resolve(dt), state_a, y, dt)
 
             p_eff, lambda_eff, rho = params.effective_gains()
             e = y - state_b.y_m
@@ -267,20 +269,21 @@ class TestControllerStep:
                    (state_b.y_m, state_b.s_int, state_b.k)
 
     def test_non_finite_output_aborts(self):
-        params = make_params()
-        state = ControllerState.initial(params)
+        constants = make_params().resolve(1e-3)
+        state = ControllerState.initial(constants)
         state.k = 7
         with pytest.raises(SimulationAbort,
                            match=r"non-finite.*step 7 \(t=0\.007\)"):
-            controller_step(params, state, float("nan"), 1e-3)
+            controller_step(constants, state, float("nan"), 1e-3)
 
     def test_reference_never_decreasing_nor_above_sat(self):
         params = make_params()
-        state = ControllerState.initial(params)
+        constants = params.resolve(0.5)
+        state = ControllerState.initial(constants)
         rng = np.random.default_rng(5)
         prev = state.y_m
         for _ in range(500):
-            controller_step(params, state, float(rng.uniform(-30, 30)), 0.5)
+            controller_step(constants, state, float(rng.uniform(-30, 30)), 0.5)
             assert state.y_m >= prev - 1e-15
             assert state.y_m <= params.y_sat + 1e-15
             prev = state.y_m

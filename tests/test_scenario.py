@@ -42,7 +42,7 @@ class TestBuiltins:
         assert (ctrl.p, ctrl.p0, ctrl.L_h, ctrl.lam) == (1.0, 0.0, 0.1, 4.0)
         assert (ctrl.epsilon_sw, ctrl.gamma, ctrl.eta, ctrl.T_s) == \
             (0.02, 0.1, 0.01, 5.0)
-        assert ctrl.n_dirs == 2 and ctrl.scaling_mode == "scaled"
+        assert ctrl.n_dirs == 2
         assert sc.sim.dt == 1e-3 and sc.sim.horizon == 1500.0
         assert list(sc.sim.x0) == [-2.0, 4.0]
 
@@ -115,7 +115,8 @@ class TestValidation:
 
     @pytest.mark.parametrize("path", [
         "comment", "plant.D", "plant.map.scale", "controller.gain",
-        "sim.dtt", "analysis.margin"])
+        "sim.dtt", "analysis.margin", "controller.ts_scale",
+        "controller.scaling_mode"])
     def test_unknown_field_named(self, benchmark_doc, path):
         apply_override(benchmark_doc, path, "1")
         with pytest.raises(ScenarioError,
@@ -209,8 +210,8 @@ class TestOverrides:
         assert benchmark_doc["sim"]["x0"] == [0, 5]
 
     def test_string_fallback(self, benchmark_doc):
-        apply_override(benchmark_doc, "controller.scaling_mode", "unscaled")
-        assert benchmark_doc["controller"]["scaling_mode"] == "unscaled"
+        apply_override(benchmark_doc, "name", "bowl two")
+        assert benchmark_doc["name"] == "bowl two"
 
     def test_unknown_path(self, benchmark_doc):
         with pytest.raises(ScenarioError, match="no such field"):

@@ -1,5 +1,6 @@
 """Closed-loop integration semantics, determinism, guards, backends."""
 
+import collections
 import dataclasses
 import math
 import warnings
@@ -10,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from slidingesc import (CascadePlant, ConfigurationError, ControllerState,
-                        LtiSubsystem, QuadraticMap, SimConfig,
-                        SimulationAbort, _fastpath, dt_guard_limit, run)
+from slidingesc import (CascadePlant, ConfigurationError, ControllerParams,
+                        ControllerState, LtiSubsystem, QuadraticMap,
+                        SimConfig, SimulationAbort, _fastpath, dt_guard_limit,
+                        run)
 from slidingesc.controller import controller_step
 from slidingesc.scenario import builtin_scenario_dict, scenario_from_dict
 from slidingesc.sim import BACKENDS
@@ -55,11 +57,11 @@ class TestStep:
         # with u forced to 0 the map plays no part; x decays freely
         plant = CascadePlant(benchmark_lti, benchmark_map)
         plant.x = [-2.0, 4.0]
-        params = make_params(p0=0.0, y_sat=0.0)
-        state = ControllerState.initial(params)
+        constants = make_params(p0=0.0, y_sat=0.0).resolve(1e-3)
+        state = ControllerState.initial(constants)
         norms = [np.linalg.norm(plant.x)]
         for _ in range(6000):
-            u, _ = controller_step(params, state, plant.y, 1e-3)
+            u, _ = controller_step(constants, state, plant.y, 1e-3)
             dv, dx = plant.derivative(np.zeros(2))  # open loop: u forced to 0
             plant.x = plant.x + 1e-3 * dx
             norms.append(np.linalg.norm(plant.x))
@@ -92,6 +94,26 @@ class TestRunBookkeeping:
         params = make_params(T_s=5.0001)
         with pytest.raises(ConfigurationError, match="T_s"):
             run(benchmark_plant, params, short_config())
+
+    def test_controller_constants_resolved_once(self, benchmark_plant,
+                                                benchmark_params, monkeypatch):
+        # the reference loop reads one record of the run's constants:
+        # working them out does not repeat with the step count
+        calls = collections.Counter()
+        for name in ("effective_gains", "sub_steps"):
+            def counted(self, *args, _name=name,
+                        _real=getattr(ControllerParams, name)):
+                calls[_name] += 1
+                return _real(self, *args)
+            monkeypatch.setattr(ControllerParams, name, counted)
+        counts = []
+        for horizon in (0.2, 2.0):      # 200 and 2000 steps
+            calls.clear()
+            run(benchmark_plant, benchmark_params,
+                short_config(horizon=horizon), backend="python")
+            counts.append(dict(calls))
+        assert counts[0] == counts[1]
+        assert set(counts[0]) == {"effective_gains", "sub_steps"}
 
     def test_n_dirs_must_match_inputs(self, benchmark_plant):
         params = make_params(n_dirs=3)

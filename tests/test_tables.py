@@ -19,7 +19,7 @@ from slidingesc import (CascadePlant, LtiSubsystem, QuadraticMap, Trajectory,
                         _tables, run)
 from slidingesc._tables import (BLOCK_ROWS, SPLIT_ROWS, WINDOW_ROWS, Table,
                                format_runs, write_tables)
-from slidingesc.cli import (EXIT_OK, _plot_tables, _write_objective_surface,
+from slidingesc.cli import (EXIT_IO, EXIT_OK, _plot_tables, _write_objective_surface,
                            _write_tables, main)
 from slidingesc.scenario import builtin_scenario_dict, scenario_from_dict
 
@@ -464,13 +464,14 @@ def test_cli_run_matches_reference(tmp_path, forks):
     assert_same_tables(out, ref)
 
 
-def test_cli_run_failed_child(tmp_path, monkeypatch, forks):
+def test_cli_run_failed_child(tmp_path, monkeypatch, forks, capsys):
     """A child that fails fails the run and leaves no table, no stray
     file and no process behind."""
     fail_in(monkeypatch, "child")
     out = tmp_path / "run"
-    with pytest.raises(OSError, match="status 1"):
-        main(["run", "--out", str(out), *LONG_RUN])
+    assert main(["run", "--out", str(out), *LONG_RUN]) == EXIT_IO
+    error = capsys.readouterr().err
+    assert error.startswith("error: ") and "status 1" in error
     assert len(forks) == 1
     assert_reaped(forks)
     assert list(out.iterdir()) == []
