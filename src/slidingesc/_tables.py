@@ -34,6 +34,7 @@ import logging
 import os
 import shutil
 import tempfile
+import warnings
 from contextlib import ExitStack, suppress
 from typing import NamedTuple, Sequence
 
@@ -149,7 +150,15 @@ def _write_split(tables: Sequence[Table], files, sources, layout,
         for fh in files:
             fh.flush()  # leave no text of ours in the buffers the child gets
         try:
-            pid = os.fork()
+            with warnings.catch_warnings():
+                # From Python 3.12 a fork in a process with threads (such
+                # as a BLAS pool) warns that the child may deadlock.  The
+                # child here takes no lock and calls no BLAS routine, so
+                # that one warning is filtered; any other still shows.
+                warnings.filterwarnings(
+                    "ignore", r".*use of fork\(\) may lead to deadlocks",
+                    DeprecationWarning)
+                pid = os.fork()
         except (AttributeError, OSError) as exc:  # no os.fork, or it failed
             logger.warning("tables written in one process: %r", exc)
             _write_rows(tables, files, sources, layout, 0, n_rows)

@@ -51,7 +51,7 @@ class ControllerParams:
     p : float
         Reference ramp slope before time scaling (output units/s).
     p0 : float
-        Initial reference value.
+        Initial reference value; finite.
     y_sat : float
         Reference saturation level, an upper bound of the objective's
         maximum.  May be ``inf`` to disable saturation.
@@ -102,6 +102,8 @@ class ControllerParams:
             raise ConfigurationError(f"eta must be in (0, 1], got {self.eta}")
         if self.n_dirs < 1:
             raise ConfigurationError(f"n_dirs must be >= 1, got {self.n_dirs}")
+        if not math.isfinite(self.p0):
+            raise ConfigurationError(f"p0 must be finite, got {self.p0}")
         if math.isnan(self.y_sat) or self.y_sat < self.p0:
             raise ConfigurationError(
                 f"y_sat ({self.y_sat}) must be >= p0 ({self.p0})")
@@ -122,8 +124,8 @@ class ControllerParams:
         ConfigurationError unless T_s/n_dirs is a whole number of steps."""
         p_eff, lambda_eff, rho = self.effective_gains()
         return ControllerConstants(
-            p_eff, lambda_eff, rho, self.epsilon_sw, self.y_sat,
-            min(self.p0, self.y_sat), self.sub_steps(dt), self.n_dirs)
+            p_eff, lambda_eff, rho, self.epsilon_sw, self.y_sat, self.p0,
+            self.sub_steps(dt), self.n_dirs)
 
 
 @dataclass(frozen=True, slots=True)

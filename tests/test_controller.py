@@ -38,6 +38,12 @@ class TestEffectiveGains:
         with pytest.raises(ConfigurationError, match="y_sat"):
             make_params(y_sat=-1.0, p0=0.0)
 
+    @pytest.mark.parametrize("p0", [math.nan, -math.inf, math.inf])
+    def test_non_finite_p0_refused(self, p0):
+        # with y_sat = inf, y_sat >= p0 alone would admit p0 = +inf
+        with pytest.raises(ConfigurationError, match="p0 must be finite"):
+            make_params(p0=p0, y_sat=math.inf)
+
     def test_unbounded_reference_allowed(self):
         assert make_params(y_sat=math.inf).y_sat == math.inf
 

@@ -2,7 +2,9 @@
 
 import collections
 import dataclasses
+import functools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -144,9 +146,15 @@ class TestDeterminismAndBackends:
             runs.append(run(plant, benchmark_params,
                             short_config(x0=[-2.0, 4.0], v0=[0.5, 1.0]),
                             backend="python"))
-        for name in ("t", "v", "x", "z", "y", "y_m", "e", "s", "u"):
-            assert np.array_equal(getattr(runs[0], name),
-                                  getattr(runs[1], name))
+        assert_same_trajectory(*runs)
+
+
+def assert_same_trajectory(first, second) -> None:
+    for name in ("t", "v", "x", "z", "y", "y_m", "e", "s", "u", "dir_index",
+                 "rho"):
+        assert np.array_equal(getattr(first, name),
+                              getattr(second, name)), name
+
 
 def assert_chunked_agrees(reference, chunked) -> None:
     """What "chunked agrees with python" means: the clock, reference,
@@ -277,10 +285,62 @@ class TestChunkedBackend:
         first, second = (self._run(benchmark_lti, benchmark_map,
                                    benchmark_params, "auto")
                          for _ in range(2))
-        for name in ("t", "v", "x", "z", "y", "y_m", "e", "s", "u",
-                     "dir_index", "rho"):
-            assert np.array_equal(getattr(first, name),
-                                  getattr(second, name)), name
+        assert_same_trajectory(first, second)
+
+    # chunk boundaries: each chunk starts from the last row the chunk
+    # before it accepted, and that row is logged with its own direction
+    # and relay sign
+    def _agrees_and_repeats(self, plant, params, config):
+        reference = run(plant(), params, config, backend="python")
+        first, second = (run(plant(), params, config, backend="auto")
+                         for _ in range(2))
+        assert_chunked_agrees(reference, first)
+        assert_same_trajectory(first, second)
+        return reference
+
+    @pytest.mark.parametrize("sub_steps", [40, 300])
+    def test_every_logged_row_starts_a_direction(self, benchmark_params,
+                                                 benchmark_lti, benchmark_map,
+                                                 sub_steps):
+        # log_stride == sub_steps: every logged row after the first ends
+        # a chunk at a direction change and must carry the new u and dir
+        params = dataclasses.replace(benchmark_params,
+                                     T_s=2 * sub_steps * 1e-3)
+        config = short_config(x0=[-2.0, 4.0], v0=[0.5, 1.0], horizon=3.0,
+                              log_stride=sub_steps)
+        reference = self._agrees_and_repeats(
+            lambda: CascadePlant(benchmark_lti, benchmark_map), params, config)
+        assert np.array_equal(reference.dir_index,
+                              np.arange(len(reference)) % 2 + 1)
+        assert np.array_equal(np.nonzero(reference.u)[1] + 1,
+                              reference.dir_index)
+
+    def test_last_step_is_a_relay_flip(self, benchmark_params, benchmark_lti,
+                                       benchmark_map):
+        # the horizon ends on a step whose relay sign differs from the
+        # step before it, within one direction
+        plant = functools.partial(CascadePlant, benchmark_lti, benchmark_map)
+        config = short_config(**self.CONFIG)
+        full = run(plant(), benchmark_params, config, backend="python")
+        flips = np.flatnonzero(np.any(full.u[1:] != full.u[:-1], axis=1)
+                               & (full.dir_index[1:] == full.dir_index[:-1]))
+        last = int(flips[flips >= _fastpath.CHUNK_MIN][0]) + 1
+        config = short_config(**{**self.CONFIG, "horizon": last * 1e-3})
+        reference = self._agrees_and_repeats(plant, benchmark_params, config)
+        assert len(reference) == last + 1
+        assert np.array_equal(reference.u[-1], -reference.u[-2])
+
+    @pytest.mark.parametrize("log_stride", [1, 2])
+    def test_two_step_horizon(self, benchmark_params, benchmark_lti,
+                              benchmark_map, log_stride):
+        # the shortest run: a single chunk of the two steps, which are
+        # also the chunk cap
+        config = short_config(x0=[-2.0, 4.0], v0=[0.5, 1.0], horizon=2e-3,
+                              log_stride=log_stride)
+        reference = self._agrees_and_repeats(
+            lambda: CascadePlant(benchmark_lti, benchmark_map),
+            benchmark_params, config)
+        assert len(reference) == 2 // log_stride + 1
 
     def test_leaves_plant_at_final_state(self, benchmark_params, benchmark_lti,
                                          benchmark_map):
@@ -350,6 +410,46 @@ class TestGuards:
         with pytest.raises(SimulationAbort, match="non-finite|finite-escape"):
             run(plant, make_params(), config, backend=backend, dt_guard=False,
                 skip_hypothesis_check=True)
+
+    @staticmethod
+    def _abort_times(lti, qmap, x0, **params):
+        # the time each backend's finite-escape abort names
+        times = []
+        for backend in ("auto", "python"):
+            config = SimConfig(dt=1e-2, horizon=10.0, x0=x0, v0=[0.0, 0.0],
+                               log_stride=1)
+            with pytest.raises(SimulationAbort) as info:
+                run(CascadePlant(lti, qmap), make_params(**params), config,
+                    backend=backend, dt_guard=False,
+                    skip_hypothesis_check=True)
+            times.append(float(re.search(r"t=([0-9.e+-]+)",
+                                         str(info.value)).group(1)))
+        return times
+
+    @pytest.mark.parametrize("growth, t_fail", [(200.0, 0.67), (5.0, 1.97)])
+    def test_finite_escape_names_the_step(self, benchmark_map, growth,
+                                          t_fail):
+        # the chunked abort names the time at which the reference loop
+        # stops: at A = 200 I the output turns non-finite, at A = 5 I the
+        # relay's sine argument overflows first
+        lti = LtiSubsystem(growth * np.eye(2), np.eye(2), allow_unstable=True)
+        assert self._abort_times(lti, benchmark_map, [1.0, 1.0]) == \
+            [t_fail, t_fail]
+
+    def test_escape_at_step_zero(self, benchmark_lti, benchmark_map):
+        # a finite output at the start whose relay argument overflows:
+        # both loops stop at step 0, before the first chunk
+        assert self._abort_times(benchmark_lti, benchmark_map,
+                                 [3e153, 3e153]) == [0.0, 0.0]
+
+    def test_escape_of_the_relay_argument_alone(self):
+        # a slow escape far out, where the relay's sine argument overflows
+        # at step 272 while the predicted states and their squares stay
+        # finite: only the sines can show it
+        lti = LtiSubsystem(1e-3 * np.eye(2), np.eye(2), allow_unstable=True)
+        qmap = QuadraticMap(-4e304, np.zeros(2), -np.eye(2))
+        assert self._abort_times(lti, qmap, [1e152, 1e152],
+                                 epsilon_sw=1e-3) == [2.72, 2.72]
 
     @pytest.mark.parametrize("growth", [200.0, 5.0])
     def test_finite_escape_warns_nothing(self, benchmark_map, growth,
