@@ -14,6 +14,8 @@ from .sim import Trajectory
 
 DEFAULT_TRAILING_FRACTION = 0.1
 DEFAULT_C_BOUND = 2.5
+# a sample sits on a switching band within this fraction of its width
+BAND_TOL_FRACTION = 0.25
 
 
 @dataclass
@@ -54,12 +56,11 @@ class Metrics:
 
 
 def detect_sliding(t: np.ndarray, s: np.ndarray, epsilon_sw: float,
-                   band_tol: Optional[float] = None,
                    min_duration: Optional[float] = None) -> list[SlidingSegment]:
     """Maximal intervals where s sits on one switching band.
 
     A sample belongs to band k = round(s/epsilon) when
-    |s - k*epsilon| <= band_tol (default epsilon/4).  Runs of samples on
+    |s - k*epsilon| <= BAND_TOL_FRACTION*epsilon.  Runs of samples on
     the same band lasting at least min_duration (default 50 sample
     periods) are reported.
     """
@@ -67,14 +68,12 @@ def detect_sliding(t: np.ndarray, s: np.ndarray, epsilon_sw: float,
     s = np.asarray(s, dtype=float)
     if t.size == 0:
         return []
-    if band_tol is None:
-        band_tol = 0.25 * epsilon_sw
     if min_duration is None:
         spacing = float(np.median(np.diff(t))) if t.size > 1 else 0.0
         min_duration = 50.0 * spacing
 
     band = np.round(s / epsilon_sw)
-    inside = np.abs(s - band * epsilon_sw) <= band_tol
+    inside = np.abs(s - band * epsilon_sw) <= BAND_TOL_FRACTION * epsilon_sw
 
     # sample i continues the run of sample i-1 when both are inside on
     # one band (an inside sample has a finite band, and -0.0 == 0.0)
@@ -91,7 +90,6 @@ def detect_sliding(t: np.ndarray, s: np.ndarray, epsilon_sw: float,
 def convergence_metrics(traj: Trajectory, z_star, y_star: float, *,
                         epsilon_sw: float, delta: Optional[float] = None,
                         trailing_fraction: float = DEFAULT_TRAILING_FRACTION,
-                        band_tol: Optional[float] = None,
                         min_duration: Optional[float] = None) -> Metrics:
     """Compute all Metrics fields for one trajectory.
 
@@ -114,7 +112,7 @@ def convergence_metrics(traj: Trajectory, z_star, y_star: float, *,
     n_tail = max(1, int(round(trailing_fraction * len(traj))))
     tail_dev = np.abs(traj.y[-n_tail:] - y_star)
     segments = detect_sliding(traj.t, traj.s, epsilon_sw,
-                              band_tol=band_tol, min_duration=min_duration)
+                              min_duration=min_duration)
     return Metrics(
         t_reach_delta=t_reach,
         residual_amp=float(tail_dev.max()),
@@ -153,7 +151,7 @@ def residual_bound_check(metrics: Metrics, eta: float, epsilon_sw: float,
                                c_bound * scale, implied)
 
 
-def fd_gradient_oracle(plant: CascadePlant, v, fd_step: float = 1e-5) -> np.ndarray:
+def fd_gradient_oracle(plant: CascadePlant, v) -> np.ndarray:
     """Brute-force check value for the analytic input gain.
 
     Central finite differences of v -> h(steady_state_output(v)); by the
@@ -165,4 +163,4 @@ def fd_gradient_oracle(plant: CascadePlant, v, fd_step: float = 1e-5) -> np.ndar
     def through_channel(point: np.ndarray) -> float:
         return plant.map.eval(plant.lti.steady_state_output(point))
 
-    return central_difference(through_channel, v, fd_step)
+    return central_difference(through_channel, v)

@@ -29,12 +29,6 @@ import numpy as np
 from .errors import ConfigurationError, SimulationAbort
 
 
-class EffectiveGains(NamedTuple):
-    p_eff: float
-    lambda_eff: float
-    rho: float
-
-
 class StepTelemetry(NamedTuple):
     y_m: float
     e: float
@@ -71,13 +65,12 @@ class ControllerParams:
         gain are multiplied by it and the modulation amplitude carries
         the matching factor.
     T_s : float
-        Cyclic search period (s).  A run needs each direction's share,
-        T_s/n_dirs, to be a whole number of its steps.
-    n_dirs : int
-        Number of search directions; must equal the plant input
-        dimension.
+        Cyclic search period (s), shared equally by the search
+        directions, one per plant input.  A run needs each direction's
+        share, T_s/n_dirs, to be a whole number of its steps.
 
-    A run reads these through the record ``resolve(dt)`` builds once.
+    A run reads these through the record ``resolve(dt, n_dirs)`` builds
+    once, with n_dirs the plant's input count.
     """
 
     p: float
@@ -89,7 +82,6 @@ class ControllerParams:
     L_h: float
     eta: float
     T_s: float
-    n_dirs: int
 
     def __post_init__(self) -> None:
         positive = {"p": self.p, "lambda": self.lam,
@@ -100,40 +92,32 @@ class ControllerParams:
                 raise ConfigurationError(f"{name} must be > 0, got {value}")
         if not (0.0 < self.eta <= 1.0):
             raise ConfigurationError(f"eta must be in (0, 1], got {self.eta}")
-        if self.n_dirs < 1:
-            raise ConfigurationError(f"n_dirs must be >= 1, got {self.n_dirs}")
         if not math.isfinite(self.p0):
             raise ConfigurationError(f"p0 must be finite, got {self.p0}")
         if math.isnan(self.y_sat) or self.y_sat < self.p0:
             raise ConfigurationError(
                 f"y_sat ({self.y_sat}) must be >= p0 ({self.p0})")
 
-    def sub_steps(self, dt: float) -> int:
-        """Steps of dt per search direction (must be a whole number)."""
-        return whole_steps(self.T_s / self.n_dirs, dt,
-                           "controller.T_s / n_dirs")
-
-    def effective_gains(self) -> EffectiveGains:
-        """Ramp slope, sliding gain and modulation amplitude actually used:
-        (eta*p, eta*lambda, eta/L_h*(p+lambda) + eta*gamma)."""
-        rho = self.eta / self.L_h * (self.p + self.lam) + self.eta * self.gamma
-        return EffectiveGains(self.eta * self.p, self.eta * self.lam, rho)
-
-    def resolve(self, dt: float) -> "ControllerConstants":
-        """The constants of a run with step dt, worked out once;
+    def resolve(self, dt: float, n_dirs: int) -> "ControllerConstants":
+        """The constants of a run with step dt over n_dirs search
+        directions, worked out once: the gains actually used are eta*p,
+        eta*lambda and rho = eta/L_h*(p+lambda) + eta*gamma.
         ConfigurationError unless T_s/n_dirs is a whole number of steps."""
-        p_eff, lambda_eff, rho = self.effective_gains()
+        rho = self.eta / self.L_h * (self.p + self.lam) + self.eta * self.gamma
+        sub_steps = whole_steps(self.T_s / n_dirs, dt,
+                                "controller.T_s / n_dirs")
         return ControllerConstants(
-            p_eff, lambda_eff, rho, self.epsilon_sw, self.y_sat, self.p0,
-            self.sub_steps(dt), self.n_dirs)
+            self.eta * self.p, self.eta * self.lam, rho, self.epsilon_sw,
+            self.y_sat, self.p0, sub_steps, n_dirs)
 
 
 @dataclass(frozen=True, slots=True)
 class ControllerConstants:
     """What one run of the controller reads, resolved from
-    ``ControllerParams`` for its step: the effective gains, the relay
-    band, the reference's saturation and initial value, and the search
-    schedule's steps per direction and direction count."""
+    ``ControllerParams`` for its step and the plant's input count: the
+    effective gains, the relay band, the reference's saturation and
+    initial value, and the search schedule's steps per direction and
+    direction count."""
 
     p_eff: float
     lambda_eff: float
@@ -234,7 +218,8 @@ def controller_step(constants: ControllerConstants, state: ControllerState,
     advanced and s formed; the direction is read off the step counter
     k; u is emitted; finally the reference moves on by dt and k by one.
     Telemetry carries the values used for u, i.e. the signals at step k.
-    ``constants`` is ``ControllerParams.resolve(dt)`` for the same dt.
+    ``constants`` is ``ControllerParams.resolve(dt, n_dirs)`` for the
+    same dt.
     """
     if not math.isfinite(y):
         raise SimulationAbort(

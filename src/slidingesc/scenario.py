@@ -12,7 +12,7 @@ Schema (field names are the contract; the syntax is plain JSON):
       "controller": {
         "p": 1.0, "p0": 0.0, "y_sat": 2.5, "lambda": 4.0,
         "epsilon_sw": 0.02, "gamma": 0.1, "L_h": 0.1, "eta": 0.01,
-        "T_s": 5.0, "n_dirs": 2
+        "T_s": 5.0                   # period of the cyclic search
       },
       "sim": {
         "dt": 0.001, "horizon": 1500.0, "x0": [-2, 4],
@@ -23,10 +23,12 @@ Schema (field names are the contract; the syntax is plain JSON):
       "analysis": {"delta": null, "trailing_fraction": 0.1, "c_bound": 2.5}
     }
 
-"y_sat": null means unbounded.  A quadratic map takes either an explicit
-"H" or, for the two-input benchmark family, "coupling" (the bowl
-h = y* - (z1^2 + z2^2 - 2*c*z1*z2)), not both.  Every number must be
-finite, and a field the schema does not name is refused.
+"y_sat": null means unbounded.  The search cycles through one direction
+per plant input (column of B), each held for T_s / m.  A quadratic map
+takes either an explicit "H" or, for the two-input benchmark family,
+"coupling" (the bowl h = y* - (z1^2 + z2^2 - 2*c*z1*z2)), not both.
+Every number must be finite, and a field the schema does not name is
+refused.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ _FIELDS = {
     "plant": ("A", "B", "C", "map"),
     "plant.map": ("kind", "y_star", "z_star", "coupling", "H"),
     "controller": ("p", "p0", "y_sat", "lambda", "epsilon_sw", "gamma", "L_h",
-                   "eta", "T_s", "n_dirs"),
+                   "eta", "T_s"),
     "sim": ("dt", "horizon", "x0", "v0", "log_stride", "plant_eta"),
     "analysis": ("delta", "trailing_fraction", "c_bound"),
 }
@@ -118,7 +120,6 @@ class Scenario:
             "epsilon_sw": self.controller.epsilon_sw,
             "gamma": self.controller.gamma, "L_h": self.controller.L_h,
             "eta": self.controller.eta, "T_s": self.controller.T_s,
-            "n_dirs": self.controller.n_dirs,
         }
         sim: dict[str, Any] = {
             "dt": self.sim.dt, "horizon": self.sim.horizon,
@@ -228,13 +229,11 @@ def scenario_from_dict(data: dict, *, allow_unstable: bool = False) -> Scenario:
                          "eta", "T_s")}
     y_sat = ctrl.get("y_sat")
     y_sat = math.inf if y_sat is None else _real(y_sat, "controller.y_sat")
-    n_dirs = _count(_require(ctrl, "n_dirs", "controller"), "controller.n_dirs")
     try:
         params = ControllerParams(
             p=gains["p"], p0=gains["p0"], y_sat=y_sat, lam=gains["lambda"],
             epsilon_sw=gains["epsilon_sw"], gamma=gains["gamma"],
             L_h=gains["L_h"], eta=gains["eta"], T_s=gains["T_s"],
-            n_dirs=n_dirs,
         )
     except ConfigurationError as exc:
         raise ScenarioError(f"controller: {exc}") from exc
@@ -298,10 +297,6 @@ def scenario_from_dict(data: dict, *, allow_unstable: bool = False) -> Scenario:
         plant = scenario.build_plant()
     except ConfigurationError as exc:
         raise ScenarioError(f"plant: {exc}") from exc
-    if params.n_dirs != plant.lti.m:
-        raise ScenarioError(
-            f"controller.n_dirs: must equal the plant input dimension "
-            f"({plant.lti.m}), got {params.n_dirs}")
     if sim_config.x0.shape != (plant.lti.n,):
         raise ScenarioError(
             f"sim.x0: must have dimension {plant.lti.n}, got "

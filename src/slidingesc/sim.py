@@ -35,8 +35,8 @@ from typing import Optional
 import numpy as np
 
 from . import _fastpath, _tables
-from .controller import (ControllerParams, ControllerState, controller_step,
-                         whole_steps)
+from .controller import (ControllerConstants, ControllerParams,
+                         ControllerState, controller_step, whole_steps)
 from .errors import ConfigurationError, SimulationAbort
 from .plant import CascadePlant
 
@@ -51,8 +51,9 @@ class SimConfig:
 
     ``plant_eta`` is the time-scale separation factor of the LTI block
     (see module docstring); ``None`` selects the controller's eta.
-    ``quasi_steady`` replaces v0 by the value solving B v0 = -A x0, so
-    the run starts on the quasi-steady manifold consistent with x0.
+    ``quasi_steady`` sets v0 to the value solving B v0 = -A x0, so the
+    run starts on the quasi-steady manifold consistent with x0; it
+    cannot be combined with a given v0.
     """
 
     dt: float
@@ -75,6 +76,9 @@ class SimConfig:
         if self.plant_eta is not None and not (self.plant_eta > 0.0):
             raise ConfigurationError(
                 f"plant_eta must be > 0, got {self.plant_eta}")
+        if self.quasi_steady and self.v0 is not None:
+            raise ConfigurationError(
+                "give v0 or quasi_steady, not both: quasi_steady sets v0")
         self.x0 = np.asarray(self.x0, dtype=float).reshape(-1)
         if self.v0 is not None:
             self.v0 = np.asarray(self.v0, dtype=float).reshape(-1)
@@ -152,9 +156,10 @@ def resolve_v0(plant: CascadePlant, config: SimConfig) -> np.ndarray:
     return np.asarray(config.v0, dtype=float)
 
 
-def dt_guard_limit(plant: CascadePlant, params: ControllerParams,
+def dt_guard_limit(plant: CascadePlant, constants: ControllerConstants,
                    plant_eta: float) -> float:
-    """Largest step the resolution guard accepts.
+    """Largest step the resolution guard accepts, for the controller
+    record ``constants`` (only its rho and epsilon_sw are read).
 
     Two requirements: (a) explicit Euler must be stable on the
     time-scaled LTI block, with a factor-2 margin on the exact bound
@@ -168,14 +173,13 @@ def dt_guard_limit(plant: CascadePlant, params: ControllerParams,
     eigs = plant.lti.eigenvalues / plant_eta
     euler_term = 0.5 * float(np.min(2.0 * np.abs(eigs.real) / np.abs(eigs) ** 2))
 
-    _, _, rho = params.effective_gains()
-    box = math.sqrt(params.epsilon_sw)
+    box = math.sqrt(constants.epsilon_sw)
     gain_rows = np.abs(plant.lti.dc_gain.T @ plant.map.H)
     k_hat = float(np.max(gain_rows.sum(axis=1))) * box
     if k_hat <= 0.0:
         band_term = math.inf
     else:
-        band_term = 0.1 * params.epsilon_sw / (rho * k_hat)
+        band_term = 0.1 * constants.epsilon_sw / (constants.rho * k_hat)
     return min(euler_term, band_term)
 
 
@@ -187,9 +191,11 @@ def run(plant: CascadePlant, params: ControllerParams, config: SimConfig, *,
     ``backend`` is one of BACKENDS: ``python`` is the reference loop;
     ``auto`` runs the chunked numpy kernel of :mod:`._fastpath`.  The
     backend asked for and the one used are logged at INFO level.
-    The horizon and each direction's ``controller.T_s / n_dirs`` must be
+    The search runs one direction per plant input, n_dirs = m.  The
+    horizon and each direction's ``controller.T_s / n_dirs`` must be
     whole numbers of steps (ConfigurationError otherwise).  Both loops
-    read the controller through the one record ``params.resolve(dt)``.
+    and the dt guard read the controller through the one record
+    ``params.resolve(dt, m)``.
     Deterministic: identical inputs on one backend produce bit-identical
     trajectories.
     Aborts (raises SimulationAbort) on non-finite signals, on a failed
@@ -198,16 +204,12 @@ def run(plant: CascadePlant, params: ControllerParams, config: SimConfig, *,
     """
     if backend not in BACKENDS:
         raise ConfigurationError(f"backend must be one of {BACKENDS}")
-    if params.n_dirs != plant.lti.m:
-        raise ConfigurationError(
-            f"n_dirs ({params.n_dirs}) must equal the plant input "
-            f"dimension ({plant.lti.m})")
     if config.x0.shape != (plant.lti.n,):
         raise ConfigurationError(
             f"x0 must have dimension {plant.lti.n}, got {config.x0.shape}")
 
     n_steps = config.n_steps
-    constants = params.resolve(config.dt)   # before any work is done
+    constants = params.resolve(config.dt, plant.lti.m)  # before any work
     if n_steps % config.log_stride != 0:
         raise ConfigurationError(
             f"log_stride ({config.log_stride}) must divide the step count "
@@ -221,7 +223,7 @@ def run(plant: CascadePlant, params: ControllerParams, config: SimConfig, *,
         logger.warning("HYPOTHESIS CHECK OVERRIDDEN, running anyway: %s", lines)
 
     plant_eta = params.eta if config.plant_eta is None else config.plant_eta
-    limit = dt_guard_limit(plant, params, plant_eta)
+    limit = dt_guard_limit(plant, constants, plant_eta)
     if config.dt > limit:
         msg = (f"dt={config.dt:g} exceeds the resolution guard limit "
                f"{limit:.3g} (Euler stability / relay band resolution)")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -20,9 +20,13 @@ from .controller import (ControllerParams, ControllerState, control_law,
                          controller_step, cyclic_direction, direction_index,
                          reference_step, sliding_variable_step)
 from .scenario import Scenario, load_builtin
-from .sim import SimConfig, run
+from .sim import run
 
 ORACLE_SEED = 20240811
+SCENARIO_NAMES = ("coupled_bowl", "coupled_bowl_ic2")
+MEAN_TOL = 0.3
+FINAL_Z_TOL = 0.5
+SWEEP_BASE = "residual_sweep"
 SWEEP_ETAS = (0.01, 0.04, 0.09)
 CONSTANT_SPREAD_LIMIT = 3.0
 
@@ -104,9 +108,9 @@ def _controller_invariants(rng: np.random.Generator,
         params = ControllerParams(
             p=p, p0=p0, y_sat=max(p0, p0 + sat_offset), lam=lam,
             epsilon_sw=epsilon_sw, gamma=gamma, L_h=L_h, eta=eta,
-            T_s=sub_steps * n_dirs * dt, n_dirs=n_dirs,
+            T_s=sub_steps * n_dirs * dt,
         )
-        constants = params.resolve(dt)
+        constants = params.resolve(dt, n_dirs)
         p_eff, lambda_eff, rho = (constants.p_eff, constants.lambda_eff,
                                   constants.rho)
 
@@ -173,16 +177,18 @@ def composition_check(draws: int = 200) -> CheckResult:
             lam=float(rng.uniform(0.1, 10.0)),
             epsilon_sw=float(rng.uniform(1e-3, 0.5)),
             gamma=0.1, L_h=0.1, eta=float(rng.uniform(1e-3, 1.0)),
-            T_s=sub_steps * n_dirs * dt, n_dirs=n_dirs)
+            T_s=sub_steps * n_dirs * dt)
         state_a = ControllerState(y_m=float(rng.uniform(-1.0, 1.0)),
                                   s_int=float(rng.uniform(-1.0, 1.0)),
                                   k=int(rng.integers(0, 10**6)))
         state_b = ControllerState(state_a.y_m, state_a.s_int, state_a.k)
         y = float(rng.uniform(-30.0, 30.0))
 
-        u, tel = controller_step(params.resolve(dt), state_a, y, dt)
+        constants = params.resolve(dt, n_dirs)
+        u, tel = controller_step(constants, state_a, y, dt)
 
-        p_eff, lambda_eff, rho = params.effective_gains()
+        p_eff, lambda_eff, rho = (constants.p_eff, constants.lambda_eff,
+                                  constants.rho)
         e = y - state_b.y_m
         s = sliding_variable_step(state_b, e, lambda_eff, dt)
         idx, sigma = cyclic_direction(state_b.k, sub_steps, n_dirs)
@@ -204,9 +210,7 @@ def _run_scenario(scenario: Scenario, *, dt: Optional[float] = None):
     sim = scenario.sim
     if dt is not None:
         stride = max(1, int(round(sim.log_stride * sim.dt / dt)))
-        sim = SimConfig(dt=dt, horizon=sim.horizon, x0=sim.x0, v0=sim.v0,
-                        log_stride=stride, plant_eta=sim.plant_eta,
-                        quasi_steady=sim.quasi_steady)
+        sim = replace(sim, dt=dt, log_stride=stride)
     plant = scenario.build_plant()
     traj = run(plant, scenario.controller, sim)
     metrics = convergence_metrics(
@@ -218,14 +222,11 @@ def _run_scenario(scenario: Scenario, *, dt: Optional[float] = None):
     return traj, metrics, plant
 
 
-def scenario_suite(names: tuple[str, ...] = ("coupled_bowl",
-                                             "coupled_bowl_ic2"),
-                   mean_tol: float = 0.3,
-                   final_z_tol: float = 0.5) -> list[CheckResult]:
+def scenario_suite() -> list[CheckResult]:
     """Convergence, sliding evidence, boundedness and step-halving
-    agreement for the shipped scenarios."""
+    agreement for the shipped scenarios SCENARIO_NAMES."""
     results: list[CheckResult] = []
-    for name in names:
+    for name in SCENARIO_NAMES:
         scenario = load_builtin(name)
         t0 = time.perf_counter()
         traj, metrics, plant = _run_scenario(scenario)
@@ -235,9 +236,9 @@ def scenario_suite(names: tuple[str, ...] = ("coupled_bowl",
         mean_dev = float(np.abs(traj.y[-tail:] - y_star).mean())
         results.append(_timed(
             f"{name}_converges",
-            mean_dev <= mean_tol and final_z <= final_z_tol,
-            f"trailing mean |y-y*|={mean_dev:.4f} (tol {mean_tol}), "
-            f"final |z-z*|={final_z:.4f} (tol {final_z_tol})", t0))
+            mean_dev <= MEAN_TOL and final_z <= FINAL_Z_TOL,
+            f"trailing mean |y-y*|={mean_dev:.4f} (tol {MEAN_TOL}), "
+            f"final |z-z*|={final_z:.4f} (tol {FINAL_Z_TOL})", t0))
 
         t0 = time.perf_counter()
         before = [seg for seg in metrics.sliding_segments
@@ -279,23 +280,17 @@ def scenario_suite(names: tuple[str, ...] = ("coupled_bowl",
     return results
 
 
-def sweep_suite(etas: tuple[float, ...] = SWEEP_ETAS,
-                base_name: str = "residual_sweep") -> list[CheckResult]:
+def sweep_suite() -> list[CheckResult]:
     """Residual-scaling law over the parasitic time scale of the LTI
-    block: each run must satisfy the residual bound and the implied
-    constants must agree within a fixed spread."""
-    base = load_builtin(base_name)
+    block, SWEEP_ETAS on the SWEEP_BASE scenario: each run must satisfy
+    the residual bound and the implied constants must agree within a
+    fixed spread."""
+    base = load_builtin(SWEEP_BASE)
     results: list[CheckResult] = []
     constants = []
-    for eta in etas:
+    for eta in SWEEP_ETAS:
         t0 = time.perf_counter()
-        sim = SimConfig(dt=base.sim.dt, horizon=base.sim.horizon,
-                        x0=base.sim.x0, v0=base.sim.v0,
-                        log_stride=base.sim.log_stride, plant_eta=eta,
-                        quasi_steady=base.sim.quasi_steady)
-        scenario = Scenario(base.name, base.description, base.A, base.B,
-                            base.C, base.map_spec, base.controller, sim,
-                            base.analysis)
+        scenario = replace(base, sim=replace(base.sim, plant_eta=eta))
         _, metrics, _ = _run_scenario(scenario)
         bound = residual_bound_check(metrics, eta,
                                      scenario.controller.epsilon_sw,

@@ -12,15 +12,13 @@ from slidingesc import (CascadePlant, LtiSubsystem, Metrics, QuadraticMap,
                         fd_gradient_oracle, residual_bound_check)
 
 
-def reference_detect_sliding(t, s, epsilon_sw, band_tol=None,
-                             min_duration=None):
+def reference_detect_sliding(t, s, epsilon_sw, min_duration=None):
     """The per-sample loop ``detect_sliding`` was first written as."""
     t = np.asarray(t, dtype=float)
     s = np.asarray(s, dtype=float)
     if t.size == 0:
         return []
-    if band_tol is None:
-        band_tol = 0.25 * epsilon_sw
+    band_tol = 0.25 * epsilon_sw
     if min_duration is None:
         spacing = float(np.median(np.diff(t))) if t.size > 1 else 0.0
         min_duration = 50.0 * spacing
@@ -88,10 +86,12 @@ class TestDetectSliding:
         assert [seg.band_index for seg in segs] == [1, 3]
 
     def test_band_tolerance_respected(self):
+        # a quarter of the band width either side of it counts as on it
         t = np.arange(0.0, 5.0, 0.01)
         s = np.full(t.size, 0.02 + 0.006)  # 0.3*eps off the band
         assert detect_sliding(t, s, epsilon_sw=0.02) == []
-        assert len(detect_sliding(t, s, epsilon_sw=0.02, band_tol=0.007)) == 1
+        s = np.full(t.size, 0.02 - 0.004)  # 0.2*eps off the band
+        assert len(detect_sliding(t, s, epsilon_sw=0.02)) == 1
 
     def test_empty_trace(self):
         assert detect_sliding(np.array([]), np.array([]), 0.02) == []
@@ -103,12 +103,10 @@ class TestDetectSliding:
         t = np.cumsum(data.draw(st.lists(
             st.sampled_from([0.0, 0.01, 0.01, 0.01, 0.02, 0.5]),
             min_size=s.size, max_size=s.size)))
-        band_tol = data.draw(st.sampled_from([None, 0.25 * EPS, 0.0, EPS]))
         min_duration = data.draw(st.sampled_from([None, 0.0, 0.01, 0.05]))
         with np.errstate(invalid="ignore"):  # inf - inf for infinite s
-            got = detect_sliding(t, s, EPS, band_tol=band_tol,
-                                 min_duration=min_duration)
-            want = reference_detect_sliding(t, s, EPS, band_tol=band_tol,
+            got = detect_sliding(t, s, EPS, min_duration=min_duration)
+            want = reference_detect_sliding(t, s, EPS,
                                             min_duration=min_duration)
         assert [(g.t_start, g.t_end, g.band_index) for g in got] == want
         for g in got:

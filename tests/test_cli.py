@@ -85,15 +85,15 @@ class TestRunCommand:
 
     def test_fractional_steps_per_direction_is_usage_error(self, tmp_path,
                                                           capsys):
-        # T_s/n_dirs = 2.50005 s is not a whole number of 1 ms steps
+        # T_s over the two inputs' directions, 2.50005 s, is not a whole
+        # number of 1 ms steps
         rc = run_cli("run", "--out", str(tmp_path / "o"), *SHORT,
                      "--override", "controller.T_s=5.0001")
         assert rc == EXIT_USAGE
         assert "controller.T_s" in capsys.readouterr().err
 
     @pytest.mark.parametrize("override", [
-        "sim.log_stride=2.5", "sim.log_stride=true", 'sim.log_stride="10"',
-        "controller.n_dirs=2.5", "controller.n_dirs=true"])
+        "sim.log_stride=2.5", "sim.log_stride=true", 'sim.log_stride="10"'])
     def test_non_integral_count_is_usage_error(self, tmp_path, capsys,
                                                override):
         rc = run_cli("run", "--out", str(tmp_path / "o"), *SHORT,
@@ -117,6 +117,8 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("override, field", [
         ("sim.dtt=5e-4", "sim.dtt: unknown field"),
+        ("controller.n_dirs=2", "controller.n_dirs: unknown field"),
+        ("plant.B=[[],[]]", "B must have at least one column"),
         ("plant.map.H=[[1,0],[0,1]]", "exactly one of coupling and H")])
     def test_unknown_or_conflicting_field_is_usage_error(self, tmp_path,
                                                          capsys, override,
@@ -164,8 +166,7 @@ class TestRunCommand:
     def test_integral_float_count_accepted(self, tmp_path):
         out = tmp_path / "o"
         assert run_cli("run", "--out", str(out), *SHORT,
-                       "--override", "sim.log_stride=10.0",
-                       "--override", "controller.n_dirs=2.0") == EXIT_OK
+                       "--override", "sim.log_stride=10.0") == EXIT_OK
         lines = (out / "trajectory.csv").read_text().splitlines()
         assert len(lines) == 1 + 20000 // 10 + 1
 

@@ -17,14 +17,14 @@ from slidingesc.controller import direction_index, whole_steps
 
 def make_params(**overrides) -> ControllerParams:
     base = dict(p=1.0, p0=0.0, y_sat=2.5, lam=4.0, epsilon_sw=0.02,
-                gamma=0.1, L_h=0.1, eta=0.01, T_s=5.0, n_dirs=2)
+                gamma=0.1, L_h=0.1, eta=0.01, T_s=5.0)
     base.update(overrides)
     return ControllerParams(**base)
 
 
 class TestEffectiveGains:
     def test_scaled(self):
-        gains = make_params().effective_gains()
+        gains = make_params().resolve(1e-3, 2)
         assert gains.p_eff == pytest.approx(0.01)
         assert gains.lambda_eff == pytest.approx(0.04)
         # 0.01/0.1 * 5 + 0.001
@@ -49,19 +49,21 @@ class TestEffectiveGains:
 
     def test_resolve(self):
         params = make_params(p0=0.5)
-        constants = params.resolve(1e-3)
+        constants = params.resolve(1e-3, 2)
         assert (constants.p_eff, constants.lambda_eff, constants.rho) == \
-            params.effective_gains()
+            (0.01 * 1.0, 0.01 * 4.0, 0.01 / 0.1 * (1.0 + 4.0) + 0.01 * 0.1)
         assert (constants.epsilon_sw, constants.y_sat, constants.y_m0) == \
             (0.02, 2.5, 0.5)
         assert (constants.sub_steps, constants.n_dirs) == (2500, 2)
+        # the direction count divides the period: 5 s over 4 directions
+        assert params.resolve(1e-3, 4).sub_steps == 1250
         assert ControllerState.initial(constants).y_m == 0.5
         with pytest.raises(dataclasses.FrozenInstanceError):
             constants.rho = 1.0
         # 2.5 s per direction is not a whole number of 3 ms steps
         with pytest.raises(ConfigurationError,
                            match=r"controller\.T_s / n_dirs"):
-            params.resolve(3e-3)
+            params.resolve(3e-3, 2)
 
 
 class TestReferenceRamp:
@@ -183,7 +185,7 @@ class TestDirectionIndex:
 class TestWholeSteps:
     def test_whole_number(self):
         assert whole_steps(12.6, 1e-3, "horizon") == 12600
-        assert make_params().sub_steps(1e-3) == 2500
+        assert make_params().resolve(1e-3, 2).sub_steps == 2500
 
     @pytest.mark.parametrize("duration", [2.50005, 1e-4, 0.0, 1e308])
     def test_fraction_or_none_names_field(self, duration):
@@ -229,18 +231,18 @@ class TestControllerStep:
     def test_zero_error_composition(self):
         params = make_params()
         state = ControllerState(y_m=1.0)
-        u, tel = controller_step(params.resolve(1e-3), state, 1.0, 1e-3)
+        constants = params.resolve(1e-3, 2)
+        u, tel = controller_step(constants, state, 1.0, 1e-3)
         assert tel.e == 0.0 and tel.s == 0.0
-        assert np.allclose(u, [params.effective_gains().rho, 0.0])
+        assert np.allclose(u, [constants.rho, 0.0])
 
     def test_first_step_of_benchmark(self):
         # y = -26 against a fresh reference: e = s-integral drift puts the
         # relay in the negative half-band, so the first kick is -rho e1
         params = make_params()
-        constants = params.resolve(1e-3)
-        state = ControllerState.initial(constants)
-        u, tel = controller_step(constants, state, -26.0, 1e-3)
-        gains = params.effective_gains()
+        gains = params.resolve(1e-3, 2)
+        state = ControllerState.initial(gains)
+        u, tel = controller_step(gains, state, -26.0, 1e-3)
         assert tel.y_m == 0.0
         assert tel.e == pytest.approx(-26.0)
         assert tel.s == pytest.approx(-26.0, abs=gains.lambda_eff * 1e-3 * 1.01)
@@ -252,16 +254,18 @@ class TestControllerStep:
         for _ in range(200):
             dt = float(rng.uniform(1e-4, 0.5))
             n_dirs, sub_steps = (int(d) for d in rng.integers(1, [5, 200]))
-            params = make_params(T_s=sub_steps * n_dirs * dt, n_dirs=n_dirs,
+            params = make_params(T_s=sub_steps * n_dirs * dt,
                                  eta=float(rng.uniform(1e-3, 1.0)))
             state_a = ControllerState(y_m=float(rng.uniform(-1, 1)),
                                       s_int=float(rng.uniform(-1, 1)),
                                       k=int(rng.integers(0, 10**6)))
             state_b = ControllerState(state_a.y_m, state_a.s_int, state_a.k)
             y = float(rng.uniform(-30, 30))
-            u, tel = controller_step(params.resolve(dt), state_a, y, dt)
+            constants = params.resolve(dt, n_dirs)
+            u, tel = controller_step(constants, state_a, y, dt)
 
-            p_eff, lambda_eff, rho = params.effective_gains()
+            p_eff, lambda_eff, rho = (constants.p_eff, constants.lambda_eff,
+                                      constants.rho)
             e = y - state_b.y_m
             s = sliding_variable_step(state_b, e, lambda_eff, dt)
             idx, sigma = cyclic_direction(state_b.k, sub_steps, n_dirs)
@@ -275,7 +279,7 @@ class TestControllerStep:
                    (state_b.y_m, state_b.s_int, state_b.k)
 
     def test_non_finite_output_aborts(self):
-        constants = make_params().resolve(1e-3)
+        constants = make_params().resolve(1e-3, 2)
         state = ControllerState.initial(constants)
         state.k = 7
         with pytest.raises(SimulationAbort,
@@ -284,7 +288,7 @@ class TestControllerStep:
 
     def test_reference_never_decreasing_nor_above_sat(self):
         params = make_params()
-        constants = params.resolve(0.5)
+        constants = params.resolve(0.5, 2)
         state = ControllerState.initial(constants)
         rng = np.random.default_rng(5)
         prev = state.y_m
@@ -301,7 +305,7 @@ class TestControllerStep:
                 p=float(rng.uniform(0.05, 5)), lam=float(rng.uniform(0.1, 10)),
                 gamma=float(rng.uniform(1e-3, 1)), L_h=float(rng.uniform(1e-2, 2)),
                 eta=float(rng.uniform(1e-4, 1.0)))
-            rho = params.effective_gains().rho
+            rho = params.resolve(1e-3, 2).rho
             floor = params.eta * ((params.p + params.lam) / params.L_h
                                   + params.gamma)
             assert rho >= floor - 1e-12

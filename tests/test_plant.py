@@ -31,6 +31,11 @@ class TestLtiSubsystem:
         with pytest.raises(ConfigurationError, match="square"):
             LtiSubsystem([[0.0, 1.0]], np.eye(2))
 
+    def test_no_inputs_refused(self):
+        with pytest.raises(ConfigurationError,
+                           match=r"B must have at least one column"):
+            LtiSubsystem([[-1.0]], np.zeros((1, 0)))
+
     def test_steady_state_hand_value(self, benchmark_lti):
         # det A = 4, so -C A^-1 B maps (1,0) to (0.5, -1); checked by hand
         assert np.allclose(benchmark_lti.steady_state_output([1.0, 0.0]),
@@ -76,10 +81,6 @@ class TestQuadraticMap:
     def test_unit_coupling_rejected(self):
         with pytest.raises(ConfigurationError, match="negative definite"):
             QuadraticMap.from_coupling(1.0)
-
-    def test_unit_coupling_inspectable(self):
-        bowl = QuadraticMap.from_coupling(1.0, check=False)
-        assert not bowl.is_negative_definite
 
     def test_asymmetric_curvature_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -142,11 +143,13 @@ class TestCascadePlant:
 
 class TestHypothesisReport:
     def test_benchmark_plant_passes(self, benchmark_plant):
-        report = benchmark_plant.check_hypotheses(L_h=0.1, delta=0.14)
+        report = benchmark_plant.check_hypotheses(L_h=0.1)
         assert report.ok
         by_name = {c.name: c for c in report.checks}
         assert by_name["H3 stable subsystem"].status == "pass"
         assert by_name["H4 unique maximum"].status == "pass"
+        # the bowl [[-2, 1], [1, -2]] curves by -3 and -1
+        assert "[-3. -1.]" in by_name["H4 unique maximum"].detail
         assert by_name["H6 gradient lower bound"].status == "assumed"
         assert "L_h=0.1" in by_name["H6 gradient lower bound"].detail
 
@@ -155,10 +158,4 @@ class TestHypothesisReport:
         report = CascadePlant(lti, benchmark_map).check_hypotheses()
         assert not report.ok
         assert any(c.name.startswith("H3") and c.status == "fail"
-                   for c in report.failures())
-
-    def test_indefinite_curvature_fails_h4(self, benchmark_lti):
-        bowl = QuadraticMap.from_coupling(1.0, check=False)
-        report = CascadePlant(benchmark_lti, bowl).check_hypotheses()
-        assert any(c.name.startswith("H4") and c.status == "fail"
                    for c in report.failures())

@@ -1,5 +1,6 @@
 """Scenario schema: loading, validation paths, round-trips, overrides."""
 
+import dataclasses
 import importlib.util
 import json
 import math
@@ -11,8 +12,10 @@ import numpy as np
 import pytest
 
 import slidingesc
-from slidingesc import ScenarioError, load_builtin, load_scenario, save_scenario
-from slidingesc.scenario import (apply_override, builtin_scenario_dict,
+from slidingesc import (ControllerParams, ScenarioError, SimConfig,
+                        load_builtin, load_scenario, save_scenario)
+from slidingesc.scenario import (_FIELDS, AnalysisParams, apply_override,
+                                 builtin_scenario_dict,
                                  builtin_scenario_names, get_field,
                                  scenario_from_dict)
 
@@ -42,7 +45,6 @@ class TestBuiltins:
         assert (ctrl.p, ctrl.p0, ctrl.L_h, ctrl.lam) == (1.0, 0.0, 0.1, 4.0)
         assert (ctrl.epsilon_sw, ctrl.gamma, ctrl.eta, ctrl.T_s) == \
             (0.02, 0.1, 0.01, 5.0)
-        assert ctrl.n_dirs == 2
         assert sc.sim.dt == 1e-3 and sc.sim.horizon == 1500.0
         assert list(sc.sim.x0) == [-2.0, 4.0]
 
@@ -83,11 +85,6 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="sim.x0"):
             scenario_from_dict(benchmark_doc)
 
-    def test_n_dirs_mismatch(self, benchmark_doc):
-        benchmark_doc["controller"]["n_dirs"] = 3
-        with pytest.raises(ScenarioError, match="n_dirs"):
-            scenario_from_dict(benchmark_doc)
-
     def test_bad_v0_string(self, benchmark_doc):
         benchmark_doc["sim"]["v0"] = "steady"
         with pytest.raises(ScenarioError, match="quasi_steady"):
@@ -116,7 +113,7 @@ class TestValidation:
     @pytest.mark.parametrize("path", [
         "comment", "plant.D", "plant.map.scale", "controller.gain",
         "sim.dtt", "analysis.margin", "controller.ts_scale",
-        "controller.scaling_mode"])
+        "controller.scaling_mode", "controller.n_dirs"])
     def test_unknown_field_named(self, benchmark_doc, path):
         apply_override(benchmark_doc, path, "1")
         with pytest.raises(ScenarioError,
@@ -157,6 +154,24 @@ class TestValidation:
             "H": [[-2.0, 0.0], [0.0, -2.0]]}
         plant = scenario_from_dict(benchmark_doc).build_plant()
         assert plant.map.eval([1.0, 0.0]) == pytest.approx(0.0)
+
+
+class TestSchemaMatchesDataclasses:
+    """A setting is added to or removed from the schema and its
+    dataclass together."""
+
+    # schema name -> field name, where they differ; the schema's v0
+    # carries both a start value and quasi_steady
+    RENAMED = {"lambda": "lam"}
+    COVERED = {"quasi_steady"}
+
+    @pytest.mark.parametrize("section, cls", [
+        ("controller", ControllerParams), ("sim", SimConfig),
+        ("analysis", AnalysisParams)])
+    def test_same_fields(self, section, cls):
+        schema = {self.RENAMED.get(key, key) for key in _FIELDS[section]}
+        fields = {f.name for f in dataclasses.fields(cls)} - self.COVERED
+        assert schema == fields
 
 
 class TestRoundTrip:

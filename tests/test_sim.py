@@ -1,6 +1,5 @@
 """Closed-loop integration semantics, determinism, guards, backends."""
 
-import collections
 import dataclasses
 import functools
 import math
@@ -19,9 +18,16 @@ from slidingesc import (CascadePlant, ConfigurationError, ControllerParams,
                         run)
 from slidingesc.controller import controller_step
 from slidingesc.scenario import builtin_scenario_dict, scenario_from_dict
+from slidingesc import sim as sim_module
 from slidingesc.sim import BACKENDS
 
 from test_controller import make_params
+
+
+def guard_limit(plant, params, plant_eta) -> float:
+    """``dt_guard_limit`` before a run's step is chosen: the gains it
+    reads do not depend on the step or the search schedule."""
+    return dt_guard_limit(plant, params.resolve(1e-3, 1), plant_eta)
 
 
 def short_config(**overrides) -> SimConfig:
@@ -41,7 +47,7 @@ class TestStep:
         # a horizon must exceed one step; row 1 is the state after one
         config = short_config(x0=[-2.0, 4.0], horizon=2e-3, plant_eta=1.0)
         traj = run(benchmark_plant, params, config, backend="python")
-        rho = params.effective_gains().rho
+        rho = params.resolve(1e-3, 2).rho
         assert np.allclose(traj.u[0], [rho, 0.0])
         # v += dt*u ; x += dt*(A x + B v) with the pre-update v
         assert np.allclose(traj.v[1], [1e-3 * rho, 0.0])
@@ -59,7 +65,7 @@ class TestStep:
         # with u forced to 0 the map plays no part; x decays freely
         plant = CascadePlant(benchmark_lti, benchmark_map)
         plant.x = [-2.0, 4.0]
-        constants = make_params(p0=0.0, y_sat=0.0).resolve(1e-3)
+        constants = make_params(p0=0.0, y_sat=0.0).resolve(1e-3, 2)
         state = ControllerState.initial(constants)
         norms = [np.linalg.norm(plant.x)]
         for _ in range(6000):
@@ -99,28 +105,43 @@ class TestRunBookkeeping:
 
     def test_controller_constants_resolved_once(self, benchmark_plant,
                                                 benchmark_params, monkeypatch):
-        # the reference loop reads one record of the run's constants:
-        # working them out does not repeat with the step count
-        calls = collections.Counter()
-        for name in ("effective_gains", "sub_steps"):
-            def counted(self, *args, _name=name,
-                        _real=getattr(ControllerParams, name)):
-                calls[_name] += 1
-                return _real(self, *args)
-            monkeypatch.setattr(ControllerParams, name, counted)
-        counts = []
+        # the reference loop reads one record of the run's constants,
+        # worked out once for the plant's input count whatever the step
+        # count, and the dt guard reads the same record
+        calls = []
+        real = ControllerParams.resolve
+
+        def counted(self, *args):
+            calls.append(args)
+            return real(self, *args)
+
+        monkeypatch.setattr(ControllerParams, "resolve", counted)
+        guarded = []
+        real_guard = sim_module.dt_guard_limit
+
+        def guard(plant, constants, plant_eta):
+            guarded.append(constants)
+            return real_guard(plant, constants, plant_eta)
+
+        monkeypatch.setattr(sim_module, "dt_guard_limit", guard)
         for horizon in (0.2, 2.0):      # 200 and 2000 steps
             calls.clear()
             run(benchmark_plant, benchmark_params,
                 short_config(horizon=horizon), backend="python")
-            counts.append(dict(calls))
-        assert counts[0] == counts[1]
-        assert set(counts[0]) == {"effective_gains", "sub_steps"}
+            assert calls == [(1e-3, 2)]
+        assert guarded == [benchmark_params.resolve(1e-3, 2)] * 2
 
-    def test_n_dirs_must_match_inputs(self, benchmark_plant):
-        params = make_params(n_dirs=3)
-        with pytest.raises(ConfigurationError, match="n_dirs"):
-            run(benchmark_plant, params, short_config())
+    def test_one_direction_per_input(self, benchmark_lti, benchmark_map):
+        # three inputs into the two-state block: 5 s of search gives each
+        # direction 5/3 s, not a whole number of 1 ms steps
+        lti = LtiSubsystem(benchmark_lti.A, np.ones((2, 3)))
+        with pytest.raises(ConfigurationError, match="T_s / n_dirs"):
+            run(CascadePlant(lti, benchmark_map), make_params(),
+                short_config(v0=np.zeros(3)))
+        traj = run(CascadePlant(lti, benchmark_map), make_params(T_s=6.0),
+                   short_config(v0=np.zeros(3), horizon=6.0, log_stride=1))
+        assert np.array_equal(traj.dir_index,
+                              np.arange(len(traj)) % 6000 // 2000 + 1)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -195,9 +216,9 @@ def closed_loops(draw, sub_steps):
                         -(root @ root.T + 0.5 * np.eye(n)))
     params = make_params(p0=-2.0, y_sat=draw(st.sampled_from([3.0, math.inf])),
                          eta=draw(st.floats(0.05, 1.0)),
-                         epsilon_sw=draw(st.floats(0.01, 0.2)), n_dirs=m)
-    dt = min(1e-3, 0.9 * dt_guard_limit(CascadePlant(lti, qmap), params,
-                                         params.eta))
+                         epsilon_sw=draw(st.floats(0.01, 0.2)))
+    dt = min(1e-3, 0.9 * guard_limit(CascadePlant(lti, qmap), params,
+                                      params.eta))
     params = dataclasses.replace(params, T_s=sub_steps * m * dt)
     config = SimConfig(dt=dt, horizon=n_steps * dt,
                        x0=draw(matrices(1, n, 3.0))[0],
@@ -238,9 +259,9 @@ class TestChunkedBackend:
         qmap = QuadraticMap(rng.uniform(0.0, 3.0), rng.normal(size=n),
                             -(root @ root.T + 0.5 * np.eye(n)))
         params = make_params(p0=-2.0, y_sat=3.0, eta=rng.uniform(0.05, 1.0),
-                             epsilon_sw=rng.uniform(0.01, 0.2), n_dirs=m)
-        dt = min(1e-3, 0.9 * dt_guard_limit(CascadePlant(lti, qmap), params,
-                                             params.eta))
+                             epsilon_sw=rng.uniform(0.01, 0.2))
+        dt = min(1e-3, 0.9 * guard_limit(CascadePlant(lti, qmap), params,
+                                          params.eta))
         sub_steps = int(rng.integers(5, _fastpath.CHUNK_MAX + 1))
         params = dataclasses.replace(params, T_s=sub_steps * m * dt)
         config = SimConfig(dt=dt, horizon=2000 * dt, x0=2.0 * rng.normal(size=n),
@@ -370,13 +391,13 @@ class TestBackendChoiceLogged:
 
 class TestGuards:
     def test_dt_guard_aborts(self, benchmark_plant, benchmark_params):
-        limit = dt_guard_limit(benchmark_plant, benchmark_params, 0.01)
+        limit = guard_limit(benchmark_plant, benchmark_params, 0.01)
         bad = short_config(dt=4 * limit, horizon=8 * limit, log_stride=1)
         with pytest.raises(SimulationAbort, match="resolution guard"):
             run(benchmark_plant, benchmark_params, bad)
 
     def test_dt_guard_override_runs(self, benchmark_plant, benchmark_params, caplog):
-        limit = dt_guard_limit(benchmark_plant, benchmark_params, 0.01)
+        limit = guard_limit(benchmark_plant, benchmark_params, 0.01)
         bad = SimConfig(dt=2.0 * limit, horizon=20 * limit, x0=np.zeros(2),
                         v0=np.zeros(2), log_stride=1)
         with caplog.at_level("WARNING"):
@@ -473,6 +494,11 @@ class TestGuards:
 
 
 class TestQuasiSteadyStart:
+    def test_given_v0_refused(self):
+        # quasi_steady sets v0; a v0 given beside it would be dropped
+        with pytest.raises(ConfigurationError, match="v0 or quasi_steady"):
+            short_config(v0=[0.5, 1.0], quasi_steady=True)
+
     def test_v0_solves_balance(self, benchmark_plant, benchmark_params):
         config = short_config(x0=[-2.0, 4.0], v0=None, quasi_steady=True,
                               horizon=0.01)
@@ -498,7 +524,7 @@ class TestTrackingSanity:
         config = SimConfig(dt=1e-3, horizon=25.0, x0=[-1.0, -1.0],
                            v0=[0.0, 0.0], log_stride=10)
         traj = run(plant, params, config, backend=backend)
-        gains = params.effective_gains()
+        gains = params.resolve(config.dt, 2)
         late = traj.e[traj.t >= 20.0]
         assert np.abs(late).max() <= 2 * params.epsilon_sw + \
             gains.lambda_eff * config.dt

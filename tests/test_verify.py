@@ -26,7 +26,7 @@ def scalar_invariant_draws(rng, draws):
         dt = float(rng.uniform(1e-4, 0.1))
         n_dirs = int(rng.integers(1, 6))
         sub_steps = int(rng.integers(1, 65))
-        params.update(T_s=sub_steps * n_dirs * dt, n_dirs=n_dirs)
+        params.update(T_s=sub_steps * n_dirs * dt)
         k = int(rng.integers(0, 3 * n_dirs * sub_steps))
         s = float(rng.uniform(-50.0, 50.0))
         ramp = [float(rng.uniform(1e-4, 1.0)) for _ in range(20)]
