@@ -12,8 +12,6 @@ import numpy as np
 from .plant import CascadePlant, central_difference
 from .sim import Trajectory
 
-DEFAULT_TRAILING_FRACTION = 0.1
-DEFAULT_C_BOUND = 2.5
 # a sample sits on a switching band within this fraction of its width
 BAND_TOL_FRACTION = 0.25
 
@@ -88,13 +86,14 @@ def detect_sliding(t: np.ndarray, s: np.ndarray, epsilon_sw: float,
 
 
 def convergence_metrics(traj: Trajectory, z_star, y_star: float, *,
-                        epsilon_sw: float, delta: Optional[float] = None,
-                        trailing_fraction: float = DEFAULT_TRAILING_FRACTION,
+                        epsilon_sw: float, trailing_fraction: float,
+                        delta: Optional[float] = None,
                         min_duration: Optional[float] = None) -> Metrics:
     """Compute all Metrics fields for one trajectory.
 
-    delta defaults to sqrt(epsilon_sw), the only quantitative vicinity
-    radius the theory offers.
+    Residuals are taken over the last ``trailing_fraction`` of the
+    samples.  delta defaults to sqrt(epsilon_sw), the only quantitative
+    vicinity radius the theory offers.
     """
     if len(traj) == 0:
         raise ValueError("trajectory is empty")
@@ -132,7 +131,7 @@ class ResidualBoundResult:
 
 
 def residual_bound_check(metrics: Metrics, eta: float, epsilon_sw: float,
-                         c_bound: float = DEFAULT_C_BOUND) -> ResidualBoundResult:
+                         c_bound: float) -> ResidualBoundResult:
     """Check residual_amp <= c_bound * (sqrt(eta) + epsilon_sw).
 
     The theory's constant is unknowable, so the caller supplies c_bound

@@ -171,9 +171,16 @@ class QuadraticMap:
         H = np.array([[-2.0, 2.0 * c], [2.0 * c, -2.0]])
         return cls(y_star, z_star, H)
 
-    def eval(self, z) -> float:
-        d = _as_vector(z, self.dim, "z") - self.z_star
-        return self.y_star + 0.5 * float(d @ (self.H @ d))
+    def eval(self, z):
+        """h at one point z of shape (n,), a float, or at every point of
+        an array of shape (..., n), an array of shape (...)."""
+        z = np.asarray(z, dtype=float)
+        if z.shape[-1:] != (self.dim,):
+            raise ConfigurationError(
+                f"z must have last dimension {self.dim}, got {z.shape}")
+        d = z - self.z_star
+        h = self.y_star + 0.5 * np.vecdot(d, (self.H @ d[..., None])[..., 0])
+        return float(h) if d.ndim == 1 else h
 
     def gradient(self, z) -> np.ndarray:
         d = _as_vector(z, self.dim, "z") - self.z_star
@@ -204,11 +211,6 @@ class HypothesisReport:
 
     def failures(self) -> list[HypothesisCheck]:
         return [c for c in self.checks if c.status == "fail"]
-
-    def __str__(self) -> str:
-        width = max(len(c.name) for c in self.checks) if self.checks else 1
-        return "\n".join(f"{c.name:<{width}}  [{c.status:^7}]  {c.detail}"
-                         for c in self.checks)
 
 
 class CascadePlant:

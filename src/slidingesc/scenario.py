@@ -103,13 +103,11 @@ class Scenario:
         kind = spec.pop("kind")
         if kind != "quadratic":
             raise ScenarioError(f"plant.map.kind: unsupported kind {kind!r}")
-        if "coupling" in spec:
-            objective = QuadraticMap.from_coupling(
-                spec["coupling"], spec.get("y_star", 2.0),
-                spec.get("z_star", (0.0, 0.0)))
-        else:
-            objective = QuadraticMap(spec["y_star"], spec["z_star"], spec["H"])
-        return CascadePlant(lti, objective)
+        # the fields a document gives are the constructors' arguments;
+        # the coupling family's y_star and z_star default there
+        make = (QuadraticMap.from_coupling if "coupling" in spec
+                else QuadraticMap)
+        return CascadePlant(lti, make(**spec))
 
     def to_dict(self) -> dict:
         ctrl = {
@@ -184,11 +182,17 @@ def _real(value, path: str) -> float:
 
 
 def _reals(value, path: str):
-    """A number or a nested list of them, each element checked as
-    ``_real`` checks a number field; shapes are checked where used."""
+    """A number or a rectangular nested list of them, each element
+    checked as ``_real`` checks a number field; the dimensions are
+    checked where used."""
     if isinstance(value, (list, tuple, np.ndarray)):
         for i, item in enumerate(value):
             _reals(item, f"{path}[{i}]")
+        try:  # numpy refuses a ragged nesting
+            np.asarray(value, dtype=float)
+        except ValueError:
+            raise ScenarioError(f"{path}: expected a rectangular array, got "
+                                f"entries of unequal shapes") from None
     else:
         _real(value, path)
     return value
@@ -247,7 +251,9 @@ def scenario_from_dict(data: dict, *, allow_unstable: bool = False) -> Scenario:
     if v0_raw is not None and not quasi_steady:
         _reals(v0_raw, "sim.v0")
     x0 = _reals(_require(sim, "x0", "sim"), "sim.x0")
-    log_stride = _count(sim.get("log_stride", 1), "sim.log_stride")
+    # an optional field the document omits takes its constructor's default
+    stride = ({"log_stride": _count(sim["log_stride"], "sim.log_stride")}
+              if "log_stride" in sim else {})
     dt = _real(_require(sim, "dt", "sim"), "sim.dt")
     horizon = _real(_require(sim, "horizon", "sim"), "sim.horizon")
     plant_eta = sim.get("plant_eta")
@@ -260,9 +266,9 @@ def scenario_from_dict(data: dict, *, allow_unstable: bool = False) -> Scenario:
             x0=np.asarray(x0, dtype=float),
             v0=None if (v0_raw is None or quasi_steady)
                else np.asarray(v0_raw, dtype=float),
-            log_stride=log_stride,
             plant_eta=plant_eta,
             quasi_steady=quasi_steady,
+            **stride,
         )
     except ConfigurationError as exc:
         raise ScenarioError(f"sim: {exc}") from exc
@@ -270,15 +276,10 @@ def scenario_from_dict(data: dict, *, allow_unstable: bool = False) -> Scenario:
     delta = analysis.get("delta")
     if delta is not None:
         delta = _real(delta, "analysis.delta")
-    trailing_fraction = _real(analysis.get("trailing_fraction", 0.1),
-                              "analysis.trailing_fraction")
-    c_bound = _real(analysis.get("c_bound", 2.5), "analysis.c_bound")
+    optional = {key: _real(analysis[key], f"analysis.{key}")
+                for key in ("trailing_fraction", "c_bound") if key in analysis}
     try:
-        analysis_params = AnalysisParams(
-            delta=delta,
-            trailing_fraction=trailing_fraction,
-            c_bound=c_bound,
-        )
+        analysis_params = AnalysisParams(delta=delta, **optional)
     except ConfigurationError as exc:
         raise ScenarioError(f"analysis: {exc}") from exc
 
@@ -308,16 +309,20 @@ def scenario_from_dict(data: dict, *, allow_unstable: bool = False) -> Scenario:
     return scenario
 
 
-def load_scenario(path, *, allow_unstable: bool = False) -> Scenario:
+def read_document(path) -> dict:
+    """The JSON document in the file ``path``.  A missing file raises
+    FileNotFoundError naming the path; text that is not JSON (or not
+    UTF-8) raises ScenarioError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise ScenarioError(f"{path}: invalid JSON: {exc}") from exc
+
+
+def load_scenario(path) -> Scenario:
     """Parse and validate a scenario file."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except FileNotFoundError:
-        raise
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"{path}: invalid JSON: {exc}") from exc
-    return scenario_from_dict(data, allow_unstable=allow_unstable)
+    return scenario_from_dict(read_document(path))
 
 
 def save_scenario(scenario: Scenario, path) -> None:
@@ -361,8 +366,8 @@ def builtin_scenario_names() -> list[str]:
     return sorted(p.name[:-5] for p in root.iterdir() if p.name.endswith(".json"))
 
 
-def load_builtin(name: str, *, allow_unstable: bool = False) -> Scenario:
-    """Load one of the scenarios shipped inside the package."""
+def builtin_scenario_dict(name: str) -> dict:
+    """The raw document of a scenario shipped inside the package."""
     ref = resources.files("slidingesc") / "scenarios" / f"{name}.json"
     try:
         text = ref.read_text(encoding="utf-8")
@@ -370,9 +375,9 @@ def load_builtin(name: str, *, allow_unstable: bool = False) -> Scenario:
         raise ScenarioError(
             f"no builtin scenario {name!r}; available: "
             f"{', '.join(builtin_scenario_names())}")
-    return scenario_from_dict(json.loads(text), allow_unstable=allow_unstable)
+    return json.loads(text)
 
 
-def builtin_scenario_dict(name: str) -> dict:
-    ref = resources.files("slidingesc") / "scenarios" / f"{name}.json"
-    return json.loads(ref.read_text(encoding="utf-8"))
+def load_builtin(name: str) -> Scenario:
+    """Load one of the scenarios shipped inside the package."""
+    return scenario_from_dict(builtin_scenario_dict(name))

@@ -119,7 +119,8 @@ class TestConvergenceMetrics:
         t = np.linspace(0.0, 10.0, 101)
         z = np.zeros((101, 2))
         traj = synthetic_trajectory(t, z, np.full(101, 2.0), np.zeros(101))
-        m = convergence_metrics(traj, [0.0, 0.0], 2.0, epsilon_sw=0.02)
+        m = convergence_metrics(traj, [0.0, 0.0], 2.0, epsilon_sw=0.02,
+                                trailing_fraction=0.1)
         assert m.t_reach_delta == 0.0
         assert m.residual_amp == 0.0
         assert m.mean_residual == 0.0
@@ -130,7 +131,8 @@ class TestConvergenceMetrics:
         dist = np.linspace(1.0, 0.0, 101)            # |z| shrinks linearly
         z = np.column_stack([dist, np.zeros(101)])
         traj = synthetic_trajectory(t, z, np.full(101, 2.0), np.zeros(101))
-        m = convergence_metrics(traj, [0.0, 0.0], 2.0, epsilon_sw=0.02)
+        m = convergence_metrics(traj, [0.0, 0.0], 2.0, epsilon_sw=0.02,
+                                trailing_fraction=0.1)
         expected = math.sqrt(0.02)                   # ~0.1414
         first = t[np.argmax(dist < expected)]
         assert m.t_reach_delta == pytest.approx(first)
@@ -139,7 +141,8 @@ class TestConvergenceMetrics:
         t = np.linspace(0.0, 1.0, 11)
         z = np.ones((11, 2))
         traj = synthetic_trajectory(t, z, np.zeros(11), np.zeros(11))
-        m = convergence_metrics(traj, [0.0, 0.0], 2.0, epsilon_sw=0.02)
+        m = convergence_metrics(traj, [0.0, 0.0], 2.0, epsilon_sw=0.02,
+                                trailing_fraction=0.1)
         assert m.t_reach_delta is None
 
     def test_trailing_window_stats(self):
@@ -165,18 +168,21 @@ class TestResidualBound:
 
     def test_zero_residual(self):
         m = Metrics(t_reach_delta=0.0, residual_amp=0.0, mean_residual=0.0)
-        result = residual_bound_check(m, eta=0.04, epsilon_sw=0.02)
+        result = residual_bound_check(m, eta=0.04, epsilon_sw=0.02,
+                                      c_bound=2.5)
         assert result.passed and result.implied_constant == 0.0
 
     def test_not_converged_fails(self):
         m = Metrics(t_reach_delta=None, residual_amp=0.01, mean_residual=0.0)
-        result = residual_bound_check(m, eta=0.01, epsilon_sw=0.02)
+        result = residual_bound_check(m, eta=0.01, epsilon_sw=0.02,
+                                      c_bound=2.5)
         assert not result.passed
         assert "vicinity" in result.reason
 
     def test_exceeding_bound_fails(self):
         m = Metrics(t_reach_delta=1.0, residual_amp=0.5, mean_residual=0.3)
-        assert not residual_bound_check(m, eta=0.01, epsilon_sw=0.02).passed
+        assert not residual_bound_check(m, eta=0.01, epsilon_sw=0.02,
+                                        c_bound=2.5).passed
 
 
 class TestGainOracle:

@@ -68,6 +68,35 @@ class TestRunCommand:
         assert rc == EXIT_IO
         assert "absent.json" in capsys.readouterr().err
 
+    def test_malformed_config_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "broken.json"
+        cfg.write_text("{not json")
+        rc = run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert rc == EXIT_USAGE
+        error = capsys.readouterr().err
+        assert error.startswith("error: ") and "broken.json" in error
+        assert "invalid JSON" in error
+
+    @pytest.mark.parametrize("field, value", [
+        ("plant.A", [[0, 1], [-4]]), ("plant.B", [[1, 0], [0]]),
+        ("plant.C", [[1], [0, 1]]), ("plant.map.H", [[-2, 1], [1]]),
+        ("plant.map.z_star", [[0], [0, 1]]), ("sim.x0", [[1, 2], [3]]),
+        ("sim.v0", [[0.5], [1, 2]])])
+    def test_ragged_array_is_usage_error(self, tmp_path, capsys, field,
+                                         value):
+        from slidingesc.scenario import apply_override, builtin_scenario_dict
+        doc = builtin_scenario_dict("coupled_bowl")
+        if field == "plant.map.H":
+            del doc["plant"]["map"]["coupling"]
+        apply_override(doc, field, json.dumps(value))
+        cfg = tmp_path / "ragged.json"
+        cfg.write_text(json.dumps(doc))
+        rc = run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert rc == EXIT_USAGE
+        assert (f"error: {field}: expected a rectangular array"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
     def test_output_under_a_file_is_io_error(self, tmp_path, capsys):
         # making the output directory raises NotADirectoryError; main
         # returns the exit code instead of letting it escape
@@ -246,6 +275,23 @@ class TestSweepCommand:
         assert sizes == [workers]
         rows = (out / "sweep_metrics.csv").read_text().splitlines()
         assert len(rows) == 1 + values.count(",") + 1
+
+    def test_each_document_parsed_once(self, tmp_path, monkeypatch):
+        # the base document and each value's document are parsed in the
+        # parent, and the runs take the parsed scenarios
+        parsed = []
+        parse = cli.scenario_from_dict
+
+        def counting(data, **kwargs):
+            parsed.append(data["controller"]["eta"])
+            return parse(data, **kwargs)
+
+        monkeypatch.setattr(cli, "scenario_from_dict", counting)
+        rc = run_cli("sweep", "--param", "controller.eta",
+                     "--values", "0.01,0.02", "--out", str(tmp_path / "s"),
+                     *SHORT)
+        assert rc == EXIT_OK
+        assert parsed == [0.01, 0.01, 0.02]
 
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_below_one_usage_error(self, tmp_path, capsys, jobs):

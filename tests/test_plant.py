@@ -78,6 +78,23 @@ class TestQuadraticMap:
             z = rng.uniform(-5, 5, 2)
             assert benchmark_map.eval(z) <= benchmark_map.y_star + 1e-12
 
+    def test_eval_one_point_or_a_grid(self, benchmark_map):
+        # one point gives a float; a (61, 61, 2) grid gives the (61, 61)
+        # values of its points, bit for bit
+        assert type(benchmark_map.eval([1.0, 1.0])) is float
+        grid = np.linspace(-5.0, 5.0, 61)
+        points = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1)
+        values = benchmark_map.eval(points)
+        assert values.shape == (61, 61)
+        each = [[benchmark_map.eval(point) for point in row] for row in points]
+        assert np.array_equal(values, each)
+
+    @pytest.mark.parametrize("shape", [(3,), (1,), (61, 61, 3), ()])
+    def test_eval_wrong_last_dimension(self, benchmark_map, shape):
+        with pytest.raises(ConfigurationError, match="z must have last "
+                                                     "dimension 2"):
+            benchmark_map.eval(np.zeros(shape))
+
     def test_unit_coupling_rejected(self):
         with pytest.raises(ConfigurationError, match="negative definite"):
             QuadraticMap.from_coupling(1.0)

@@ -56,6 +56,10 @@ class TestBuiltins:
         with pytest.raises(ScenarioError, match="available"):
             load_builtin("nope")
 
+    def test_unknown_builtin_document(self):
+        with pytest.raises(ScenarioError, match="available"):
+            builtin_scenario_dict("nope")
+
 
 class TestValidation:
     def test_negative_period_names_field(self, benchmark_doc):
