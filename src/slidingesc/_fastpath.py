@@ -17,8 +17,9 @@ import math
 
 import numpy as np
 
-from .controller import ControllerState, sliding_variable_step
-from .errors import SimulationAbort
+from .controller import (ControllerState, direction_index,
+                         sliding_variable_step)
+from .errors import finite_escape
 
 # Bounds on the steps predicted per chunk of run_chunked: a chunk
 # predicts about twice the previous chunk's accepted run.
@@ -26,16 +27,10 @@ CHUNK_MIN = 32
 CHUNK_MAX = 256
 
 
-def run_chunked(A, B, C, H, z_star, y_star, v, x, dt, n_steps, constants,
-                stride, plant_rate):
-    """Integrate the closed loop and log every ``stride``-th step.
-
-    The arguments are the plant matrices, the quadratic map
-    (``H``, ``z_star``, ``y_star``), the initial ``v`` and ``x``, the
-    step and step count, the controller's ``ControllerConstants`` for
-    that step, the log stride and the plant rate 1/plant_eta.  Returns
-    the logged rows of (t, v, x, z, y, y_m, e, s, u, dir); raises
-    SimulationAbort when a non-finite value appears.
+def run_chunked(plant, constants, config, v0, plant_eta):
+    """The closed loop of the reference ``sim._run_python``, with its
+    arguments, logged columns and finite-escape abort; the plant is
+    read, not moved.
 
     While the relay sign and the search direction hold, u is constant
     and one Euler step of X = (v, x) is affine, X <- M X + b(u).  Each
@@ -44,9 +39,9 @@ def run_chunked(A, B, C, H, z_star, y_star, v, x, dt, n_steps, constants,
     all of them in vector form, and accepts the steps before the first
     one whose relay sign differs from the chunk's first step (an
     event); the next chunk starts there, and K is about twice the run
-    just accepted, between CHUNK_MIN and CHUNK_MAX.  The direction
-    follows the step counter k as in ``controller.direction_index``, so
-    a chunk also ends where the next direction starts.  The reference
+    just accepted, between CHUNK_MIN and CHUNK_MAX.  The direction is
+    ``controller.direction_index`` of the step counter k, and a chunk
+    also ends where the next direction starts.  The reference
     ramp and the sliding integral are running sums formed in step order,
     so they follow ``controller_step``'s arithmetic exactly; the
     predicted states agree with the step-by-step recurrence to rounding.
@@ -65,6 +60,9 @@ def run_chunked(A, B, C, H, z_star, y_star, v, x, dt, n_steps, constants,
     epsilon_sw, y_sat, y_m0 = (constants.epsilon_sw, constants.y_sat,
                                constants.y_m0)
     sub_steps, n_dirs = constants.sub_steps, constants.n_dirs
+    A, B, C = plant.lti.A, plant.lti.B, plant.lti.C
+    H, z_star, y_star = plant.map.H, plant.map.z_star, plant.map.y_star
+    dt, n_steps, stride = config.dt, config.n_steps, config.log_stride
     n = A.shape[0]
     m = B.shape[1]
     N = m + n          # stacked state X = (v, x)
@@ -74,7 +72,7 @@ def run_chunked(A, B, C, H, z_star, y_star, v, x, dt, n_steps, constants,
     L = N + 2 * n
     P = N + 1 + m
 
-    h = dt * plant_rate
+    h = dt * (1.0 / plant_eta)
     M = np.eye(N)
     M[m:, :m] = h * B
     M[m:, m:] += h * A
@@ -168,11 +166,6 @@ def run_chunked(A, B, C, H, z_star, y_star, v, x, dt, n_steps, constants,
     sig_log = np.empty((3, n_rec))         # y, y_m, s
     code_log = np.empty(n_rec, np.int64)   # 2 * direction index + up
 
-    def escape(k_fail):
-        return SimulationAbort(
-            f"non-finite state after step at t={k_fail * dt:.6g} "
-            "(finite-escape guard)")
-
     def result(rec):
         # t, z, e, u and dir from what was logged, in place where the
         # log is no longer needed
@@ -189,18 +182,18 @@ def run_chunked(A, B, C, H, z_star, y_star, v, x, dt, n_steps, constants,
 
     # step 0, the first chunk's start row, is evaluated and logged here
     xt = np.zeros(P)
-    xt[:m] = v
-    xt[m:N] = x
+    xt[:m] = v0
+    xt[m:N] = config.x0
     xt[N] = 1.0
     with np.errstate(all="ignore"):
         w0 = G[:L] @ xt
         y0 = float(np.vecdot(w0[D], w0[N + n:]) + y_star)
     if not math.isfinite(y0):
-        raise escape(0)
+        raise finite_escape(0.0)
     state = ControllerState(y_m0)
     s0 = sliding_variable_step(state, y0 - y_m0, lambda_eff, dt)
     if not math.isfinite(pi_over_eps * s0):
-        raise escape(0)
+        raise finite_escape(0.0)
     # the relay sign of step 0 by the same np.sin as every later row
     up = int(np.sin(pi_over_eps * np.array([s0]))[0] >= 0.0)
     code = up
@@ -262,13 +255,13 @@ def run_chunked(A, B, C, H, z_star, y_star, v, x, dt, n_steps, constants,
                 if not finite[f] and f < J:
                     # row f+1: the state is non-finite after step k+f, or
                     # its output or relay argument is at step k+f+1
-                    raise escape(k + f + (1 if x_ok[f] else 0))
+                    raise finite_escape((k + f + (1 if x_ok[f] else 0)) * dt)
 
-            # row J starts the next chunk with its own direction (by
-            # controller.direction_index's formula) and relay sign
+            # row J starts the next chunk with its own direction and
+            # relay sign
             up = int(sines.item(J - 1) >= 0.0)
             k_next = k + J
-            code_next = 2 * (k_next // sub_steps % n_dirs) + up
+            code_next = 2 * direction_index(k_next, sub_steps, n_dirs) + up
             first = stride - k % stride   # the first logged row after row 0
             if first <= J:
                 sel = slice(first, J + 1, stride)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import json
 import logging
 import os
@@ -182,14 +183,6 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all_pass else EXIT_FAIL
 
 
-def _sweep_worker(payload):
-    raw, scenario, value_repr, out, backend, dt_guard = payload
-    flat = _run_one(raw, scenario, Path(out), backend=backend,
-                    dt_guard=dt_guard)
-    flat["value"] = value_repr
-    return flat
-
-
 def cmd_sweep(args) -> int:
     if args.jobs < 1:
         print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
@@ -214,24 +207,33 @@ def cmd_sweep(args) -> int:
         return EXIT_USAGE
 
     outroot = Path(args.out)
-    jobs = []
+    docs, scenarios, subdirs = [], [], []
     for value in values:
+        subdir = outroot / f"{args.param.replace('.', '_')}={value}"
+        if subdir in subdirs:
+            print(f"error: sweep value {value!r} writes into {subdir}, "
+                  "which an earlier value already uses", file=sys.stderr)
+            return EXIT_USAGE
+        subdirs.append(subdir)
         raw = json.loads(json.dumps(data))
         apply_override(raw, args.param, value)
         # parsed once, here, so a bad value fails before any run starts
-        scenario = scenario_from_dict(raw, allow_unstable=args.allow_unstable)
-        subdir = outroot / f"{args.param.replace('.', '_')}={value}"
-        jobs.append((raw, scenario, value, str(subdir), args.backend,
-                     args.dt_guard != "off"))
+        scenarios.append(scenario_from_dict(
+            raw, allow_unstable=args.allow_unstable))
+        docs.append(raw)
 
+    run_value = functools.partial(_run_one, backend=args.backend,
+                                  dt_guard=args.dt_guard != "off")
     # the pool starts all its workers at once, so ask for no more than
     # there are runs
-    workers = min(args.jobs, len(jobs))
+    workers = min(args.jobs, len(values))
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(workers) as pool:
-            rows = list(pool.map(_sweep_worker, jobs))
+            rows = list(pool.map(run_value, docs, scenarios, subdirs))
     else:
-        rows = [_sweep_worker(job) for job in jobs]
+        rows = list(map(run_value, docs, scenarios, subdirs))
+    for row, value in zip(rows, values):
+        row["value"] = value
 
     outroot.mkdir(parents=True, exist_ok=True)
     table_path = outroot / "sweep_metrics.csv"

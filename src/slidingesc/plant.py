@@ -13,6 +13,7 @@ gain k_p(z) = G^T grad h(z) used by the analysis oracles.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -144,7 +145,10 @@ class QuadraticMap:
 
     def __init__(self, y_star: float, z_star, H) -> None:
         self.y_star = float(y_star)
-        self.z_star = np.asarray(z_star, dtype=float).reshape(-1)
+        if not math.isfinite(self.y_star):
+            raise ConfigurationError(
+                f"y_star must be finite, got {self.y_star}")
+        self.z_star = _as_matrix(z_star, "z_star").reshape(-1)
         self.H = _as_matrix(H, "H")
         self.dim = self.z_star.size
         if self.H.shape != (self.dim, self.dim):
@@ -171,20 +175,25 @@ class QuadraticMap:
         H = np.array([[-2.0, 2.0 * c], [2.0 * c, -2.0]])
         return cls(y_star, z_star, H)
 
-    def eval(self, z):
-        """h at one point z of shape (n,), a float, or at every point of
-        an array of shape (..., n), an array of shape (...)."""
+    def _offset(self, z) -> np.ndarray:
+        """z - z* for one point of shape (n,) or points of shape (..., n)."""
         z = np.asarray(z, dtype=float)
         if z.shape[-1:] != (self.dim,):
             raise ConfigurationError(
                 f"z must have last dimension {self.dim}, got {z.shape}")
-        d = z - self.z_star
+        return z - self.z_star
+
+    def eval(self, z):
+        """h at one point z of shape (n,), a float, or at every point of
+        an array of shape (..., n), an array of shape (...)."""
+        d = self._offset(z)
         h = self.y_star + 0.5 * np.vecdot(d, (self.H @ d[..., None])[..., 0])
         return float(h) if d.ndim == 1 else h
 
     def gradient(self, z) -> np.ndarray:
-        d = _as_vector(z, self.dim, "z") - self.z_star
-        return self.H @ d
+        """grad h = H (z - z*) at one point of shape (n,) or at every
+        point of an array of shape (..., n), with the shape of z."""
+        return (self.H @ self._offset(z)[..., None])[..., 0]
 
 
 @dataclass

@@ -172,13 +172,17 @@ def _count(value, path: str) -> int:
 
 
 def _real(value, path: str) -> float:
-    """A finite real number: 2, 2.5 and 1e-3 pass; true, "2", null, NaN
-    and Infinity do not."""
+    """A finite real number: 2, 2.5 and 1e-3 pass; true, "2", null, NaN,
+    Infinity and an integer beyond the float range do not."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ScenarioError(f"{path}: expected a number, got {value!r}")
-    if not math.isfinite(value):
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
         raise ScenarioError(f"{path}: expected a finite number, got {value!r}")
-    return float(value)
+    return number
 
 
 def _reals(value, path: str):

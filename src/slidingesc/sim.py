@@ -37,7 +37,7 @@ import numpy as np
 from . import _fastpath, _tables
 from .controller import (ControllerConstants, ControllerParams,
                          ControllerState, controller_step, whole_steps)
-from .errors import ConfigurationError, SimulationAbort
+from .errors import ConfigurationError, SimulationAbort, finite_escape
 from .plant import CascadePlant
 
 logger = logging.getLogger(__name__)
@@ -73,9 +73,9 @@ class SimConfig:
         if self.log_stride < 1:
             raise ConfigurationError(
                 f"log_stride must be >= 1, got {self.log_stride}")
-        if self.plant_eta is not None and not (self.plant_eta > 0.0):
+        if self.plant_eta is not None and not 0.0 < self.plant_eta < math.inf:
             raise ConfigurationError(
-                f"plant_eta must be > 0, got {self.plant_eta}")
+                f"plant_eta must be finite and > 0, got {self.plant_eta}")
         if self.quasi_steady and self.v0 is not None:
             raise ConfigurationError(
                 "give v0 or quasi_steady, not both: quasi_steady sets v0")
@@ -107,48 +107,48 @@ class Trajectory:
     def __len__(self) -> int:
         return self.t.size
 
+    def columns(self) -> list[tuple[str, np.ndarray, str]]:
+        """(name, values, %-format) of every CSV column, in file order."""
+        g = "%.17g"
+        cols = [("t", self.t, g)]
+        for prefix, block in (("v", self.v), ("x", self.x), ("z", self.z)):
+            cols += [(f"{prefix}{i+1}", c, g) for i, c in enumerate(block.T)]
+        cols += [("y", self.y, g), ("y_m", self.y_m, g), ("e", self.e, g),
+                 ("s", self.s, g)]
+        cols += [(f"u{i+1}", c, g) for i, c in enumerate(self.u.T)]
+        return cols + [("dir", self.dir_index, "%d"), ("rho", self.rho, g)]
+
     @property
     def all_finite(self) -> bool:
-        return all(bool(np.all(np.isfinite(getattr(self, name))))
-                   for name in ("t", "v", "x", "z", "y", "y_m", "e", "s", "u"))
+        return all(bool(np.all(np.isfinite(values)))
+                   for _, values, _ in self.columns())
 
     def column_header(self) -> list[str]:
-        m = self.v.shape[1]
-        n = self.x.shape[1]
-        cols = ["t"]
-        cols += [f"v{i+1}" for i in range(m)]
-        cols += [f"x{i+1}" for i in range(n)]
-        cols += [f"z{i+1}" for i in range(n)]
-        cols += ["y", "y_m", "e", "s"]
-        cols += [f"u{i+1}" for i in range(m)]
-        cols += ["dir", "rho"]
-        return cols
+        return [name for name, _, _ in self.columns()]
 
     def to_csv(self, path, *tables: _tables.Table) -> None:
-        """Write the log as CSV, 17 significant digits, fixed column order.
+        """Write the log as CSV, 17 significant digits, in the order of
+        ``columns``.
 
         Further ``tables`` over the same rows are written in the same
         pass, so a value they share with the CSV at the same format is
         turned into text once.
         """
-        names = self.column_header()
-        arrays = [self.t, *self.v.T, *self.x.T, *self.z.T, self.y, self.y_m,
-                  self.e, self.s, *self.u.T, self.dir_index, self.rho]
-        columns = [(values, "%d" if name == "dir" else "%.17g")
-                   for name, values in zip(names, arrays)]
-        _tables.write_tables([_tables.Table(path, ",".join(names), columns,
-                                            delimiter=","), *tables])
+        columns = self.columns()
+        _tables.write_tables([_tables.Table(
+            path, ",".join(name for name, _, _ in columns),
+            [(values, fmt) for _, values, fmt in columns], delimiter=","),
+            *tables])
 
 
 def resolve_v0(plant: CascadePlant, config: SimConfig) -> np.ndarray:
     if config.quasi_steady:
         # B v0 = -A x0 puts x0 on the quasi-steady manifold
-        x0 = np.asarray(config.x0, dtype=float)
         if plant.lti.B.shape[0] != plant.lti.B.shape[1]:
             raise ConfigurationError(
                 "quasi_steady start requires a square input matrix B")
         try:
-            return np.linalg.solve(plant.lti.B, -(plant.lti.A @ x0))
+            return np.linalg.solve(plant.lti.B, -(plant.lti.A @ config.x0))
         except np.linalg.LinAlgError as exc:
             raise ConfigurationError(f"quasi_steady start: B is singular ({exc})")
     if config.v0 is None:
@@ -238,49 +238,36 @@ def run(plant: CascadePlant, params: ControllerParams, config: SimConfig, *,
 
     used = "chunked" if backend == "auto" else backend
     logger.info("backend: requested %s, used %s", backend, used)
-    if used == "python":
-        return _run_python(plant, constants, config, v0, plant_eta)
-    return _run_kernel(plant, constants, config, v0, plant_eta)
-
-
-def _run_kernel(plant, constants, config, v0, plant_eta) -> Trajectory:
-    qmap = plant.map
-    t, v, x, z, y, y_m, e, s, u, dir_index = _fastpath.run_chunked(
-        plant.lti.A, plant.lti.B, plant.lti.C, qmap.H, qmap.z_star,
-        qmap.y_star, v0.copy(), config.x0.copy(), config.dt, config.n_steps,
-        constants, config.log_stride, 1.0 / plant_eta)
+    # looked up at call time, so the kernel can be wrapped from outside
+    loop = _run_python if used == "python" else _fastpath.run_chunked
+    t, v, x, z, y, y_m, e, s, u, dir_index = loop(plant, constants, config,
+                                                  v0, plant_eta)
     plant.v = v[-1]
     plant.x = x[-1]
     return Trajectory(t, v, x, z, y, y_m, e, s, u, dir_index,
                       np.full(t.size, constants.rho))
 
 
-def _run_python(plant, constants, config, v0, plant_eta) -> Trajectory:
-    """The reference loop, built from ``controller_step`` and the plant.
+def _run_python(plant, constants, config, v0, plant_eta):
+    """The reference loop, built from ``controller_step`` and the plant,
+    which it moves through the run; returns the logged columns (t, v, x,
+    z, y, y_m, e, s, u, dir).
 
     The Euler update is simultaneous: x advances with the pre-update v,
     v += dt*u and x += (dt/plant_eta)*(A x + B v).
     """
-    n_steps = config.n_steps
-    stride = config.log_stride
+    n_steps, stride, dt = config.n_steps, config.log_stride, config.dt
     n_rec = n_steps // stride + 1
     m, n = plant.lti.m, plant.lti.n
 
-    t_log = np.empty(n_rec)
-    v_log = np.empty((n_rec, m))
-    x_log = np.empty((n_rec, n))
-    z_log = np.empty((n_rec, n))
-    y_log = np.empty(n_rec)
-    ym_log = np.empty(n_rec)
-    e_log = np.empty(n_rec)
-    s_log = np.empty(n_rec)
-    u_log = np.zeros((n_rec, m))
+    t_log, y_log, ym_log, e_log, s_log = np.empty((5, n_rec))
+    v_log, u_log = np.empty((2, n_rec, m))
+    x_log, z_log = np.empty((2, n_rec, n))
     dir_log = np.empty(n_rec, dtype=np.int64)
 
     plant.v = v0.copy()
     plant.x = config.x0.copy()
     state = ControllerState.initial(constants)
-    dt = config.dt
     plant_rate = 1.0 / plant_eta
     rec = 0
     # an escaping plant overflows the map before the state turns
@@ -308,10 +295,6 @@ def _run_python(plant, constants, config, v0, plant_eta) -> Trajectory:
                 plant._v = plant._v + dt * dv
                 plant._x = plant._x + (dt * plant_rate) * dx
                 if not np.all(np.isfinite(plant._x)):
-                    raise SimulationAbort(
-                        f"non-finite state after step at t={k * dt:.6g} "
-                        "(finite-escape guard)")
-    return Trajectory(t_log[:rec], v_log[:rec], x_log[:rec], z_log[:rec],
-                      y_log[:rec], ym_log[:rec], e_log[:rec], s_log[:rec],
-                      u_log[:rec], dir_log[:rec],
-                      np.full(rec, constants.rho))
+                    raise finite_escape(k * dt)
+    return (t_log, v_log, x_log, z_log, y_log, ym_log, e_log, s_log, u_log,
+            dir_log)

@@ -134,7 +134,8 @@ class TestRunCommand:
     @pytest.mark.parametrize("override", [
         "controller.gamma=true", "controller.y_sat=false", "sim.dt=true",
         'sim.horizon="20"', "sim.dt=abc", "plant.map.coupling=true",
-        "plant.map.y_star=NaN"])
+        "plant.map.y_star=NaN",
+        pytest.param("sim.horizon=1" + "0" * 400, id="sim.horizon=10**400")])
     def test_non_numeric_real_is_usage_error(self, tmp_path, capsys,
                                              override):
         rc = run_cli("run", "--out", str(tmp_path / "o"), *SHORT,
@@ -263,8 +264,8 @@ class TestSweepCommand:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items):
-                return map(fn, items)
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
 
         monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor",
                             InlinePool)
@@ -292,6 +293,19 @@ class TestSweepCommand:
                      *SHORT)
         assert rc == EXIT_OK
         assert parsed == [0.01, 0.01, 0.02]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_repeated_value_usage_error(self, tmp_path, capsys, jobs):
+        # both runs would write into sim_plant_eta=0.01; refused before
+        # any run starts
+        out = tmp_path / "s"
+        rc = run_cli("sweep", "--param", "sim.plant_eta",
+                     "--values", "0.01,0.02,0.01", "--jobs", jobs,
+                     "--out", str(out), *SHORT)
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "sweep value '0.01'" in err and "sim_plant_eta=0.01" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_below_one_usage_error(self, tmp_path, capsys, jobs):

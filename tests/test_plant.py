@@ -72,6 +72,17 @@ class TestQuadraticMap:
         bowl = QuadraticMap(0.0, [0.0, 0.0], -2.0 * np.eye(2))
         assert np.allclose(bowl.gradient([3.0, 0.0]), [-6.0, 0.0])
 
+    def test_gradient_one_point_or_many(self):
+        # eval's shape rule, (..., n) -> (..., n): one point gives
+        # H (z - z*) bit for bit, and an array gives each point's gradient
+        qmap = QuadraticMap(1.0, [0.5, -1.0], [[-2.0, 0.6], [0.6, -1.0]])
+        points = np.random.default_rng(3).uniform(-5.0, 5.0, (4, 3, 2))
+        one = points[0, 0]
+        assert np.array_equal(qmap.gradient(one), qmap.H @ (one - qmap.z_star))
+        each = [[qmap.gradient(point) for point in row] for row in points]
+        assert np.array_equal(qmap.gradient(points), each)
+        assert qmap.gradient([[1.0, 0.0]]).shape == (1, 2)
+
     def test_eval_bounded_by_maximum(self, benchmark_map):
         rng = np.random.default_rng(11)
         for _ in range(200):
@@ -94,6 +105,20 @@ class TestQuadraticMap:
         with pytest.raises(ConfigurationError, match="z must have last "
                                                      "dimension 2"):
             benchmark_map.eval(np.zeros(shape))
+
+    @pytest.mark.parametrize("shape", [(3,), (1,), (61, 61, 3), ()])
+    def test_gradient_wrong_last_dimension(self, benchmark_map, shape):
+        with pytest.raises(ConfigurationError, match="z must have last "
+                                                     "dimension 2"):
+            benchmark_map.gradient(np.zeros(shape))
+
+    @pytest.mark.parametrize("y_star, z_star, field", [
+        (np.nan, [0.0, 0.0], "y_star"), (-np.inf, [0.0, 0.0], "y_star"),
+        (0.0, [np.nan, 0.0], "z_star"), (0.0, [0.0, np.inf], "z_star")])
+    def test_non_finite_maximum_rejected(self, y_star, z_star, field):
+        # eval would return NaN or inf everywhere
+        with pytest.raises(ConfigurationError, match=f"{field} must .*finite"):
+            QuadraticMap(y_star, z_star, -np.eye(2))
 
     def test_unit_coupling_rejected(self):
         with pytest.raises(ConfigurationError, match="negative definite"):

@@ -107,7 +107,11 @@ class TestValidation:
         ("plant.map.y_star", "NaN"), ("plant.map.y_star", "-Infinity"),
         ("plant.map.z_star", "[Infinity,0]"), ("sim.x0", "[NaN,0]"),
         ("controller.p0", "NaN"), ("controller.y_sat", "Infinity"),
-        ("plant.A", "[[0,1],[-Infinity,-2]]")])
+        ("plant.A", "[[0,1],[-Infinity,-2]]"),
+        # integers beyond the float range
+        pytest.param("sim.horizon", "1" + "0" * 400, id="sim.horizon-10**400"),
+        pytest.param("sim.x0", "[1" + "0" * 400 + ",0]",
+                     id="sim.x0-10**400")])
     def test_non_finite_number_names_field(self, benchmark_doc, path, value):
         apply_override(benchmark_doc, path, value)
         with pytest.raises(ScenarioError,

@@ -94,6 +94,14 @@ class TestRunBookkeeping:
         with pytest.raises(ConfigurationError, match="log_stride"):
             run(benchmark_plant, benchmark_params, short_config(log_stride=3))
 
+    @pytest.mark.parametrize("plant_eta", [0.0, -1.0, math.inf, math.nan])
+    def test_plant_eta_must_be_finite_and_positive(self, plant_eta):
+        # at plant_eta = inf the plant would never move, and nothing
+        # but a numpy warning would say so
+        with pytest.raises(ConfigurationError,
+                           match="plant_eta must be finite and > 0"):
+            short_config(plant_eta=plant_eta)
+
     def test_horizon_must_be_integer_steps(self, benchmark_plant, benchmark_params):
         with pytest.raises(ConfigurationError, match="integer number"):
             run(benchmark_plant, benchmark_params, short_config(horizon=0.0105))
@@ -363,10 +371,12 @@ class TestChunkedBackend:
             benchmark_params, config)
         assert len(reference) == 2 // log_stride + 1
 
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_leaves_plant_at_final_state(self, benchmark_params, benchmark_lti,
-                                         benchmark_map):
+                                         benchmark_map, backend):
         plant = CascadePlant(benchmark_lti, benchmark_map)
-        traj = run(plant, benchmark_params, short_config(**self.CONFIG))
+        traj = run(plant, benchmark_params, short_config(**self.CONFIG),
+                   backend=backend)
         assert np.array_equal(plant.v, traj.v[-1])
         assert np.array_equal(plant.x, traj.x[-1])
 
