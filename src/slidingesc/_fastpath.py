@@ -188,12 +188,10 @@ def run_chunked(plant, constants, config, v0, plant_eta):
     with np.errstate(all="ignore"):
         w0 = G[:L] @ xt
         y0 = float(np.vecdot(w0[D], w0[N + n:]) + y_star)
-    if not math.isfinite(y0):
-        raise finite_escape(0.0)
     state = ControllerState(y_m0)
     s0 = sliding_variable_step(state, y0 - y_m0, lambda_eff, dt)
-    if not math.isfinite(pi_over_eps * s0):
-        raise finite_escape(0.0)
+    if not math.isfinite(pi_over_eps * s0):  # so is a non-finite y0
+        raise finite_escape(0, dt)
     # the relay sign of step 0 by the same np.sin as every later row
     up = int(np.sin(pi_over_eps * np.array([s0]))[0] >= 0.0)
     code = up
@@ -255,7 +253,7 @@ def run_chunked(plant, constants, config, v0, plant_eta):
                 if not finite[f] and f < J:
                     # row f+1: the state is non-finite after step k+f, or
                     # its output or relay argument is at step k+f+1
-                    raise finite_escape((k + f + (1 if x_ok[f] else 0)) * dt)
+                    raise finite_escape(k + f + (1 if x_ok[f] else 0), dt)
 
             # row J starts the next chunk with its own direction and
             # relay sign

@@ -14,6 +14,9 @@ from .sim import Trajectory
 
 # a sample sits on a switching band within this fraction of its width
 BAND_TOL_FRACTION = 0.25
+# the shortest sliding segment counted as evidence of sliding, in steps
+# (min_duration = SLIDING_MIN_STEPS * dt); the value is not derived
+SLIDING_MIN_STEPS = 50
 
 
 @dataclass

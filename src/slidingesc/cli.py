@@ -29,11 +29,11 @@ from pathlib import Path
 import numpy as np
 
 from . import _tables
-from .analysis import convergence_metrics
+from .analysis import SLIDING_MIN_STEPS, convergence_metrics
 from .errors import ConfigurationError, SimulationAbort
 from .scenario import (ScenarioError, apply_override, builtin_scenario_dict,
                        builtin_scenario_names, get_field, read_document,
-                       scenario_from_dict)
+                       save_scenario, scenario_from_dict, with_overrides)
 from .sim import BACKENDS, run as run_sim
 from .verify import composition_check, oracle_suite, scenario_suite, sweep_suite
 
@@ -58,7 +58,7 @@ def _scenario_from_args(args):
             raise ScenarioError(
                 f"override {item!r} must have the form key.path=value")
         apply_override(data, key, raw)
-    return data, scenario_from_dict(data, allow_unstable=args.allow_unstable)
+    return scenario_from_dict(data, allow_unstable=args.allow_unstable)
 
 
 def _plot_tables(outdir: Path, traj, plant) -> list[_tables.Table]:
@@ -122,8 +122,7 @@ def _write_objective_surface(path: Path, qmap, span: float) -> None:
             fh.write("\n")
 
 
-def _run_one(data: dict, scenario, outdir: Path, *, backend: str,
-             dt_guard: bool) -> dict:
+def _run_one(scenario, outdir: Path, *, backend: str, dt_guard: bool) -> dict:
     outdir.mkdir(parents=True, exist_ok=True)
     plant = scenario.build_plant()
     traj = run_sim(plant, scenario.controller, scenario.sim, backend=backend,
@@ -133,23 +132,21 @@ def _run_one(data: dict, scenario, outdir: Path, *, backend: str,
         epsilon_sw=scenario.controller.epsilon_sw,
         delta=scenario.analysis.delta,
         trailing_fraction=scenario.analysis.trailing_fraction,
-        min_duration=50.0 * scenario.sim.dt)
+        min_duration=SLIDING_MIN_STEPS * scenario.sim.dt)
     _write_tables(outdir, traj, plant)
     with open(outdir / "metrics.json", "w", encoding="utf-8") as fh:
         json.dump(metrics.to_flat_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    with open(outdir / "scenario.json", "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2)
-        fh.write("\n")
+    save_scenario(scenario, outdir / "scenario.json")
     return metrics.to_flat_dict()
 
 
 def cmd_run(args) -> int:
-    data, scenario = _scenario_from_args(args)
+    scenario = _scenario_from_args(args)
     outdir = Path(args.out)
-    flat = _run_one(data, scenario, outdir, backend=args.backend,
+    flat = _run_one(scenario, outdir, backend=args.backend,
                     dt_guard=args.dt_guard != "off")
-    print(f"run complete: {scenario.name}")
+    print(f"run complete: {scenario.document.get('name', 'unnamed')}")
     for key in ("t_reach_delta", "residual_amp", "mean_residual", "bounded"):
         print(f"  {key}: {flat[key]}")
     print(f"  outputs in {outdir}")
@@ -187,14 +184,14 @@ def cmd_sweep(args) -> int:
     if args.jobs < 1:
         print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
         return EXIT_USAGE
-    data, _ = _scenario_from_args(args)
+    base = _scenario_from_args(args)
     values = [v for v in (args.values or "").split(",") if v.strip()]
     if not values:
         print("error: sweep needs a nonempty comma-separated --values list",
               file=sys.stderr)
         return EXIT_USAGE
     try:
-        current = get_field(data, args.param)
+        current = get_field(base.document, args.param)
     except ScenarioError as exc:
         print(f"error: unknown sweep parameter: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -207,7 +204,7 @@ def cmd_sweep(args) -> int:
         return EXIT_USAGE
 
     outroot = Path(args.out)
-    docs, scenarios, subdirs = [], [], []
+    scenarios, subdirs = [], []
     for value in values:
         subdir = outroot / f"{args.param.replace('.', '_')}={value}"
         if subdir in subdirs:
@@ -215,12 +212,8 @@ def cmd_sweep(args) -> int:
                   "which an earlier value already uses", file=sys.stderr)
             return EXIT_USAGE
         subdirs.append(subdir)
-        raw = json.loads(json.dumps(data))
-        apply_override(raw, args.param, value)
-        # parsed once, here, so a bad value fails before any run starts
-        scenarios.append(scenario_from_dict(
-            raw, allow_unstable=args.allow_unstable))
-        docs.append(raw)
+        # read once, here, so a bad value fails before any run starts
+        scenarios.append(with_overrides(base, {args.param: value}))
 
     run_value = functools.partial(_run_one, backend=args.backend,
                                   dt_guard=args.dt_guard != "off")
@@ -229,9 +222,9 @@ def cmd_sweep(args) -> int:
     workers = min(args.jobs, len(values))
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(workers) as pool:
-            rows = list(pool.map(run_value, docs, scenarios, subdirs))
+            rows = list(pool.map(run_value, scenarios, subdirs))
     else:
-        rows = list(map(run_value, docs, scenarios, subdirs))
+        rows = list(map(run_value, scenarios, subdirs))
     for row, value in zip(rows, values):
         row["value"] = value
 

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigurationError, SimulationAbort
+from .errors import ConfigurationError, finite_escape, real
 
 
 class StepTelemetry(NamedTuple):
@@ -46,9 +46,6 @@ class ControllerParams:
         Reference ramp slope before time scaling (output units/s).
     p0 : float
         Initial reference value; finite.
-    y_sat : float
-        Reference saturation level, an upper bound of the objective's
-        maximum.  May be ``inf`` to disable saturation.
     lam : float
         Sliding gain (the lambda of the sliding variable) before time
         scaling.
@@ -68,6 +65,9 @@ class ControllerParams:
         Cyclic search period (s), shared equally by the search
         directions, one per plant input.  A run needs each direction's
         share, T_s/n_dirs, to be a whole number of its steps.
+    y_sat : float
+        Reference saturation level, an upper bound of the objective's
+        maximum; ``inf`` (the default) disables saturation.
 
     A run reads these through the record ``resolve(dt, n_dirs)`` builds
     once, with n_dirs the plant's input count.
@@ -75,26 +75,26 @@ class ControllerParams:
 
     p: float
     p0: float
-    y_sat: float
     lam: float
     epsilon_sw: float
     gamma: float
     L_h: float
     eta: float
     T_s: float
+    y_sat: float = math.inf
 
     def __post_init__(self) -> None:
         positive = {"p": self.p, "lambda": self.lam,
                     "epsilon_sw": self.epsilon_sw, "gamma": self.gamma,
                     "L_h": self.L_h, "T_s": self.T_s}
         for name, value in positive.items():
-            if not (value > 0.0) or not math.isfinite(value):
+            if not 0.0 < real(value, name) < math.inf:
                 raise ConfigurationError(f"{name} must be > 0, got {value}")
         if not (0.0 < self.eta <= 1.0):
             raise ConfigurationError(f"eta must be in (0, 1], got {self.eta}")
-        if not math.isfinite(self.p0):
+        if not math.isfinite(real(self.p0, "p0")):
             raise ConfigurationError(f"p0 must be finite, got {self.p0}")
-        if math.isnan(self.y_sat) or self.y_sat < self.p0:
+        if math.isnan(real(self.y_sat, "y_sat")) or self.y_sat < self.p0:
             raise ConfigurationError(
                 f"y_sat ({self.y_sat}) must be >= p0 ({self.p0})")
 
@@ -219,20 +219,15 @@ def controller_step(constants: ControllerConstants, state: ControllerState,
     k; u is emitted; finally the reference moves on by dt and k by one.
     Telemetry carries the values used for u, i.e. the signals at step k.
     ``constants`` is ``ControllerParams.resolve(dt, n_dirs)`` for the
-    same dt.
+    same dt.  A non-finite output raises ``errors.finite_escape``.
     """
-    if not math.isfinite(y):
-        raise SimulationAbort(
-            f"non-finite measured output y={y} at step {state.k} "
-            f"(t={state.k * dt:.6g})")
     e = y - state.y_m
     y_m_now = state.y_m
     s = sliding_variable_step(state, e, constants.lambda_eff, dt)
     if not math.isfinite(math.pi / constants.epsilon_sw * s):
-        # a huge but finite output overflows the relay's sine argument
-        raise SimulationAbort(
-            f"non-finite switching argument for s={s} at step {state.k} "
-            f"(t={state.k * dt:.6g}, finite-escape guard)")
+        # a non-finite output makes s non-finite; a huge but finite one
+        # overflows the relay's sine argument
+        raise finite_escape(state.k, dt)
     index, sigma = cyclic_direction(state.k, constants.sub_steps,
                                     constants.n_dirs)
     u = control_law(constants.rho, sigma, s, constants.epsilon_sw)

@@ -10,7 +10,18 @@ class SimulationAbort(RuntimeError):
     or a time step that violates the resolution guard."""
 
 
-def finite_escape(t: float) -> SimulationAbort:
-    """The abort of either closed loop at the step ending at time ``t``."""
-    return SimulationAbort(f"non-finite state after step at t={t:.6g} "
-                           "(finite-escape guard)")
+def real(value, name: str) -> float:
+    """``value`` as a float; ConfigurationError naming the field ``name``
+    for an integer beyond the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigurationError(f"{name} must be finite, got an integer "
+                                 "beyond the float range") from None
+
+
+def finite_escape(k: int, dt: float) -> SimulationAbort:
+    """The abort of either closed loop at step ``k`` of step size ``dt``,
+    whose output, relay argument or updated state is non-finite."""
+    return SimulationAbort(f"non-finite signal at step {k} (t={k * dt:.6g}), "
+                           "finite-escape guard")

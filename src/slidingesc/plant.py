@@ -19,14 +19,17 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, real
 
 HURWITZ_TOL = -1e-9
 FD_STEP = 1e-5
 
 
 def _as_matrix(value, name: str) -> np.ndarray:
-    mat = np.atleast_2d(np.asarray(value, dtype=float))
+    try:
+        mat = np.atleast_2d(np.asarray(value, dtype=float))
+    except OverflowError:  # an integer beyond the float range
+        mat = np.array([[np.inf]])
     if not np.all(np.isfinite(mat)):
         raise ConfigurationError(f"{name} must contain only finite values")
     return mat
@@ -144,7 +147,7 @@ class QuadraticMap:
     """
 
     def __init__(self, y_star: float, z_star, H) -> None:
-        self.y_star = float(y_star)
+        self.y_star = real(y_star, "y_star")
         if not math.isfinite(self.y_star):
             raise ConfigurationError(
                 f"y_star must be finite, got {self.y_star}")
@@ -171,7 +174,7 @@ class QuadraticMap:
 
         Concave for |coupling| < 1.  Curvature matrix [[-2, 2c], [2c, -2]].
         """
-        c = float(coupling)
+        c = real(coupling, "coupling")
         H = np.array([[-2.0, 2.0 * c], [2.0 * c, -2.0]])
         return cls(y_star, z_star, H)
 

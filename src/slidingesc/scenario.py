@@ -28,17 +28,19 @@ per plant input (column of B), each held for T_s / m.  A quadratic map
 takes either an explicit "H" or, for the two-input benchmark family,
 "coupling" (the bowl h = y* - (z1^2 + z2^2 - 2*c*z1*z2)), not both.
 Every number must be finite, and a field the schema does not name is
-refused.
+refused.  A Scenario keeps the document it was read from; a variant is
+that document overridden and read again (``with_overrides``).
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import numbers
 from dataclasses import dataclass
 from importlib import resources
-from typing import Any, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -48,20 +50,12 @@ from .plant import CascadePlant, LtiSubsystem, QuadraticMap
 from .sim import SimConfig
 
 
+# a field's presence in its object
+REQUIRED, OPTIONAL, NULL_OMITS = "required", "optional", "null omits"
+
+
 class ScenarioError(ConfigurationError):
     """Parse or validation failure, carrying the offending field path."""
-
-
-# The fields of each object of the schema, by the object's dot-path.
-_FIELDS = {
-    "": ("name", "description", "plant", "controller", "sim", "analysis"),
-    "plant": ("A", "B", "C", "map"),
-    "plant.map": ("kind", "y_star", "z_star", "coupling", "H"),
-    "controller": ("p", "p0", "y_sat", "lambda", "epsilon_sw", "gamma", "L_h",
-                   "eta", "T_s"),
-    "sim": ("dt", "horizon", "x0", "v0", "log_stride", "plant_eta"),
-    "analysis": ("delta", "trailing_fraction", "c_bound"),
-}
 
 
 @dataclass
@@ -83,83 +77,30 @@ class AnalysisParams:
 
 @dataclass
 class Scenario:
-    """Validated, buildable description of one simulation setup."""
+    """A validated scenario document and the records a run reads.
 
-    name: str
-    description: str
-    A: list
-    B: list
-    C: list
-    map_spec: dict
+    ``scenario_from_dict`` builds it and keeps a private copy of the
+    document it read, so ``document`` describes the records; treat it
+    as read-only and make a variant with ``with_overrides``.
+    """
+
+    document: dict
     controller: ControllerParams
     sim: SimConfig
     analysis: AnalysisParams
     allow_unstable: bool = False
 
     def build_plant(self) -> CascadePlant:
-        lti = LtiSubsystem(self.A, self.B, self.C,
+        plant = self.document["plant"]
+        lti = LtiSubsystem(plant["A"], plant["B"], plant.get("C"),
                            allow_unstable=self.allow_unstable)
-        spec = dict(self.map_spec)
-        kind = spec.pop("kind")
-        if kind != "quadratic":
-            raise ScenarioError(f"plant.map.kind: unsupported kind {kind!r}")
-        # the fields a document gives are the constructors' arguments;
-        # the coupling family's y_star and z_star default there
+        # the map's other fields are the constructors' arguments; the
+        # coupling family's y_star and z_star default there
+        spec = {key: value for key, value in plant["map"].items()
+                if key != "kind"}
         make = (QuadraticMap.from_coupling if "coupling" in spec
                 else QuadraticMap)
         return CascadePlant(lti, make(**spec))
-
-    def to_dict(self) -> dict:
-        ctrl = {
-            "p": self.controller.p, "p0": self.controller.p0,
-            "y_sat": None if math.isinf(self.controller.y_sat)
-                     else self.controller.y_sat,
-            "lambda": self.controller.lam,
-            "epsilon_sw": self.controller.epsilon_sw,
-            "gamma": self.controller.gamma, "L_h": self.controller.L_h,
-            "eta": self.controller.eta, "T_s": self.controller.T_s,
-        }
-        sim: dict[str, Any] = {
-            "dt": self.sim.dt, "horizon": self.sim.horizon,
-            "x0": list(self.sim.x0),
-            "log_stride": self.sim.log_stride,
-            "plant_eta": self.sim.plant_eta,
-        }
-        if self.sim.quasi_steady:
-            sim["v0"] = "quasi_steady"
-        elif self.sim.v0 is not None:
-            sim["v0"] = list(self.sim.v0)
-        return {
-            "name": self.name, "description": self.description,
-            "plant": {"A": self.A, "B": self.B, "C": self.C,
-                      "map": dict(self.map_spec)},
-            "controller": ctrl,
-            "sim": sim,
-            "analysis": {
-                "delta": self.analysis.delta,
-                "trailing_fraction": self.analysis.trailing_fraction,
-                "c_bound": self.analysis.c_bound,
-            },
-        }
-
-
-def _known(mapping, path: str) -> dict:
-    """``mapping``, checked to be an object with no field outside
-    ``_FIELDS[path]``."""
-    if not isinstance(mapping, dict):
-        raise ScenarioError(f"{path or 'top level'}: expected a JSON object")
-    for key in mapping:
-        if key not in _FIELDS[path]:
-            name = f"{path}.{key}" if path else key
-            raise ScenarioError(f"{name}: unknown field (known: "
-                                f"{', '.join(_FIELDS[path])})")
-    return mapping
-
-
-def _require(mapping: dict, key: str, path: str):
-    if key not in mapping:
-        raise ScenarioError(f"{path}.{key}: missing required field")
-    return mapping[key]
 
 
 def _count(value, path: str) -> int:
@@ -171,7 +112,7 @@ def _count(value, path: str) -> int:
     return int(value)
 
 
-def _real(value, path: str) -> float:
+def _number(value, path: str) -> float:
     """A finite real number: 2, 2.5 and 1e-3 pass; true, "2", null, NaN,
     Infinity and an integer beyond the float range do not."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
@@ -185,131 +126,126 @@ def _real(value, path: str) -> float:
     return number
 
 
-def _reals(value, path: str):
+def _numbers(value, path: str):
     """A number or a rectangular nested list of them, each element
-    checked as ``_real`` checks a number field; the dimensions are
+    checked as ``_number`` checks a number field; the dimensions are
     checked where used."""
     if isinstance(value, (list, tuple, np.ndarray)):
         for i, item in enumerate(value):
-            _reals(item, f"{path}[{i}]")
+            _numbers(item, f"{path}[{i}]")
         try:  # numpy refuses a ragged nesting
             np.asarray(value, dtype=float)
         except ValueError:
             raise ScenarioError(f"{path}: expected a rectangular array, got "
                                 f"entries of unequal shapes") from None
     else:
-        _real(value, path)
+        _number(value, path)
     return value
 
 
+def _v0(value, path: str):
+    """An array of numbers, or the string 'quasi_steady'."""
+    if isinstance(value, str) and value != "quasi_steady":
+        raise ScenarioError(f"{path}: expected an array or the string "
+                            f"'quasi_steady', got {value!r}")
+    return value if isinstance(value, str) else _numbers(value, path)
+
+
+def _read(obj, path: str) -> dict:
+    """The fields of the object ``obj`` at the dot-path ``path``, each
+    checked and read as ``_SCHEMA[path]`` says; an omitted field is left
+    out, so that its constructor's default applies."""
+    if not isinstance(obj, dict):
+        raise ScenarioError(f"{path or 'top level'}: expected a JSON object")
+    schema = _SCHEMA[path]
+    prefix = f"{path}." if path else ""
+    for key in obj:
+        if key not in schema:
+            raise ScenarioError(f"{prefix}{key}: unknown field (known: "
+                                f"{', '.join(schema)})")
+    fields = {}
+    for key, (read, presence) in schema.items():
+        if key not in obj or (obj[key] is None and presence == NULL_OMITS):
+            if presence == REQUIRED:
+                raise ScenarioError(
+                    f"{path or 'scenario'}.{key}: missing required field")
+        elif read is None:
+            fields[key] = obj[key]
+        else:
+            fields[key] = read(obj[key], prefix + key)
+    return fields
+
+
+# The schema: for each object, by its dot-path, each field's reader and
+# presence.  A reader checks a value and returns what the field's
+# constructor takes (None: the value as it is; _read: a nested object).
+# A field is required, optional, or optional with null meaning omitted.
+_SCHEMA = {
+    "": {"name": (None, OPTIONAL), "description": (None, OPTIONAL),
+         "plant": (_read, REQUIRED), "controller": (_read, REQUIRED),
+         "sim": (_read, REQUIRED), "analysis": (_read, OPTIONAL)},
+    "plant": {"A": (_numbers, REQUIRED), "B": (_numbers, REQUIRED),
+              "C": (_numbers, NULL_OMITS), "map": (_read, REQUIRED)},
+    "plant.map": {"kind": (None, REQUIRED), "y_star": (_number, OPTIONAL),
+                  "z_star": (_numbers, OPTIONAL),
+                  "coupling": (_number, OPTIONAL),
+                  "H": (_numbers, OPTIONAL)},
+    "controller": {"p": (_number, REQUIRED), "p0": (_number, REQUIRED),
+                   "y_sat": (_number, NULL_OMITS),
+                   **{key: (_number, REQUIRED)
+                      for key in ("lambda", "epsilon_sw", "gamma", "L_h",
+                                  "eta", "T_s")}},
+    "sim": {"dt": (_number, REQUIRED), "horizon": (_number, REQUIRED),
+            "x0": (_numbers, REQUIRED), "v0": (_v0, NULL_OMITS),
+            "log_stride": (_count, OPTIONAL),
+            "plant_eta": (_number, NULL_OMITS)},
+    "analysis": {"delta": (_number, NULL_OMITS),
+                 "trailing_fraction": (_number, OPTIONAL),
+                 "c_bound": (_number, OPTIONAL)},
+}
+
+
 def scenario_from_dict(data: dict, *, allow_unstable: bool = False) -> Scenario:
-    """Build and fully validate a Scenario from a parsed document."""
-    _known(data, "")
-    plant = _known(_require(data, "plant", "scenario"), "plant")
-    ctrl = _known(_require(data, "controller", "scenario"), "controller")
-    sim = _known(_require(data, "sim", "scenario"), "sim")
-    analysis = _known(data.get("analysis", {}), "analysis")
-
-    A = _reals(_require(plant, "A", "plant"), "plant.A")
-    B = _reals(_require(plant, "B", "plant"), "plant.B")
-    C = plant.get("C")
-    if C is not None:
-        _reals(C, "plant.C")
-    map_spec = _known(_require(plant, "map", "plant"), "plant.map")
-    _require(map_spec, "kind", "plant.map")
-    if ("coupling" in map_spec) == ("H" in map_spec):
+    """Build and fully validate a Scenario from a parsed document, which
+    it keeps a copy of."""
+    fields = _read(data, "")
+    spec = fields["plant"]["map"]
+    if spec["kind"] != "quadratic":
+        raise ScenarioError(f"plant.map.kind: unsupported kind "
+                            f"{spec['kind']!r}")
+    if ("coupling" in spec) == ("H" in spec):
         raise ScenarioError("plant.map: give exactly one of coupling and H")
-    if "H" in map_spec:  # the coupling family has defaults for both
-        _require(map_spec, "y_star", "plant.map")
-        _require(map_spec, "z_star", "plant.map")
+    for key in ("y_star", "z_star"):  # the coupling family defaults both
+        if "H" in spec and key not in spec:
+            raise ScenarioError(f"plant.map.{key}: missing required field")
+    # the two fields whose constructor argument differs
+    fields["controller"]["lam"] = fields["controller"].pop("lambda")
+    if isinstance(fields["sim"].get("v0"), str):  # "quasi_steady"
+        del fields["sim"]["v0"]
+        fields["sim"]["quasi_steady"] = True
 
-    for key in ("y_star", "coupling"):
-        if key in map_spec:
-            _real(map_spec[key], f"plant.map.{key}")
-    for key in ("z_star", "H"):
-        if key in map_spec:
-            _reals(map_spec[key], f"plant.map.{key}")
-
-    # numbers are checked before the constructors run, so that an error
-    # names the field once
-    gains = {key: _real(_require(ctrl, key, "controller"), f"controller.{key}")
-             for key in ("p", "p0", "lambda", "epsilon_sw", "gamma", "L_h",
-                         "eta", "T_s")}
-    y_sat = ctrl.get("y_sat")
-    y_sat = math.inf if y_sat is None else _real(y_sat, "controller.y_sat")
-    try:
-        params = ControllerParams(
-            p=gains["p"], p0=gains["p0"], y_sat=y_sat, lam=gains["lambda"],
-            epsilon_sw=gains["epsilon_sw"], gamma=gains["gamma"],
-            L_h=gains["L_h"], eta=gains["eta"], T_s=gains["T_s"],
-        )
-    except ConfigurationError as exc:
-        raise ScenarioError(f"controller: {exc}") from exc
-
-    v0_raw = sim.get("v0")
-    quasi_steady = isinstance(v0_raw, str) and v0_raw == "quasi_steady"
-    if isinstance(v0_raw, str) and not quasi_steady:
-        raise ScenarioError(
-            f"sim.v0: expected an array or the string 'quasi_steady', "
-            f"got {v0_raw!r}")
-    if v0_raw is not None and not quasi_steady:
-        _reals(v0_raw, "sim.v0")
-    x0 = _reals(_require(sim, "x0", "sim"), "sim.x0")
-    # an optional field the document omits takes its constructor's default
-    stride = ({"log_stride": _count(sim["log_stride"], "sim.log_stride")}
-              if "log_stride" in sim else {})
-    dt = _real(_require(sim, "dt", "sim"), "sim.dt")
-    horizon = _real(_require(sim, "horizon", "sim"), "sim.horizon")
-    plant_eta = sim.get("plant_eta")
-    if plant_eta is not None:
-        plant_eta = _real(plant_eta, "sim.plant_eta")
-    try:
-        sim_config = SimConfig(
-            dt=dt,
-            horizon=horizon,
-            x0=np.asarray(x0, dtype=float),
-            v0=None if (v0_raw is None or quasi_steady)
-               else np.asarray(v0_raw, dtype=float),
-            plant_eta=plant_eta,
-            quasi_steady=quasi_steady,
-            **stride,
-        )
-    except ConfigurationError as exc:
-        raise ScenarioError(f"sim: {exc}") from exc
-
-    delta = analysis.get("delta")
-    if delta is not None:
-        delta = _real(delta, "analysis.delta")
-    optional = {key: _real(analysis[key], f"analysis.{key}")
-                for key in ("trailing_fraction", "c_bound") if key in analysis}
-    try:
-        analysis_params = AnalysisParams(delta=delta, **optional)
-    except ConfigurationError as exc:
-        raise ScenarioError(f"analysis: {exc}") from exc
-
-    scenario = Scenario(
-        name=str(data.get("name", "unnamed")),
-        description=str(data.get("description", "")),
-        A=A, B=B, C=C if C is not None else np.eye(len(A)).tolist(),
-        map_spec=dict(map_spec),
-        controller=params,
-        sim=sim_config,
-        analysis=analysis_params,
-        allow_unstable=allow_unstable,
-    )
+    records = []
+    for section, make in (("controller", ControllerParams),
+                          ("sim", SimConfig), ("analysis", AnalysisParams)):
+        try:
+            records.append(make(**fields.get(section, {})))
+        except ConfigurationError as exc:
+            raise ScenarioError(f"{section}: {exc}") from exc
+    scenario = Scenario(copy.deepcopy(data), *records,
+                        allow_unstable=allow_unstable)
     # construct the plant once now so every invariant is re-checked on load
     try:
         plant = scenario.build_plant()
     except ConfigurationError as exc:
         raise ScenarioError(f"plant: {exc}") from exc
-    if sim_config.x0.shape != (plant.lti.n,):
+    if scenario.sim.x0.shape != (plant.lti.n,):
         raise ScenarioError(
             f"sim.x0: must have dimension {plant.lti.n}, got "
-            f"{sim_config.x0.shape}")
-    if sim_config.v0 is not None and sim_config.v0.shape != (plant.lti.m,):
+            f"{scenario.sim.x0.shape}")
+    if scenario.sim.v0 is not None and scenario.sim.v0.shape != (plant.lti.m,):
         raise ScenarioError(
             f"sim.v0: must have dimension {plant.lti.m}, got "
-            f"{sim_config.v0.shape}")
+            f"{scenario.sim.v0.shape}")
     return scenario
 
 
@@ -330,8 +266,9 @@ def load_scenario(path) -> Scenario:
 
 
 def save_scenario(scenario: Scenario, path) -> None:
+    """Write the document ``scenario`` was read from, as it was read."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scenario.to_dict(), fh, indent=2)
+        json.dump(scenario.document, fh, indent=2)
         fh.write("\n")
 
 
@@ -354,6 +291,16 @@ def apply_override(data: dict, dotted_key: str, raw_value: str) -> None:
     if not isinstance(node, dict):
         raise ScenarioError(f"override {dotted_key}: no such field")
     node[keys[-1]] = value
+
+
+def with_overrides(scenario: Scenario, overrides: dict[str, str]) -> Scenario:
+    """The scenario read from a copy of ``scenario``'s document with each
+    dot-path field of ``overrides`` set from its text as ``--override``
+    sets it: the one way to make a variant of a scenario."""
+    data = copy.deepcopy(scenario.document)
+    for key, text in overrides.items():
+        apply_override(data, key, text)
+    return scenario_from_dict(data, allow_unstable=scenario.allow_unstable)
 
 
 def get_field(data: dict, dotted_key: str):

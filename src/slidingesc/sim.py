@@ -37,7 +37,7 @@ import numpy as np
 from . import _fastpath, _tables
 from .controller import (ControllerConstants, ControllerParams,
                          ControllerState, controller_step, whole_steps)
-from .errors import ConfigurationError, SimulationAbort, finite_escape
+from .errors import ConfigurationError, SimulationAbort, finite_escape, real
 from .plant import CascadePlant
 
 logger = logging.getLogger(__name__)
@@ -65,15 +65,16 @@ class SimConfig:
     quasi_steady: bool = False
 
     def __post_init__(self) -> None:
-        if not (self.dt > 0.0) or not math.isfinite(self.dt):
+        if not 0.0 < real(self.dt, "dt") < math.inf:
             raise ConfigurationError(f"dt must be > 0, got {self.dt}")
-        if not (self.horizon > self.dt):
+        if not (real(self.horizon, "horizon") > self.dt):
             raise ConfigurationError(
                 f"horizon ({self.horizon}) must exceed dt ({self.dt})")
         if self.log_stride < 1:
             raise ConfigurationError(
                 f"log_stride must be >= 1, got {self.log_stride}")
-        if self.plant_eta is not None and not 0.0 < self.plant_eta < math.inf:
+        if (self.plant_eta is not None
+                and not 0.0 < real(self.plant_eta, "plant_eta") < math.inf):
             raise ConfigurationError(
                 f"plant_eta must be finite and > 0, got {self.plant_eta}")
         if self.quasi_steady and self.v0 is not None:
@@ -295,6 +296,6 @@ def _run_python(plant, constants, config, v0, plant_eta):
                 plant._v = plant._v + dt * dv
                 plant._x = plant._x + (dt * plant_rate) * dx
                 if not np.all(np.isfinite(plant._x)):
-                    raise finite_escape(k * dt)
+                    raise finite_escape(k, dt)
     return (t_log, v_log, x_log, z_log, y_log, ym_log, e_log, s_log, u_log,
             dir_log)

@@ -10,16 +10,17 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .analysis import convergence_metrics, fd_gradient_oracle, residual_bound_check
+from .analysis import (SLIDING_MIN_STEPS, convergence_metrics,
+                       fd_gradient_oracle, residual_bound_check)
 from .controller import (ControllerParams, ControllerState, control_law,
                          controller_step, cyclic_direction, direction_index,
                          reference_step, sliding_variable_step)
-from .scenario import Scenario, load_builtin
+from .scenario import Scenario, load_builtin, with_overrides
 from .sim import run
 
 ORACLE_SEED = 20240811
@@ -206,19 +207,15 @@ def composition_check(draws: int = 200) -> CheckResult:
                   f"exact over {draws} draws", t0)
 
 
-def _run_scenario(scenario: Scenario, *, dt: Optional[float] = None):
-    sim = scenario.sim
-    if dt is not None:
-        stride = max(1, int(round(sim.log_stride * sim.dt / dt)))
-        sim = replace(sim, dt=dt, log_stride=stride)
+def _run_scenario(scenario: Scenario):
     plant = scenario.build_plant()
-    traj = run(plant, scenario.controller, sim)
+    traj = run(plant, scenario.controller, scenario.sim)
     metrics = convergence_metrics(
         traj, plant.map.z_star, plant.map.y_star,
         epsilon_sw=scenario.controller.epsilon_sw,
         delta=scenario.analysis.delta,
         trailing_fraction=scenario.analysis.trailing_fraction,
-        min_duration=50.0 * sim.dt)
+        min_duration=SLIDING_MIN_STEPS * scenario.sim.dt)
     return traj, metrics, plant
 
 
@@ -239,7 +236,7 @@ def scenario_suite() -> list[CheckResult]:
             f"final |z-z*|={final_z:.4f} (tol {FINAL_Z_TOL})", t0))
 
         t0 = time.perf_counter()
-        # detect_sliding kept only segments of at least 50 dt
+        # detect_sliding kept only segments of at least SLIDING_MIN_STEPS steps
         before = [seg for seg in metrics.sliding_segments
                   if metrics.t_reach_delta is not None
                   and seg.t_end <= metrics.t_reach_delta]
@@ -247,7 +244,8 @@ def scenario_suite() -> list[CheckResult]:
             f"{name}_sliding_evidence",
             metrics.t_reach_delta is not None and len(before) > 0,
             f"t_reach_delta={metrics.t_reach_delta}, "
-            f"{len(before)} segments of >=50*dt before it", t0))
+            f"{len(before)} segments of >={SLIDING_MIN_STEPS}*dt before it",
+            t0))
 
         t0 = time.perf_counter()
         bound = residual_bound_check(metrics, scenario.controller.eta,
@@ -259,8 +257,11 @@ def scenario_suite() -> list[CheckResult]:
             f"implied constant {bound.implied_constant:.3f}", t0))
 
         t0 = time.perf_counter()
-        traj_half, metrics_half, _ = _run_scenario(scenario,
-                                                   dt=scenario.sim.dt / 2.0)
+        # the step halved, logging the same times
+        halved = with_overrides(scenario, {
+            "sim.dt": repr(scenario.sim.dt / 2.0),
+            "sim.log_stride": str(2 * scenario.sim.log_stride)})
+        traj_half, metrics_half, _ = _run_scenario(halved)
         y_diff = abs(traj_half.y[-1] - traj.y[-1])
         y_allow = max(metrics.residual_amp, metrics_half.residual_amp)
         z_diff = float(np.linalg.norm(traj_half.z[-1] - traj.z[-1]))
@@ -290,7 +291,7 @@ def sweep_suite() -> list[CheckResult]:
     constants = []
     for eta in SWEEP_ETAS:
         t0 = time.perf_counter()
-        scenario = replace(base, sim=replace(base.sim, plant_eta=eta))
+        scenario = with_overrides(base, {"sim.plant_eta": repr(eta)})
         _, metrics, _ = _run_scenario(scenario)
         bound = residual_bound_check(metrics, eta,
                                      scenario.controller.epsilon_sw,

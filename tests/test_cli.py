@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from slidingesc import cli
+from slidingesc import cli, load_scenario, save_scenario, scenario
 from slidingesc.cli import EXIT_FAIL, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 
 SHORT = ["--override", "sim.horizon=20", "--override", "sim.log_stride=10"]
@@ -28,6 +28,20 @@ class TestRunCommand:
                      "control_signals.dat", "objective_surface.dat",
                      "output_path_3d.dat", "scenario.json"):
             assert (out / name).exists(), name
+
+    def test_scenario_json_is_the_saved_document(self, tmp_path):
+        # the run writes the document it read, overrides applied, through
+        # save_scenario: reading it and saving it again gives its bytes
+        out = tmp_path / "run"
+        assert run_cli("run", "--out", str(out), *SHORT,
+                       "--override", "controller.y_sat=null") == EXIT_OK
+        written = out / "scenario.json"
+        document = json.loads(written.read_text())
+        assert document["sim"]["horizon"] == 20
+        assert document["controller"]["y_sat"] is None
+        again = tmp_path / "again.json"
+        save_scenario(load_scenario(written), again)
+        assert again.read_bytes() == written.read_bytes()
 
     def test_metrics_flat_field_names(self, tmp_path):
         out = tmp_path / "run"
@@ -279,7 +293,8 @@ class TestSweepCommand:
 
     def test_each_document_parsed_once(self, tmp_path, monkeypatch):
         # the base document and each value's document are parsed in the
-        # parent, and the runs take the parsed scenarios
+        # parent, and the runs take the parsed scenarios; the variants
+        # are read by scenario.with_overrides
         parsed = []
         parse = cli.scenario_from_dict
 
@@ -288,6 +303,7 @@ class TestSweepCommand:
             return parse(data, **kwargs)
 
         monkeypatch.setattr(cli, "scenario_from_dict", counting)
+        monkeypatch.setattr(scenario, "scenario_from_dict", counting)
         rc = run_cli("sweep", "--param", "controller.eta",
                      "--values", "0.01,0.02", "--out", str(tmp_path / "s"),
                      *SHORT)

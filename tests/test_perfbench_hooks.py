@@ -7,6 +7,8 @@ benchmark's own tests would notice.
 """
 
 import importlib.util
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -16,11 +18,14 @@ import slidingesc
 import slidingesc.cli
 import slidingesc.verify
 from slidingesc.plant import CascadePlant
+from slidingesc.scenario import builtin_scenario_dict
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 @pytest.fixture
 def tracer(monkeypatch):
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    path = PERFBENCH / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     module = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, module)
@@ -49,3 +54,22 @@ def test_traced_run_records_its_spans(tracer, tmp_path):
     assert summary["sim.run"].calls == 1
     assert summary["analysis.convergence_metrics"].calls == 1
     assert tracer.all_restored(originals)
+
+
+def test_setup_probe_prints_one_json_line(tmp_path):
+    # the set-up probe loads a document, builds its plant and runs it
+    # with the default backend in a fresh interpreter
+    doc = builtin_scenario_dict("coupled_bowl")
+    doc["sim"].update(horizon=0.002, log_stride=1)  # two steps
+    path = tmp_path / "two_steps.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    src = Path(slidingesc.__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, str(PERFBENCH / "setup_probe.py"), str(src),
+         str(path)], capture_output=True, text=True, timeout=120, check=True)
+    (line,) = done.stdout.splitlines()
+    record = json.loads(line)
+    assert set(record) == {"setup_s", "controller_step_calls"}
+    assert record["setup_s"] > 0.0
+    # the default backend, the chunked kernel, takes no python step
+    assert record["controller_step_calls"] == 0

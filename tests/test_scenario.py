@@ -14,10 +14,10 @@ import pytest
 import slidingesc
 from slidingesc import (ControllerParams, ScenarioError, SimConfig,
                         load_builtin, load_scenario, save_scenario)
-from slidingesc.scenario import (_FIELDS, AnalysisParams, apply_override,
+from slidingesc.scenario import (_SCHEMA, AnalysisParams, apply_override,
                                  builtin_scenario_dict,
                                  builtin_scenario_names, get_field,
-                                 scenario_from_dict)
+                                 scenario_from_dict, with_overrides)
 
 
 @pytest.fixture
@@ -34,13 +34,12 @@ class TestBuiltins:
 
     def test_coupled_bowl_contents(self):
         sc = load_builtin("coupled_bowl")
-        assert sc.A == [[0.0, 1.0], [-4.0, -2.0]]
-        assert sc.B == [[1.0, 0.0], [0.0, 1.0]]
-        assert sc.C == [[1.0, 0.0], [0.0, 1.0]]
-        assert sc.map_spec["kind"] == "quadratic"
-        assert sc.map_spec["y_star"] == 2.0
-        assert sc.map_spec["z_star"] == [0.0, 0.0]
-        assert sc.map_spec["coupling"] == 0.5
+        plant = sc.document["plant"]
+        assert plant["A"] == [[0.0, 1.0], [-4.0, -2.0]]
+        assert plant["B"] == [[1.0, 0.0], [0.0, 1.0]]
+        assert plant["C"] == [[1.0, 0.0], [0.0, 1.0]]
+        assert plant["map"] == {"kind": "quadratic", "y_star": 2.0,
+                                "z_star": [0.0, 0.0], "coupling": 0.5}
         ctrl = sc.controller
         assert (ctrl.p, ctrl.p0, ctrl.L_h, ctrl.lam) == (1.0, 0.0, 0.1, 4.0)
         assert (ctrl.epsilon_sw, ctrl.gamma, ctrl.eta, ctrl.T_s) == \
@@ -177,7 +176,7 @@ class TestSchemaMatchesDataclasses:
         ("controller", ControllerParams), ("sim", SimConfig),
         ("analysis", AnalysisParams)])
     def test_same_fields(self, section, cls):
-        schema = {self.RENAMED.get(key, key) for key in _FIELDS[section]}
+        schema = {self.RENAMED.get(key, key) for key in _SCHEMA[section]}
         fields = {f.name for f in dataclasses.fields(cls)} - self.COVERED
         assert schema == fields
 
@@ -188,16 +187,17 @@ class TestRoundTrip:
         path = tmp_path / "roundtrip.json"
         save_scenario(sc, path)
         again = load_scenario(path)
-        assert again.to_dict() == sc.to_dict()
+        assert again.document == sc.document == benchmark_doc
         assert again.controller == sc.controller
         assert again.analysis == sc.analysis
         assert np.array_equal(again.sim.x0, sc.sim.x0)
         assert again.sim.dt == sc.sim.dt
 
     @pytest.mark.parametrize("name", builtin_scenario_names())
-    def test_builtin_to_dict_loads(self, name):
+    def test_builtin_document_loads(self, name):
         sc = load_builtin(name)
-        assert scenario_from_dict(sc.to_dict()).to_dict() == sc.to_dict()
+        assert sc.document == builtin_scenario_dict(name)
+        assert scenario_from_dict(sc.document).document == sc.document
 
     def test_benchmark_documents_load(self, monkeypatch):
         bench = Path(__file__).resolve().parent.parent / "perfbench"

@@ -37,6 +37,24 @@ def short_config(**overrides) -> SimConfig:
     return SimConfig(**base)
 
 
+HUGE = 10**400
+# a constructor call, by the field it passes an integer beyond the
+# float range
+BEYOND_FLOAT_RANGE = {
+    "y_star": lambda: QuadraticMap(HUGE, [0.0, 0.0], -np.eye(2)),
+    "z_star": lambda: QuadraticMap(2.0, [HUGE, 0.0], -np.eye(2)),
+    "coupling": lambda: QuadraticMap.from_coupling(HUGE),
+    "p": lambda: make_params(p=HUGE),
+    "p0": lambda: make_params(p0=HUGE),
+    "lambda": lambda: make_params(lam=HUGE),
+    "T_s": lambda: make_params(T_s=HUGE),
+    "y_sat": lambda: make_params(y_sat=HUGE),
+    "dt": lambda: short_config(dt=HUGE),
+    "horizon": lambda: short_config(horizon=HUGE),
+    "plant_eta": lambda: short_config(plant_eta=HUGE),
+}
+
+
 class TestStep:
     """Steps of the reference loop (``backend="python"``)."""
 
@@ -101,6 +119,13 @@ class TestRunBookkeeping:
         with pytest.raises(ConfigurationError,
                            match="plant_eta must be finite and > 0"):
             short_config(plant_eta=plant_eta)
+
+    @pytest.mark.parametrize("field", BEYOND_FLOAT_RANGE)
+    def test_integer_beyond_float_range_names_field(self, field):
+        # an integer too large for a float is refused by the constructor,
+        # not by an OverflowError wherever it is first used
+        with pytest.raises(ConfigurationError, match=rf"^{field} must"):
+            BEYOND_FLOAT_RANGE[field]()
 
     def test_horizon_must_be_integer_steps(self, benchmark_plant, benchmark_params):
         with pytest.raises(ConfigurationError, match="integer number"):
@@ -441,34 +466,33 @@ class TestGuards:
             run(plant, make_params(), config, backend=backend, dt_guard=False)
 
     @staticmethod
-    def _abort_times(lti, qmap, x0, **params):
-        # the time each backend's finite-escape abort names
-        times = []
+    def _abort_time(lti, qmap, x0, **params):
+        # the time the finite-escape abort names, after checking that
+        # both backends abort with the same message
+        messages = []
         for backend in ("auto", "python"):
             config = SimConfig(dt=1e-2, horizon=10.0, x0=x0, v0=[0.0, 0.0],
                                log_stride=1)
-            with pytest.raises(SimulationAbort) as info:
+            with pytest.raises(SimulationAbort, match="finite-escape") as info:
                 run(CascadePlant(lti, qmap), make_params(**params), config,
                     backend=backend, dt_guard=False)
-            times.append(float(re.search(r"t=([0-9.e+-]+)",
-                                         str(info.value)).group(1)))
-        return times
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        return float(re.search(r"t=([0-9.e+-]+)", messages[0]).group(1))
 
     @pytest.mark.parametrize("growth, t_fail", [(200.0, 0.67), (5.0, 1.97)])
     def test_finite_escape_names_the_step(self, benchmark_map, growth,
                                           t_fail):
-        # the chunked abort names the time at which the reference loop
-        # stops: at A = 200 I the output turns non-finite, at A = 5 I the
-        # relay's sine argument overflows first
+        # both loops stop at the same step: at A = 200 I the output turns
+        # non-finite, at A = 5 I the relay's sine argument overflows first
         lti = LtiSubsystem(growth * np.eye(2), np.eye(2), allow_unstable=True)
-        assert self._abort_times(lti, benchmark_map, [1.0, 1.0]) == \
-            [t_fail, t_fail]
+        assert self._abort_time(lti, benchmark_map, [1.0, 1.0]) == t_fail
 
     def test_escape_at_step_zero(self, benchmark_lti, benchmark_map):
         # a finite output at the start whose relay argument overflows:
         # both loops stop at step 0, before the first chunk
-        assert self._abort_times(benchmark_lti, benchmark_map,
-                                 [3e153, 3e153]) == [0.0, 0.0]
+        assert self._abort_time(benchmark_lti, benchmark_map,
+                                [3e153, 3e153]) == 0.0
 
     def test_escape_of_the_relay_argument_alone(self):
         # a slow escape far out, where the relay's sine argument overflows
@@ -476,8 +500,8 @@ class TestGuards:
         # finite: only the sines can show it
         lti = LtiSubsystem(1e-3 * np.eye(2), np.eye(2), allow_unstable=True)
         qmap = QuadraticMap(-4e304, np.zeros(2), -np.eye(2))
-        assert self._abort_times(lti, qmap, [1e152, 1e152],
-                                 epsilon_sw=1e-3) == [2.72, 2.72]
+        assert self._abort_time(lti, qmap, [1e152, 1e152],
+                                epsilon_sw=1e-3) == 2.72
 
     @pytest.mark.parametrize("growth", [200.0, 5.0])
     def test_finite_escape_warns_nothing(self, benchmark_map, growth,

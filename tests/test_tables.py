@@ -256,8 +256,9 @@ class TestOnePass:
             traj = at_window_edge(synthetic(WINDOW_ROWS + 1, 2, seed=8))
             plant = plant_of_dim(2)
         else:
-            sc = scenario_from_dict(builtin_scenario_dict("coupled_bowl"))
-            sc.sim.horizon, sc.sim.log_stride = 5.0, 1
+            doc = builtin_scenario_dict("coupled_bowl")
+            doc["sim"].update(horizon=5.0, log_stride=1)
+            sc = scenario_from_dict(doc)
             plant = sc.build_plant()
             traj = run(plant, sc.controller, sc.sim)
         ours, before = tmp_path / "ours", tmp_path / "before"

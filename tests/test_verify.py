@@ -2,9 +2,12 @@
 replay the stream of one scalar call per value, so the same draws are
 examined."""
 
+import dataclasses
+
 import numpy as np
 
-from slidingesc import verify
+from slidingesc import load_builtin, verify
+from slidingesc.scenario import scenario_from_dict
 
 DRAWS = 50
 
@@ -75,3 +78,40 @@ def test_invariant_draws_replay_scalar_stream(monkeypatch):
     assert seen["sliding"] == [pair for *_, sliding in expected
                                for pair in sliding]
 
+
+def test_variants_read_back_to_their_records(monkeypatch):
+    # the dt-halving and plant_eta variants of the scenario and sweep
+    # suites are documents read again: each document reads back to the
+    # records its run took (the suites run 20 s horizons here)
+    derive = verify.with_overrides
+    monkeypatch.setattr(verify, "load_builtin", lambda name: derive(
+        load_builtin(name), {"sim.horizon": "20"}))
+    variants, ran = [], []
+
+    def variant(scenario, overrides):
+        variants.append(derive(scenario, overrides))
+        return variants[-1]
+
+    run = verify.run
+
+    def recorded(plant, params, config, **kwargs):
+        ran.append((params, config))
+        return run(plant, params, config, **kwargs)
+
+    monkeypatch.setattr(verify, "with_overrides", variant)
+    monkeypatch.setattr(verify, "run", recorded)
+    verify.scenario_suite()
+    verify.sweep_suite()
+
+    assert [v.document["sim"]["dt"] for v in variants[:2]] == [5e-4, 5e-4]
+    assert [v.document["sim"]["plant_eta"] for v in variants[2:]] == list(
+        verify.SWEEP_ETAS)
+    for v in variants:
+        assert any(params is v.controller and config is v.sim
+                   for params, config in ran)
+        again = scenario_from_dict(v.document)
+        for record in ("controller", "sim", "analysis"):
+            ours, read = getattr(v, record), getattr(again, record)
+            for field in dataclasses.fields(ours):
+                assert np.array_equal(getattr(ours, field.name),
+                                      getattr(read, field.name)), field.name
