@@ -266,9 +266,12 @@ def load_scenario(path) -> Scenario:
 
 
 def save_scenario(scenario: Scenario, path) -> None:
-    """Write the document ``scenario`` was read from, as it was read."""
+    """Write the document ``scenario`` was read from, as it was read;
+    numpy arrays and scalars in a document built in Python are written
+    as JSON lists and numbers."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scenario.document, fh, indent=2)
+        json.dump(scenario.document, fh, indent=2,
+                  default=lambda value: np.asarray(value).tolist())
         fh.write("\n")
 
 

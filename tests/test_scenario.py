@@ -193,6 +193,17 @@ class TestRoundTrip:
         assert np.array_equal(again.sim.x0, sc.sim.x0)
         assert again.sim.dt == sc.sim.dt
 
+    def test_save_numpy_values(self, benchmark_doc, tmp_path):
+        # a document built in Python may hold numpy values; they are
+        # saved as the JSON they stand for
+        benchmark_doc["sim"].update(x0=np.array([-2.0, 4.0]),
+                                    log_stride=np.int64(100))
+        path = tmp_path / "numpy.json"
+        save_scenario(scenario_from_dict(benchmark_doc), path)
+        saved = json.loads(path.read_text())
+        assert saved["sim"]["x0"] == [-2.0, 4.0]
+        assert saved["sim"]["log_stride"] == 100
+
     @pytest.mark.parametrize("name", builtin_scenario_names())
     def test_builtin_document_loads(self, name):
         sc = load_builtin(name)
