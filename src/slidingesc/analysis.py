@@ -57,21 +57,18 @@ class Metrics:
 
 
 def detect_sliding(t: np.ndarray, s: np.ndarray, epsilon_sw: float,
-                   min_duration: Optional[float] = None) -> list[SlidingSegment]:
+                   min_duration: float) -> list[SlidingSegment]:
     """Maximal intervals where s sits on one switching band.
 
     A sample belongs to band k = round(s/epsilon) when
     |s - k*epsilon| <= BAND_TOL_FRACTION*epsilon.  Runs of samples on
-    the same band lasting at least min_duration (default 50 sample
-    periods) are reported.
+    the same band lasting at least min_duration are reported (a run's
+    callers pass SLIDING_MIN_STEPS * dt).
     """
     t = np.asarray(t, dtype=float)
     s = np.asarray(s, dtype=float)
     if t.size == 0:
         return []
-    if min_duration is None:
-        spacing = float(np.median(np.diff(t))) if t.size > 1 else 0.0
-        min_duration = 50.0 * spacing
 
     band = np.round(s / epsilon_sw)
     inside = np.abs(s - band * epsilon_sw) <= BAND_TOL_FRACTION * epsilon_sw
@@ -90,13 +87,14 @@ def detect_sliding(t: np.ndarray, s: np.ndarray, epsilon_sw: float,
 
 def convergence_metrics(traj: Trajectory, z_star, y_star: float, *,
                         epsilon_sw: float, trailing_fraction: float,
-                        delta: Optional[float] = None,
-                        min_duration: Optional[float] = None) -> Metrics:
+                        min_duration: float,
+                        delta: Optional[float] = None) -> Metrics:
     """Compute all Metrics fields for one trajectory.
 
     Residuals are taken over the last ``trailing_fraction`` of the
-    samples.  delta defaults to sqrt(epsilon_sw), the only quantitative
-    vicinity radius the theory offers.
+    samples; sliding segments are those ``detect_sliding`` reports
+    for ``min_duration``.  delta defaults to sqrt(epsilon_sw), the only
+    quantitative vicinity radius the theory offers.
     """
     if len(traj) == 0:
         raise ValueError("trajectory is empty")

@@ -123,7 +123,6 @@ def _write_objective_surface(path: Path, qmap, span: float) -> None:
 
 
 def _run_one(scenario, outdir: Path, *, backend: str, dt_guard: bool) -> dict:
-    outdir.mkdir(parents=True, exist_ok=True)
     plant = scenario.build_plant()
     traj = run_sim(plant, scenario.controller, scenario.sim, backend=backend,
                    dt_guard=dt_guard)
@@ -133,6 +132,7 @@ def _run_one(scenario, outdir: Path, *, backend: str, dt_guard: bool) -> dict:
         delta=scenario.analysis.delta,
         trailing_fraction=scenario.analysis.trailing_fraction,
         min_duration=SLIDING_MIN_STEPS * scenario.sim.dt)
+    outdir.mkdir(parents=True, exist_ok=True)  # so an aborted run writes none
     _write_tables(outdir, traj, plant)
     with open(outdir / "metrics.json", "w", encoding="utf-8") as fh:
         json.dump(metrics.to_flat_dict(), fh, indent=2, sort_keys=True)

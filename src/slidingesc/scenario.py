@@ -47,7 +47,7 @@ import numpy as np
 from .controller import ControllerParams
 from .errors import ConfigurationError
 from .plant import CascadePlant, LtiSubsystem, QuadraticMap
-from .sim import SimConfig
+from .sim import SimConfig, resolve_v0
 
 
 # a field's presence in its object
@@ -144,10 +144,7 @@ def _numbers(value, path: str):
 
 
 def _v0(value, path: str):
-    """An array of numbers, or the string 'quasi_steady'."""
-    if isinstance(value, str) and value != "quasi_steady":
-        raise ScenarioError(f"{path}: expected an array or the string "
-                            f"'quasi_steady', got {value!r}")
+    """An array of numbers, or a string, which SimConfig checks."""
     return value if isinstance(value, str) else _numbers(value, path)
 
 
@@ -220,9 +217,6 @@ def scenario_from_dict(data: dict, *, allow_unstable: bool = False) -> Scenario:
             raise ScenarioError(f"plant.map.{key}: missing required field")
     # the two fields whose constructor argument differs
     fields["controller"]["lam"] = fields["controller"].pop("lambda")
-    if isinstance(fields["sim"].get("v0"), str):  # "quasi_steady"
-        del fields["sim"]["v0"]
-        fields["sim"]["quasi_steady"] = True
 
     records = []
     for section, make in (("controller", ControllerParams),
@@ -230,22 +224,22 @@ def scenario_from_dict(data: dict, *, allow_unstable: bool = False) -> Scenario:
         try:
             records.append(make(**fields.get(section, {})))
         except ConfigurationError as exc:
-            raise ScenarioError(f"{section}: {exc}") from exc
+            raise ScenarioError(f"{section}.{exc}") from exc
     scenario = Scenario(copy.deepcopy(data), *records,
                         allow_unstable=allow_unstable)
-    # construct the plant once now so every invariant is re-checked on load
+    # the plant and a run's set-up checks, so a scenario that loads can run
     try:
         plant = scenario.build_plant()
     except ConfigurationError as exc:
         raise ScenarioError(f"plant: {exc}") from exc
-    if scenario.sim.x0.shape != (plant.lti.n,):
-        raise ScenarioError(
-            f"sim.x0: must have dimension {plant.lti.n}, got "
-            f"{scenario.sim.x0.shape}")
-    if scenario.sim.v0 is not None and scenario.sim.v0.shape != (plant.lti.m,):
-        raise ScenarioError(
-            f"sim.v0: must have dimension {plant.lti.m}, got "
-            f"{scenario.sim.v0.shape}")
+    try:
+        resolve_v0(plant, scenario.sim)
+    except ConfigurationError as exc:
+        raise ScenarioError(f"sim.{exc}") from exc
+    try:
+        scenario.controller.resolve(scenario.sim.dt, plant.lti.m)
+    except ConfigurationError as exc:  # names controller.T_s / n_dirs
+        raise ScenarioError(str(exc)) from exc
     return scenario
 
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -45,24 +45,23 @@ logger = logging.getLogger(__name__)
 BACKENDS = ("auto", "python")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimConfig:
-    """Integration setup for one run.
+    """Integration setup for one run, checked when built: the horizon is
+    a whole number of steps, which ``log_stride`` divides.
 
     ``plant_eta`` is the time-scale separation factor of the LTI block
     (see module docstring); ``None`` selects the controller's eta.
-    ``quasi_steady`` sets v0 to the value solving B v0 = -A x0, so the
-    run starts on the quasi-steady manifold consistent with x0; it
-    cannot be combined with a given v0.
+    ``v0`` is a vector, ``None`` (zeros) or ``"quasi_steady"``, which
+    solves B v0 = -A x0 to start on the quasi-steady manifold of x0.
     """
 
     dt: float
     horizon: float
     x0: np.ndarray
-    v0: Optional[np.ndarray] = None
+    v0: Union[np.ndarray, str, None] = None
     log_stride: int = 1
     plant_eta: Optional[float] = None
-    quasi_steady: bool = False
 
     def __post_init__(self) -> None:
         if not 0.0 < real(self.dt, "dt") < math.inf:
@@ -73,16 +72,23 @@ class SimConfig:
         if self.log_stride < 1:
             raise ConfigurationError(
                 f"log_stride must be >= 1, got {self.log_stride}")
+        if self.n_steps % self.log_stride != 0:
+            raise ConfigurationError(
+                f"log_stride ({self.log_stride}) must divide the step count "
+                f"({self.n_steps}) so the log stays uniform")
         if (self.plant_eta is not None
                 and not 0.0 < real(self.plant_eta, "plant_eta") < math.inf):
             raise ConfigurationError(
                 f"plant_eta must be finite and > 0, got {self.plant_eta}")
-        if self.quasi_steady and self.v0 is not None:
-            raise ConfigurationError(
-                "give v0 or quasi_steady, not both: quasi_steady sets v0")
-        self.x0 = np.asarray(self.x0, dtype=float).reshape(-1)
-        if self.v0 is not None:
-            self.v0 = np.asarray(self.v0, dtype=float).reshape(-1)
+        object.__setattr__(self, "x0",
+                           np.asarray(self.x0, dtype=float).reshape(-1))
+        if isinstance(self.v0, str):
+            if self.v0 != "quasi_steady":
+                raise ConfigurationError(f"v0 must be a vector, None or "
+                                         f"'quasi_steady', got {self.v0!r}")
+        elif self.v0 is not None:
+            object.__setattr__(self, "v0",
+                               np.asarray(self.v0, dtype=float).reshape(-1))
 
     @property
     def n_steps(self) -> int:
@@ -143,18 +149,27 @@ class Trajectory:
 
 
 def resolve_v0(plant: CascadePlant, config: SimConfig) -> np.ndarray:
-    if config.quasi_steady:
+    """The start value of v for a run of ``config`` on ``plant``: the
+    set-up checks that need the plant, of x0 and v0 against its
+    dimensions (ConfigurationError naming the field)."""
+    if config.x0.shape != (plant.lti.n,):
+        raise ConfigurationError(
+            f"x0 must have dimension {plant.lti.n}, got {config.x0.shape}")
+    if config.v0 is None:
+        return np.zeros(plant.lti.m)
+    if isinstance(config.v0, str):  # "quasi_steady"
         # B v0 = -A x0 puts x0 on the quasi-steady manifold
         if plant.lti.B.shape[0] != plant.lti.B.shape[1]:
-            raise ConfigurationError(
-                "quasi_steady start requires a square input matrix B")
+            raise ConfigurationError("v0 'quasi_steady' needs a square B, "
+                                     f"got shape {plant.lti.B.shape}")
         try:
             return np.linalg.solve(plant.lti.B, -(plant.lti.A @ config.x0))
         except np.linalg.LinAlgError as exc:
-            raise ConfigurationError(f"quasi_steady start: B is singular ({exc})")
-    if config.v0 is None:
-        return np.zeros(plant.lti.m)
-    return np.asarray(config.v0, dtype=float)
+            raise ConfigurationError(f"v0 'quasi_steady': singular B ({exc})")
+    if config.v0.shape != (plant.lti.m,):
+        raise ConfigurationError(
+            f"v0 must have dimension {plant.lti.m}, got {config.v0.shape}")
+    return config.v0
 
 
 def dt_guard_limit(plant: CascadePlant, constants: ControllerConstants,
@@ -167,9 +182,13 @@ def dt_guard_limit(plant: CascadePlant, constants: ControllerConstants,
     2|Re l|/|l|^2 per eigenvalue; (b) near the extremum the relay band
     epsilon_sw must be crossed in many steps, bounded through the gain
     magnitude k_hat attainable on the vicinity box of half-width
-    sqrt(epsilon_sw) around the maximizer.  Far from the extremum the
-    relay may jump bands within a step; that affects transient chatter,
-    not convergence, and is deliberately not guarded.
+    sqrt(epsilon_sw) around the maximizer.  Nothing outside that box is
+    guarded: far from it the relay may jump bands within a step, and at
+    a step the guard accepts that can change where a run ends, not only
+    its transient chatter.  coupled_bowl from x0 = (2.5, 7.94), v0 =
+    (5.51, -5.5) with plant_eta = 0.002 ends its 1500 s horizon at y =
+    -18.88 with dt = 5e-4, the guard's limit, and at 1.96 (y* = 2) with
+    dt = 2.5e-4.
     """
     eigs = plant.lti.eigenvalues / plant_eta
     euler_term = 0.5 * float(np.min(2.0 * np.abs(eigs.real) / np.abs(eigs) ** 2))
@@ -191,11 +210,12 @@ def run(plant: CascadePlant, params: ControllerParams, config: SimConfig, *,
     ``backend`` is one of BACKENDS: ``python`` is the reference loop;
     ``auto`` runs the chunked numpy kernel of :mod:`._fastpath`.  The
     backend asked for and the one used are logged at INFO level.
-    The search runs one direction per plant input, n_dirs = m.  The
-    horizon and each direction's ``controller.T_s / n_dirs`` must be
-    whole numbers of steps (ConfigurationError otherwise).  Both loops
-    and the dt guard read the controller through the one record
-    ``params.resolve(dt, m)``.
+    The search runs one direction per plant input, n_dirs = m.  Before
+    any work, ``resolve_v0`` checks the start against the plant and
+    ``params.resolve(dt, m)`` checks that each direction's
+    ``controller.T_s / n_dirs`` is a whole number of steps
+    (ConfigurationError otherwise), as scenario load does.  Both loops
+    and the dt guard read the controller through that one record.
     Deterministic: identical inputs on one backend produce bit-identical
     trajectories.
     Aborts (raises SimulationAbort) on non-finite signals and on a dt
@@ -206,16 +226,8 @@ def run(plant: CascadePlant, params: ControllerParams, config: SimConfig, *,
     """
     if backend not in BACKENDS:
         raise ConfigurationError(f"backend must be one of {BACKENDS}")
-    if config.x0.shape != (plant.lti.n,):
-        raise ConfigurationError(
-            f"x0 must have dimension {plant.lti.n}, got {config.x0.shape}")
-
-    n_steps = config.n_steps
-    constants = params.resolve(config.dt, plant.lti.m)  # before any work
-    if n_steps % config.log_stride != 0:
-        raise ConfigurationError(
-            f"log_stride ({config.log_stride}) must divide the step count "
-            f"({n_steps}) so the log stays uniform")
+    v0 = resolve_v0(plant, config)
+    constants = params.resolve(config.dt, plant.lti.m)
 
     report = plant.check_hypotheses(L_h=params.L_h)
     if not report.ok:
@@ -231,11 +243,6 @@ def run(plant: CascadePlant, params: ControllerParams, config: SimConfig, *,
         if dt_guard:
             raise SimulationAbort(msg + "; rerun with the guard off to force")
         logger.warning("DT GUARD OVERRIDDEN: %s", msg)
-
-    v0 = resolve_v0(plant, config)
-    if v0.shape != (plant.lti.m,):
-        raise ConfigurationError(
-            f"v0 must have dimension {plant.lti.m}, got {v0.shape}")
 
     used = "chunked" if backend == "auto" else backend
     logger.info("backend: requested %s, used %s", backend, used)

@@ -12,16 +12,13 @@ from slidingesc import (CascadePlant, LtiSubsystem, Metrics, QuadraticMap,
                         fd_gradient_oracle, residual_bound_check)
 
 
-def reference_detect_sliding(t, s, epsilon_sw, min_duration=None):
+def reference_detect_sliding(t, s, epsilon_sw, min_duration):
     """The per-sample loop ``detect_sliding`` was first written as."""
     t = np.asarray(t, dtype=float)
     s = np.asarray(s, dtype=float)
     if t.size == 0:
         return []
     band_tol = 0.25 * epsilon_sw
-    if min_duration is None:
-        spacing = float(np.median(np.diff(t))) if t.size > 1 else 0.0
-        min_duration = 50.0 * spacing
 
     band = np.round(s / epsilon_sw)
     inside = np.abs(s - band * epsilon_sw) <= band_tol
@@ -67,7 +64,8 @@ def synthetic_trajectory(t, z, y, s) -> Trajectory:
 class TestDetectSliding:
     def test_constant_on_band(self):
         t = np.arange(0.0, 10.0, 0.01)
-        segs = detect_sliding(t, np.full(t.size, 0.04), epsilon_sw=0.02)
+        segs = detect_sliding(t, np.full(t.size, 0.04), epsilon_sw=0.02,
+                              min_duration=0.5)
         assert len(segs) == 1
         assert segs[0].band_index == 2
         assert segs[0].t_start == 0.0
@@ -75,9 +73,10 @@ class TestDetectSliding:
 
     def test_fast_ramp_reports_nothing(self):
         # a unit-slope ramp spends 2*band_tol/1 = 0.01 s near each band,
-        # far below the 50-sample default duration
+        # far below a 50-sample duration
         t = np.arange(0.0, 10.0, 0.01)
-        assert detect_sliding(t, t.copy(), epsilon_sw=0.02) == []
+        assert detect_sliding(t, t.copy(), epsilon_sw=0.02,
+                              min_duration=0.5) == []
 
     def test_two_distinct_bands(self):
         t = np.arange(0.0, 20.0, 0.01)
@@ -89,12 +88,13 @@ class TestDetectSliding:
         # a quarter of the band width either side of it counts as on it
         t = np.arange(0.0, 5.0, 0.01)
         s = np.full(t.size, 0.02 + 0.006)  # 0.3*eps off the band
-        assert detect_sliding(t, s, epsilon_sw=0.02) == []
+        assert detect_sliding(t, s, epsilon_sw=0.02, min_duration=0.5) == []
         s = np.full(t.size, 0.02 - 0.004)  # 0.2*eps off the band
-        assert len(detect_sliding(t, s, epsilon_sw=0.02)) == 1
+        assert len(detect_sliding(t, s, epsilon_sw=0.02,
+                                  min_duration=0.5)) == 1
 
     def test_empty_trace(self):
-        assert detect_sliding(np.array([]), np.array([]), 0.02) == []
+        assert detect_sliding(np.array([]), np.array([]), 0.02, 0.5) == []
 
     @given(s_runs, st.data())
     @settings(max_examples=300, deadline=None)
@@ -103,7 +103,7 @@ class TestDetectSliding:
         t = np.cumsum(data.draw(st.lists(
             st.sampled_from([0.0, 0.01, 0.01, 0.01, 0.02, 0.5]),
             min_size=s.size, max_size=s.size)))
-        min_duration = data.draw(st.sampled_from([None, 0.0, 0.01, 0.05]))
+        min_duration = data.draw(st.sampled_from([0.0, 0.01, 0.05, 0.5]))
         with np.errstate(invalid="ignore"):  # inf - inf for infinite s
             got = detect_sliding(t, s, EPS, min_duration=min_duration)
             want = reference_detect_sliding(t, s, EPS,
@@ -120,7 +120,7 @@ class TestConvergenceMetrics:
         z = np.zeros((101, 2))
         traj = synthetic_trajectory(t, z, np.full(101, 2.0), np.zeros(101))
         m = convergence_metrics(traj, [0.0, 0.0], 2.0, epsilon_sw=0.02,
-                                trailing_fraction=0.1)
+                                trailing_fraction=0.1, min_duration=5.0)
         assert m.t_reach_delta == 0.0
         assert m.residual_amp == 0.0
         assert m.mean_residual == 0.0
@@ -132,7 +132,7 @@ class TestConvergenceMetrics:
         z = np.column_stack([dist, np.zeros(101)])
         traj = synthetic_trajectory(t, z, np.full(101, 2.0), np.zeros(101))
         m = convergence_metrics(traj, [0.0, 0.0], 2.0, epsilon_sw=0.02,
-                                trailing_fraction=0.1)
+                                trailing_fraction=0.1, min_duration=5.0)
         expected = math.sqrt(0.02)                   # ~0.1414
         first = t[np.argmax(dist < expected)]
         assert m.t_reach_delta == pytest.approx(first)
@@ -142,7 +142,7 @@ class TestConvergenceMetrics:
         z = np.ones((11, 2))
         traj = synthetic_trajectory(t, z, np.zeros(11), np.zeros(11))
         m = convergence_metrics(traj, [0.0, 0.0], 2.0, epsilon_sw=0.02,
-                                trailing_fraction=0.1)
+                                trailing_fraction=0.1, min_duration=5.0)
         assert m.t_reach_delta is None
 
     def test_trailing_window_stats(self):
@@ -151,7 +151,7 @@ class TestConvergenceMetrics:
         y[-10:] = [2.1, 1.9, 2.0, 2.05, 1.95, 2.0, 2.2, 2.0, 1.8, 2.0]
         traj = synthetic_trajectory(t, np.zeros((100, 2)), y, np.zeros(100))
         m = convergence_metrics(traj, [0.0, 0.0], 2.0, epsilon_sw=0.02,
-                                trailing_fraction=0.1)
+                                trailing_fraction=0.1, min_duration=5.0)
         assert m.residual_amp == pytest.approx(0.2)
         assert m.mean_residual == pytest.approx(np.abs(y[-10:] - 2.0).mean())
         assert m.residual_amp >= m.mean_residual >= 0.0

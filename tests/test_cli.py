@@ -11,6 +11,24 @@ from slidingesc.cli import EXIT_FAIL, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 
 SHORT = ["--override", "sim.horizon=20", "--override", "sim.log_stride=10"]
 
+# set-ups a run refuses before any work, by the field the refusal
+# names: the overrides that make one, and a sweep over a good value
+# then one that makes it (the last sweeps a good base it inherits)
+BAD_SET_UPS = {
+    "sim.horizon": (["sim.dt=0.0007", "sim.horizon=2"], "sim.dt",
+                    "0.001,0.0007"),
+    "sim.log_stride": (["sim.log_stride=3", "sim.horizon=2"],
+                       "sim.log_stride", "1,3"),
+    "controller.T_s / n_dirs": (["controller.T_s=5.0003", "sim.horizon=2"],
+                                "controller.T_s", "5,5.0003"),
+    "sim.v0": (['sim.v0="quasi_steady"', "plant.B=[[1],[0]]",
+                "sim.horizon=2"], "sim.plant_eta", "0.01,0.02"),
+}
+
+
+def override_args(overrides) -> list[str]:
+    return [arg for item in overrides for arg in ("--override", item)]
+
 
 def run_cli(*argv) -> int:
     return main(list(argv))
@@ -221,6 +239,17 @@ class TestRunCommand:
                      "--override", "sim.log_stride=1")
         assert rc == EXIT_FAIL
         assert "guard" in capsys.readouterr().err
+        # the output directory is made only for a run that finished
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("field", BAD_SET_UPS)
+    def test_bad_set_up_is_usage_error(self, tmp_path, capsys, field):
+        out = tmp_path / "o"
+        rc = run_cli("run", "--out", str(out),
+                     *override_args(BAD_SET_UPS[field][0]))
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"error: {field}")
+        assert not out.exists()
 
     def test_unstable_plant_needs_flag(self, tmp_path):
         args = ["run", "--out", str(tmp_path / "o"),
@@ -321,6 +350,23 @@ class TestSweepCommand:
         assert rc == EXIT_USAGE
         err = capsys.readouterr().err
         assert "sweep value '0.01'" in err and "sim_plant_eta=0.01" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("field", BAD_SET_UPS)
+    def test_bad_set_up_refused_before_any_run(self, tmp_path, capsys,
+                                               field, jobs):
+        # the value's scenario is refused on load, so the good value
+        # before it never runs: no value directory, no table
+        overrides, param, values = BAD_SET_UPS[field]
+        base = [item for item in overrides
+                if item.partition("=")[0] != param]
+        out = tmp_path / "s"
+        rc = run_cli("sweep", "--param", param, "--values", values,
+                     "--jobs", jobs, "--out", str(out),
+                     *override_args(base))
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"error: {field}")
         assert not out.exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-2"])

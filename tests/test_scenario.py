@@ -95,7 +95,23 @@ class TestValidation:
 
     def test_quasi_steady_accepted(self, benchmark_doc):
         benchmark_doc["sim"]["v0"] = "quasi_steady"
-        assert scenario_from_dict(benchmark_doc).sim.quasi_steady
+        assert scenario_from_dict(benchmark_doc).sim.v0 == "quasi_steady"
+
+    @pytest.mark.parametrize("overrides, field", [
+        ({"sim.dt": "0.0007", "sim.horizon": "2"}, "sim.horizon"),
+        ({"sim.log_stride": "3", "sim.horizon": "2"}, "sim.log_stride"),
+        ({"controller.T_s": "5.0003"}, "controller.T_s / n_dirs"),
+        ({"sim.v0": '"quasi_steady"', "plant.B": "[[1],[0]]"}, "sim.v0"),
+        ({"sim.v0": '"quasi_steady"', "plant.B": "[[1,1],[1,1]]"}, "sim.v0"),
+        ({"sim.v0": "[1,2,3]"}, "sim.v0")])
+    def test_run_set_up_checked_on_load(self, benchmark_doc, overrides,
+                                        field):
+        # the checks a run makes before any work refuse the scenario
+        # already, naming the field
+        for key, text in overrides.items():
+            apply_override(benchmark_doc, key, text)
+        with pytest.raises(ScenarioError, match=rf"^{re.escape(field)}"):
+            scenario_from_dict(benchmark_doc)
 
     def test_null_y_sat_is_unbounded(self, benchmark_doc):
         benchmark_doc["controller"]["y_sat"] = None
@@ -167,17 +183,15 @@ class TestSchemaMatchesDataclasses:
     """A setting is added to or removed from the schema and its
     dataclass together."""
 
-    # schema name -> field name, where they differ; the schema's v0
-    # carries both a start value and quasi_steady
+    # schema name -> field name, where they differ
     RENAMED = {"lambda": "lam"}
-    COVERED = {"quasi_steady"}
 
     @pytest.mark.parametrize("section, cls", [
         ("controller", ControllerParams), ("sim", SimConfig),
         ("analysis", AnalysisParams)])
     def test_same_fields(self, section, cls):
         schema = {self.RENAMED.get(key, key) for key in _SCHEMA[section]}
-        fields = {f.name for f in dataclasses.fields(cls)} - self.COVERED
+        fields = {f.name for f in dataclasses.fields(cls)}
         assert schema == fields
 
 
