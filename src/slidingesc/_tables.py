@@ -5,21 +5,18 @@ value under that column's %-format, cells joined by the table's
 delimiter.  The bytes are those of NumPy's plain-text table writer
 given the same formats, delimiter and header (the tests compare the
 two), but the work is organised around what dominates it, turning a
-float into text:
+float into text.  The unit of work is the block of ``BLOCK_ROWS`` rows,
+so the text held in memory does not grow with the run length:
 
-* rows are handled in blocks of ``BLOCK_ROWS``, so the text held in
-  memory does not grow with the run length;
-* a run of bit-identical values in a column (the relay output, the
-  direction, a saturated reference) is formatted once: such columns are
-  searched for runs once per window of ``WINDOW_ROWS`` rows, and every
-  cell of a run is the same ``str`` object, so a window's cells cost
-  pointers rather than text;
-* bit-identical columns are formatted once per format, however many
-  tables of one call show them (with ``C = I`` the output z repeats the
-  state x);
-* a column without repeated neighbours skips the search for runs;
+* each distinct column of a block is formatted once, by ``format_runs``,
+  which formats a run of bit-identical values (the relay output, the
+  direction, a saturated reference) once and shares its ``str`` among
+  the run's cells;
+* bit-identical columns are one column per format, however many tables
+  of one call show them (with ``C = I`` the output z repeats the state
+  x);
 * a log of ``SPLIT_ROWS`` rows or more is written by two processes: the
-  rows are cut at a window edge near the middle, and a forked child
+  rows are cut at a block edge near the middle, and a forked child
   writes the second half into an anonymous temporary file per table,
   opened in the table's directory, which this process appends to the
   first half once the child has ended.  Both halves number rows from
@@ -42,24 +39,17 @@ import numpy as np
 
 logger = logging.getLogger(__name__)
 
-# A block's strings take about 1.5 kB per row.  At 64 rows the writer's
-# peak memory stays below that of NumPy's text writer even on a short
-# log, where its column_stack copy is small; the per-block work then
-# adds 10-20 % to the writing time against blocks of 1024 rows.
-BLOCK_ROWS = 64
-# Rows per search for runs in a column that has repeated neighbours, a
-# whole number of blocks; each block slices its cells from the window.
-# A window holds a cell per row and a string per run of every such
-# column at once.  At 4 blocks the writer's peak memory stays within
-# 0.1 MB of searching per block on a 2401-row log in which the relay
-# output changes at most rows (0.47 MB above it at 16 blocks), and the
-# search's numpy calls are paid once per 256 rows instead of per 64.
-WINDOW_ROWS = 4 * BLOCK_ROWS
+# A block's strings take about 1.5 kB per row: the writer's peak Python
+# heap on a 2401-row log is 0.21, 0.29, 0.51 and 0.95 MB at blocks of 64,
+# 128, 256 and 512 rows.  256 rows write the 50001-row log of a dense run
+# in 0.33 s against 0.36 s at 128 (faster in 14 of 15 alternating rounds,
+# 2-core host): the numpy calls of format_runs are paid half as often.
+BLOCK_ROWS = 256
 # From this many rows on, a forked child writes the second half of them.
 # One fork and wait of an 86 MB process take 2.4-2.7 ms (2-core host),
 # the time to write some 220 rows of the CSV and its plot tables, so at
 # this length the child's half of the rows saves about ten times that.
-SPLIT_ROWS = 16 * WINDOW_ROWS
+SPLIT_ROWS = 4096
 
 
 class Table(NamedTuple):
@@ -96,36 +86,26 @@ def _bits(values) -> np.ndarray:
 
 def _source(sources: list, values, fmt: str) -> int:
     """Index of the column in ``sources`` with this format and these
-    bits, appended (with whether it has runs) if there is none yet.
-
-    A column with runs keeps its dtype, as ``format_runs`` converts one
-    window at a time: the direction and its indicators are not copied
-    to floats whole."""
+    bits, appended if there is none yet.  A column keeps its dtype, as
+    ``format_runs`` converts one block at a time: the direction and its
+    indicators are not copied to floats whole."""
     bits = _bits(values)
-    for i, (other, other_fmt, _) in enumerate(sources):
+    for i, (other, other_fmt) in enumerate(sources):
         if other_fmt == fmt and np.array_equal(_bits(other), bits):
             return i
-    runs = bool(np.any(bits[1:] == bits[:-1]))
-    sources.append((np.asarray(values) if runs else bits.view(float), fmt,
-                    runs))
+    sources.append((np.asarray(values), fmt))
     return len(sources) - 1
 
 
-def _write_rows(tables: Sequence[Table], files, sources, layout,
-                start: int, stop: int) -> None:
-    """Rows ``[start, stop)`` of every table, ``start`` a multiple of
-    ``WINDOW_ROWS``.  Row numbers are absolute, so any split of the rows
-    at window edges writes the bytes of one call over them all."""
+def _write_rows(plan, files, sources, start: int, stop: int) -> None:
+    """Rows ``[start, stop)`` of every table of ``plan``, (table, the
+    indices of its columns in ``sources``) pairs, block by block from
+    ``start``.  Row numbers are absolute, so any split of the rows writes
+    the bytes of one call over them all."""
     for lo in range(start, stop, BLOCK_ROWS):
         hi = min(lo + BLOCK_ROWS, stop)
-        at = lo % WINDOW_ROWS
-        if at == 0:
-            window = [format_runs(values[lo:lo + WINDOW_ROWS], fmt)
-                      if runs else None for values, fmt, runs in sources]
-        text = [window[i][at:at + hi - lo] if runs
-                else [fmt % v for v in values[lo:hi].tolist()]
-                for i, (values, fmt, runs) in enumerate(sources)]
-        for table, fh, columns in zip(tables, files, layout):
+        text = [format_runs(values[lo:hi], fmt) for values, fmt in sources]
+        for (table, columns), fh in zip(plan, files):
             first = -lo % table.stride  # first row of the block to write
             cells = [text[i][first::table.stride] for i in columns]
             lines = list(map(table.delimiter.join, zip(*cells)))
@@ -134,19 +114,18 @@ def _write_rows(tables: Sequence[Table], files, sources, layout,
                 fh.write("\n".join(lines))
 
 
-def _write_split(tables: Sequence[Table], files, sources, layout,
-                 n_rows: int) -> None:
+def _write_split(plan, files, sources, n_rows: int) -> None:
     """Rows ``[0, mid)`` here and ``[mid, n_rows)`` in a forked child,
     which writes them to an anonymous temporary file per table (in the
     table's directory) that this process then appends.  The child ends
     with ``os._exit``: it runs no exit handler, flushes none of this
     process's buffers and writes nothing else."""
-    mid = round(n_rows / (2 * WINDOW_ROWS)) * WINDOW_ROWS
+    mid = round(n_rows / (2 * BLOCK_ROWS)) * BLOCK_ROWS
     with ExitStack() as stack:
         parts = [stack.enter_context(tempfile.TemporaryFile(
                      "w+", encoding="utf-8",
                      dir=os.path.dirname(os.path.abspath(table.path))))
-                 for table in tables]
+                 for table, _ in plan]
         for fh in files:
             fh.flush()  # leave no text of ours in the buffers the child gets
         try:
@@ -161,24 +140,24 @@ def _write_split(tables: Sequence[Table], files, sources, layout,
                 pid = os.fork()
         except (AttributeError, OSError) as exc:  # no os.fork, or it failed
             logger.warning("tables written in one process: %r", exc)
-            _write_rows(tables, files, sources, layout, 0, n_rows)
+            _write_rows(plan, files, sources, 0, n_rows)
             return
         if pid == 0:
             status = 1
             try:
-                _write_rows(tables, parts, sources, layout, mid, n_rows)
+                _write_rows(plan, parts, sources, mid, n_rows)
                 for part in parts:
                     part.flush()
                 status = 0
             finally:
                 os._exit(status)
         try:
-            _write_rows(tables, files, sources, layout, 0, mid)
+            _write_rows(plan, files, sources, 0, mid)
         finally:
             _, status = os.waitpid(pid, 0)
         code = os.waitstatus_to_exitcode(status)
         if code != 0:
-            names = ", ".join(str(table.path) for table in tables)
+            names = ", ".join(str(table.path) for table, _ in plan)
             raise OSError(f"rows {mid} to {n_rows} of {names}: the writing "
                           f"process ended with status {code}")
         for fh, part in zip(files, parts):
@@ -198,9 +177,9 @@ def write_tables(tables: Sequence[Table]) -> None:
     if len(lengths) != 1:
         raise ValueError(f"columns differ in length: {sorted(lengths)}")
     n_rows = lengths.pop()
-    sources: list[tuple[np.ndarray, str, bool]] = []
-    layout = [[_source(sources, values, fmt) for values, fmt in table.columns]
-              for table in tables]
+    sources: list[tuple[np.ndarray, str]] = []
+    plan = [(table, [_source(sources, values, fmt)
+                     for values, fmt in table.columns]) for table in tables]
     with ExitStack() as stack:
         files = [stack.enter_context(open(table.path, "w", encoding="utf-8"))
                  for table in tables]
@@ -208,9 +187,9 @@ def write_tables(tables: Sequence[Table]) -> None:
             for table, fh in zip(tables, files):
                 fh.write(table.header + "\n")
             if n_rows >= SPLIT_ROWS:
-                _write_split(tables, files, sources, layout, n_rows)
+                _write_split(plan, files, sources, n_rows)
             else:
-                _write_rows(tables, files, sources, layout, 0, n_rows)
+                _write_rows(plan, files, sources, 0, n_rows)
         except BaseException:
             stack.close()
             for table in tables:

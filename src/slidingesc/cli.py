@@ -58,7 +58,13 @@ def _scenario_from_args(args):
             raise ScenarioError(
                 f"override {item!r} must have the form key.path=value")
         apply_override(data, key, raw)
-    return scenario_from_dict(data, allow_unstable=args.allow_unstable)
+    scenario = scenario_from_dict(data, allow_unstable=args.allow_unstable)
+    # --out is checked, not made, so that a bad one fails before any run
+    out = Path(args.out)
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not (existing.is_dir() and os.access(existing, os.W_OK | os.X_OK)):
+        raise OSError(f"--out {out}: {existing} is not a writable directory")
+    return scenario
 
 
 def _plot_tables(outdir: Path, traj, plant) -> list[_tables.Table]:
@@ -122,10 +128,10 @@ def _write_objective_surface(path: Path, qmap, span: float) -> None:
             fh.write("\n")
 
 
-def _run_one(scenario, outdir: Path, *, backend: str, dt_guard: bool) -> dict:
+def _run_one(scenario, outdir: Path, args) -> dict:
     plant = scenario.build_plant()
-    traj = run_sim(plant, scenario.controller, scenario.sim, backend=backend,
-                   dt_guard=dt_guard)
+    traj = run_sim(plant, scenario.controller, scenario.sim,
+                   backend=args.backend, dt_guard=args.dt_guard == "on")
     metrics = convergence_metrics(
         traj, plant.map.z_star, plant.map.y_star,
         epsilon_sw=scenario.controller.epsilon_sw,
@@ -144,8 +150,7 @@ def _run_one(scenario, outdir: Path, *, backend: str, dt_guard: bool) -> dict:
 def cmd_run(args) -> int:
     scenario = _scenario_from_args(args)
     outdir = Path(args.out)
-    flat = _run_one(scenario, outdir, backend=args.backend,
-                    dt_guard=args.dt_guard != "off")
+    flat = _run_one(scenario, outdir, args)
     print(f"run complete: {scenario.document.get('name', 'unnamed')}")
     for key in ("t_reach_delta", "residual_amp", "mean_residual", "bounded"):
         print(f"  {key}: {flat[key]}")
@@ -213,10 +218,15 @@ def cmd_sweep(args) -> int:
             return EXIT_USAGE
         subdirs.append(subdir)
         # read once, here, so a bad value fails before any run starts
-        scenarios.append(with_overrides(base, {args.param: value}))
+        scenario = with_overrides(base, {args.param: value})
+        if args.dt_guard == "on":  # and so does a step the guard refuses
+            plant, sim = scenario.build_plant(), scenario.sim
+            constants = scenario.controller.resolve(sim.dt, plant.lti.m)
+            sim.check_dt(plant, constants,
+                         sim.resolved_plant_eta(scenario.controller.eta))
+        scenarios.append(scenario)
 
-    run_value = functools.partial(_run_one, backend=args.backend,
-                                  dt_guard=args.dt_guard != "off")
+    run_value = functools.partial(_run_one, args=args)
     # the pool starts all its workers at once, so ask for no more than
     # there are runs
     workers = min(args.jobs, len(values))

@@ -233,16 +233,15 @@ class CascadePlant:
     the explicit state setters, so instances are safe to share read-only.
     """
 
-    def __init__(self, lti: LtiSubsystem, objective: QuadraticMap,
-                 v=None, x=None) -> None:
+    def __init__(self, lti: LtiSubsystem, objective: QuadraticMap) -> None:
         if objective.dim != lti.n:
             raise ConfigurationError(
                 f"objective dimension {objective.dim} != LTI output "
                 f"dimension {lti.n}")
         self.lti = lti
         self.map = objective
-        self._v = np.zeros(lti.m) if v is None else _as_vector(v, lti.m, "v")
-        self._x = np.zeros(lti.n) if x is None else _as_vector(x, lti.n, "x")
+        self._v = np.zeros(lti.m)
+        self._x = np.zeros(lti.n)
 
     @property
     def v(self) -> np.ndarray:

@@ -94,6 +94,24 @@ class SimConfig:
     def n_steps(self) -> int:
         return whole_steps(self.horizon, self.dt, "horizon")
 
+    def resolved_plant_eta(self, eta: float) -> float:
+        """The plant_eta a run takes: ``plant_eta``, or the controller's
+        ``eta`` where that is None."""
+        return eta if self.plant_eta is None else self.plant_eta
+
+    def check_dt(self, plant: CascadePlant, constants: ControllerConstants,
+                 plant_eta: float, dt_guard: bool = True) -> None:
+        """The resolution guard on ``dt``: above ``dt_guard_limit`` a
+        SimulationAbort, or with ``dt_guard`` off a warning."""
+        limit = dt_guard_limit(plant, constants, plant_eta)
+        if self.dt > limit:
+            msg = (f"dt={self.dt:g} exceeds the resolution guard limit "
+                   f"{limit:.3g} (Euler stability / relay band resolution)")
+            if dt_guard:
+                raise SimulationAbort(msg + "; rerun with the guard off to "
+                                      "force")
+            logger.warning("DT GUARD OVERRIDDEN: %s", msg)
+
 
 @dataclass
 class Trajectory:
@@ -216,8 +234,9 @@ def run(plant: CascadePlant, params: ControllerParams, config: SimConfig, *,
     ``controller.T_s / n_dirs`` is a whole number of steps
     (ConfigurationError otherwise), as scenario load does.  Both loops
     and the dt guard read the controller through that one record.
-    Deterministic: identical inputs on one backend produce bit-identical
-    trajectories.
+    The caller's plant is read, never moved: after a finished or an
+    aborted run its state is what it was before.  Deterministic:
+    identical inputs on one backend produce bit-identical trajectories.
     Aborts (raises SimulationAbort) on non-finite signals and on a dt
     violating the resolution guard unless ``dt_guard`` is off.  A failed
     hypothesis check is logged as a warning, not raised: only H3 can
@@ -235,14 +254,8 @@ def run(plant: CascadePlant, params: ControllerParams, config: SimConfig, *,
                        "; ".join(f"{c.name}: {c.detail}"
                                  for c in report.failures()))
 
-    plant_eta = params.eta if config.plant_eta is None else config.plant_eta
-    limit = dt_guard_limit(plant, constants, plant_eta)
-    if config.dt > limit:
-        msg = (f"dt={config.dt:g} exceeds the resolution guard limit "
-               f"{limit:.3g} (Euler stability / relay band resolution)")
-        if dt_guard:
-            raise SimulationAbort(msg + "; rerun with the guard off to force")
-        logger.warning("DT GUARD OVERRIDDEN: %s", msg)
+    plant_eta = config.resolved_plant_eta(params.eta)
+    config.check_dt(plant, constants, plant_eta, dt_guard)
 
     used = "chunked" if backend == "auto" else backend
     logger.info("backend: requested %s, used %s", backend, used)
@@ -250,16 +263,14 @@ def run(plant: CascadePlant, params: ControllerParams, config: SimConfig, *,
     loop = _run_python if used == "python" else _fastpath.run_chunked
     t, v, x, z, y, y_m, e, s, u, dir_index = loop(plant, constants, config,
                                                   v0, plant_eta)
-    plant.v = v[-1]
-    plant.x = x[-1]
     return Trajectory(t, v, x, z, y, y_m, e, s, u, dir_index,
                       np.full(t.size, constants.rho))
 
 
 def _run_python(plant, constants, config, v0, plant_eta):
-    """The reference loop, built from ``controller_step`` and the plant,
-    which it moves through the run; returns the logged columns (t, v, x,
-    z, y, y_m, e, s, u, dir).
+    """The reference loop, built from ``controller_step`` and a plant of
+    its own on the caller's blocks, which it moves through the run;
+    returns the logged columns (t, v, x, z, y, y_m, e, s, u, dir).
 
     The Euler update is simultaneous: x advances with the pre-update v,
     v += dt*u and x += (dt/plant_eta)*(A x + B v).
@@ -273,8 +284,8 @@ def _run_python(plant, constants, config, v0, plant_eta):
     x_log, z_log = np.empty((2, n_rec, n))
     dir_log = np.empty(n_rec, dtype=np.int64)
 
-    plant.v = v0.copy()
-    plant.x = config.x0.copy()
+    plant = CascadePlant(plant.lti, plant.map)
+    plant._v, plant._x = v0, config.x0
     state = ControllerState.initial(constants)
     plant_rate = 1.0 / plant_eta
     rec = 0

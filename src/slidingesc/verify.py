@@ -248,9 +248,9 @@ def scenario_suite() -> list[CheckResult]:
             t0))
 
         t0 = time.perf_counter()
-        bound = residual_bound_check(metrics, scenario.controller.eta,
-                                     scenario.controller.epsilon_sw,
-                                     scenario.analysis.c_bound)
+        bound = residual_bound_check(
+            metrics, scenario.sim.resolved_plant_eta(scenario.controller.eta),
+            scenario.controller.epsilon_sw, scenario.analysis.c_bound)
         results.append(_timed(
             f"{name}_residual_bound", bound.passed,
             f"residual_amp={bound.residual_amp:.4f} <= {bound.bound:.4f}, "
@@ -293,9 +293,9 @@ def sweep_suite() -> list[CheckResult]:
         t0 = time.perf_counter()
         scenario = with_overrides(base, {"sim.plant_eta": repr(eta)})
         _, metrics, _ = _run_scenario(scenario)
-        bound = residual_bound_check(metrics, eta,
-                                     scenario.controller.epsilon_sw,
-                                     scenario.analysis.c_bound)
+        bound = residual_bound_check(
+            metrics, scenario.sim.resolved_plant_eta(scenario.controller.eta),
+            scenario.controller.epsilon_sw, scenario.analysis.c_bound)
         constants.append(bound.implied_constant)
         results.append(_timed(
             f"residual_bound_eta_{eta:g}", bound.passed,

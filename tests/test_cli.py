@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from slidingesc import cli, load_scenario, save_scenario, scenario
+from slidingesc import cli, load_scenario, save_scenario, scenario, sim
 from slidingesc.cli import EXIT_FAIL, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 
 SHORT = ["--override", "sim.horizon=20", "--override", "sim.log_stride=10"]
@@ -32,6 +32,14 @@ def override_args(overrides) -> list[str]:
 
 def run_cli(*argv) -> int:
     return main(list(argv))
+
+
+def no_run(monkeypatch) -> None:
+    """Make any closed-loop run of the CLI fail the test."""
+    def run_sim(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(cli, "run_sim", run_sim)
 
 
 class TestRunCommand:
@@ -129,15 +137,38 @@ class TestRunCommand:
                 in capsys.readouterr().err)
         assert not (tmp_path / "o").exists()
 
-    def test_output_under_a_file_is_io_error(self, tmp_path, capsys):
-        # making the output directory raises NotADirectoryError; main
-        # returns the exit code instead of letting it escape
+    def test_output_under_a_file_is_io_error(self, tmp_path, capsys,
+                                             monkeypatch):
+        # --out is checked before the run: NotADirectoryError, whose exit
+        # code main returns instead of letting it escape
+        no_run(monkeypatch)
         afile = tmp_path / "afile"
         afile.write_text("")
-        rc = run_cli("run", "--out", str(afile / "sub"), *SHORT)
+        rc = run_cli("run", "--out", str(afile / "sub"), "--backend",
+                     "python", "--override", "sim.horizon=200")
         assert rc == EXIT_IO
         error = capsys.readouterr().err
         assert error.startswith("error: ") and "afile" in error
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("case", ["a file", "not writable"])
+    def test_output_checked_before_any_run(self, tmp_path, capsys,
+                                           monkeypatch, command, case):
+        no_run(monkeypatch)
+        out = tmp_path / "afile"
+        if case == "a file":
+            out.write_text("")
+        else:
+            monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+        sweep = ["--param", "sim.plant_eta", "--values", "0.01,0.02"]
+        rc = run_cli(command, "--out", str(out / "sub"),
+                     *(sweep if command == "sweep" else []), *SHORT)
+        assert rc == EXIT_IO
+        existing = out if case == "a file" else tmp_path
+        assert capsys.readouterr().err == (
+            f"error: --out {out / 'sub'}: {existing} is not a writable "
+            "directory\n")
+        assert not (out / "sub").exists()
 
     def test_invalid_override_is_usage_error(self, tmp_path):
         rc = run_cli("run", "--out", str(tmp_path / "o"),
@@ -368,6 +399,29 @@ class TestSweepCommand:
         assert rc == EXIT_USAGE
         assert capsys.readouterr().err.startswith(f"error: {field}")
         assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_dt_guard_refused_before_any_run(self, tmp_path, capsys, jobs):
+        # the guard refuses 0.01 before 0.001 runs: no value directory
+        out = tmp_path / "s"
+        args = ["sweep", "--param", "sim.dt", "--values", "0.001,0.01",
+                "--jobs", jobs, "--out", str(out),
+                "--override", "sim.horizon=2"]
+        assert run_cli(*args) == EXIT_FAIL
+        assert "resolution guard" in capsys.readouterr().err
+        assert not out.exists()
+        # with the guard off both values run
+        assert run_cli(*args, "--dt-guard", "off") == EXIT_OK
+        assert (out / "sim_dt=0.01").is_dir()
+
+    def test_dt_guard_check_is_the_runs(self, tmp_path, monkeypatch):
+        # the sweep asks sim.dt_guard_limit, looked up when called, as a
+        # run does: a limit of 0 refuses any step before any run
+        no_run(monkeypatch)
+        monkeypatch.setattr(sim, "dt_guard_limit", lambda *args: 0.0)
+        rc = run_cli("sweep", "--param", "controller.eta",
+                     "--values", "0.01", "--out", str(tmp_path / "s"), *SHORT)
+        assert rc == EXIT_FAIL
 
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_below_one_usage_error(self, tmp_path, capsys, jobs):

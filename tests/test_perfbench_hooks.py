@@ -56,6 +56,22 @@ def test_traced_run_records_its_spans(tracer, tmp_path):
     assert tracer.all_restored(originals)
 
 
+def test_traced_python_run_records_plant_spans(tracer, tmp_path):
+    # the reference loop steps a plant of its own; the spans patched on
+    # CascadePlant still see every output read and every derivative
+    chosen = tracer.targets(slidingesc)
+    spans = tracer.Tracer()
+    with tracer.patched(spans, chosen):
+        code = slidingesc.cli.main([
+            "run", "--out", str(tmp_path), "--backend", "python",
+            "--override", "sim.horizon=0.002",
+            "--override", "sim.log_stride=1"])
+    assert code == slidingesc.cli.EXIT_OK
+    summary = spans.summary()
+    assert summary["plant.z"].calls == 3  # steps 0, 1 and 2
+    assert summary["plant.derivative"].calls == 2
+
+
 def test_setup_probe_prints_one_json_line(tmp_path):
     # the set-up probe loads a document, builds its plant and runs it
     # with the default backend in a fresh interpreter

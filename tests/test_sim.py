@@ -403,13 +403,26 @@ class TestChunkedBackend:
         assert len(reference) == 2 // log_stride + 1
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_leaves_plant_at_final_state(self, benchmark_params, benchmark_lti,
-                                         benchmark_map, backend):
+    def test_leaves_plant_as_it_was(self, benchmark_params, benchmark_lti,
+                                    benchmark_map, backend):
+        # a finished run, and a run that escapes (A = 200 I) and aborts,
+        # read the caller's plant and never move it
+        v, x = np.array([0.3, -0.2]), np.array([0.5, 0.7])
         plant = CascadePlant(benchmark_lti, benchmark_map)
+        plant.v, plant.x = v, x
         traj = run(plant, benchmark_params, short_config(**self.CONFIG),
                    backend=backend)
-        assert np.array_equal(plant.v, traj.v[-1])
-        assert np.array_equal(plant.x, traj.x[-1])
+        assert not np.array_equal(traj.x[-1], x)
+        assert np.array_equal(plant.v, v) and np.array_equal(plant.x, x)
+
+        lti = LtiSubsystem(200.0 * np.eye(2), np.eye(2), allow_unstable=True)
+        plant = CascadePlant(lti, benchmark_map)
+        plant.v, plant.x = v, x
+        config = SimConfig(dt=1e-2, horizon=10.0, x0=[1.0, 1.0],
+                           v0=[0.0, 0.0], log_stride=1)
+        with pytest.raises(SimulationAbort, match="finite-escape"):
+            run(plant, make_params(), config, backend=backend, dt_guard=False)
+        assert np.array_equal(plant.v, v) and np.array_equal(plant.x, x)
 
 class TestBackendChoiceLogged:
     def _choices(self, caplog):

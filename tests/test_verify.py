@@ -115,3 +115,23 @@ def test_variants_read_back_to_their_records(monkeypatch):
             for field in dataclasses.fields(ours):
                 assert np.array_equal(getattr(ours, field.name),
                                       getattr(read, field.name)), field.name
+
+
+def test_residual_bound_reads_the_runs_plant_eta(monkeypatch):
+    # a scenario whose plant_eta differs from the controller's eta: the
+    # scenario suite bounds its residual at the plant_eta its runs took
+    derive = verify.with_overrides
+    monkeypatch.setattr(verify, "SCENARIO_NAMES", ("coupled_bowl",))
+    monkeypatch.setattr(verify, "load_builtin", lambda name: derive(
+        load_builtin(name), {"sim.horizon": "20", "sim.plant_eta": "0.04"}))
+    bounded, ran = [], []
+    recorder(monkeypatch, "residual_bound_check",
+             lambda metrics, eta, *args: bounded.append(eta))
+    recorder(monkeypatch, "run",
+             lambda plant, params, config, **kwargs: ran.append(
+                 config.resolved_plant_eta(params.eta)))
+    verify.scenario_suite()
+
+    assert load_builtin("coupled_bowl").controller.eta == 0.01
+    assert bounded == [0.04]
+    assert ran == [0.04, 0.04]  # the run and its dt-halved rerun
