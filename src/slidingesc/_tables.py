@@ -31,7 +31,6 @@ import logging
 import os
 import shutil
 import tempfile
-import warnings
 from contextlib import ExitStack, suppress
 from typing import NamedTuple, Sequence
 
@@ -129,15 +128,7 @@ def _write_split(plan, files, sources, n_rows: int) -> None:
         for fh in files:
             fh.flush()  # leave no text of ours in the buffers the child gets
         try:
-            with warnings.catch_warnings():
-                # From Python 3.12 a fork in a process with threads (such
-                # as a BLAS pool) warns that the child may deadlock.  The
-                # child here takes no lock and calls no BLAS routine, so
-                # that one warning is filtered; any other still shows.
-                warnings.filterwarnings(
-                    "ignore", r".*use of fork\(\) may lead to deadlocks",
-                    DeprecationWarning)
-                pid = os.fork()
+            pid = os.fork()
         except (AttributeError, OSError) as exc:  # no os.fork, or it failed
             logger.warning("tables written in one process: %r", exc)
             _write_rows(plan, files, sources, 0, n_rows)

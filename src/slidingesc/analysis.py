@@ -25,10 +25,6 @@ class SlidingSegment:
     t_end: float
     band_index: int
 
-    @property
-    def duration(self) -> float:
-        return self.t_end - self.t_start
-
 
 @dataclass
 class Metrics:

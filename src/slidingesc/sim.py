@@ -148,9 +148,6 @@ class Trajectory:
         return all(bool(np.all(np.isfinite(values)))
                    for _, values, _ in self.columns())
 
-    def column_header(self) -> list[str]:
-        return [name for name, _, _ in self.columns()]
-
     def to_csv(self, path, *tables: _tables.Table) -> None:
         """Write the log as CSV, 17 significant digits, in the order of
         ``columns``.

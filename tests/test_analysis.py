@@ -156,6 +156,18 @@ class TestConvergenceMetrics:
         assert m.mean_residual == pytest.approx(np.abs(y[-10:] - 2.0).mean())
         assert m.residual_amp >= m.mean_residual >= 0.0
 
+    @pytest.mark.parametrize("rows, trailing_fraction, message", [
+        (0, 0.1, "trajectory is empty"),
+        (11, 0.0, r"trailing_fraction must be in \(0, 1\], got 0.0")])
+    def test_refused(self, rows, trailing_fraction, message):
+        traj = synthetic_trajectory(np.linspace(0.0, 1.0, rows),
+                                    np.zeros((rows, 2)), np.zeros(rows),
+                                    np.zeros(rows))
+        with pytest.raises(ValueError, match=message):
+            convergence_metrics(traj, [0.0, 0.0], 2.0, epsilon_sw=0.02,
+                                trailing_fraction=trailing_fraction,
+                                min_duration=5.0)
+
 
 class TestResidualBound:
     def test_pass_with_unit_constant(self):

@@ -8,6 +8,7 @@ import pytest
 
 from slidingesc import cli, load_scenario, save_scenario, scenario, sim
 from slidingesc.cli import EXIT_FAIL, EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from slidingesc.verify import CheckResult
 
 SHORT = ["--override", "sim.horizon=20", "--override", "sim.log_stride=10"]
 
@@ -208,11 +209,24 @@ class TestRunCommand:
         assert override.partition("=")[0] in err and "number" in err
         assert not (tmp_path / "o").exists()
 
+    # each refusal names the field or the override at fault
     @pytest.mark.parametrize("override, field", [
         ("sim.dtt=5e-4", "sim.dtt: unknown field"),
         ("controller.n_dirs=2", "controller.n_dirs: unknown field"),
         ("plant.B=[[],[]]", "B must have at least one column"),
-        ("plant.map.H=[[1,0],[0,1]]", "exactly one of coupling and H")])
+        ("plant.map.H=[[1,0],[0,1]]", "exactly one of coupling and H"),
+        ("sim.dt=0", "sim.dt must be > 0, got 0.0"),
+        ("sim.horizon=0.0005", "sim.horizon (0.0005) must exceed dt (0.001)"),
+        ("sim.log_stride=0", "sim.log_stride must be >= 1, got 0"),
+        ("analysis.delta=0", "analysis.delta must be > 0, got 0.0"),
+        ("analysis.trailing_fraction=1.5",
+         "analysis.trailing_fraction must be in (0, 1], got 1.5"),
+        ("analysis.c_bound=0", "analysis.c_bound must be > 0, got 0.0"),
+        ("plant.C=[[1,0,0]]", "plant: C must be 2x2, got (1, 3)"),
+        ("plant.A=[[-1,1e13],[0,-1]]",
+         "plant: A is singular or ill-conditioned (cond=1e+26)"),
+        ("bogus", "override 'bogus' must have the form key.path=value"),
+        ("sim.dt.x=1", "override sim.dt.x: no such field")])
     def test_unknown_or_conflicting_field_is_usage_error(self, tmp_path,
                                                          capsys, override,
                                                          field):
@@ -467,6 +481,24 @@ class TestVerifyCommand:
         assert run_cli("verify", "oracles") == EXIT_OK
         out = capsys.readouterr().out
         assert "[PASS]" in out and "[FAIL]" not in out
+
+    @pytest.mark.parametrize("suite, title, name", [
+        ("scenarios", "scenario suite", "scenario_suite"),
+        ("sweep", "residual-scaling sweep", "sweep_suite")])
+    @pytest.mark.parametrize("passed", [True, False])
+    def test_one_suite(self, monkeypatch, capsys, suite, title, name,
+                       passed):
+        # the suites are stubs, so no run starts
+        for stub in ("oracle_suite", "composition_check", "scenario_suite",
+                     "sweep_suite"):
+            monkeypatch.setattr(cli, stub, lambda *args, stub=stub: [
+                CheckResult(stub, passed, "stub")])
+        assert run_cli("verify", suite) == (EXIT_OK if passed else EXIT_FAIL)
+        lines = capsys.readouterr().out.splitlines()
+        mark = "PASS" if passed else "FAIL"
+        assert lines == [f"{title}:", f"  [{mark}] {name}  stub  (0.00s)",
+                         "VERIFY: " + ("all checks passed" if passed
+                                       else "FAILURES above")]
 
 
 class TestLogLevel:

@@ -124,6 +124,11 @@ class TestQuadraticMap:
         with pytest.raises(ConfigurationError, match="negative definite"):
             QuadraticMap.from_coupling(1.0)
 
+    def test_curvature_shape_checked(self):
+        with pytest.raises(ConfigurationError,
+                           match=r"H must be 2x2, got \(1, 1\)"):
+            QuadraticMap(2.0, [0, 0], [[-1.0]])
+
     def test_asymmetric_curvature_rejected(self):
         with pytest.raises(ConfigurationError):
             QuadraticMap(0.0, [0.0, 0.0], [[-1.0, 0.5], [0.0, -1.0]])
@@ -177,6 +182,11 @@ class TestCascadePlant:
         plant = CascadePlant(lti, benchmark_map)
         z = np.array([0.3, -1.2])
         assert np.allclose(plant.high_freq_gain(z), benchmark_map.gradient(z))
+
+    def test_repr(self, benchmark_plant):
+        assert repr(benchmark_plant) == (
+            "CascadePlant(LtiSubsystem(n=2, m=2, hurwitz=True), "
+            "map=QuadraticMap)")
 
     def test_map_dimension_checked(self, benchmark_lti):
         with pytest.raises(ConfigurationError, match="dimension"):

@@ -17,7 +17,8 @@ from slidingesc import (CascadePlant, ConfigurationError, ControllerParams,
                         SimConfig, SimulationAbort, _fastpath, dt_guard_limit,
                         run)
 from slidingesc.controller import controller_step
-from slidingesc.scenario import builtin_scenario_dict, scenario_from_dict
+from slidingesc.scenario import (builtin_scenario_dict, load_builtin,
+                                 scenario_from_dict, with_overrides)
 from slidingesc import sim as sim_module
 from slidingesc.sim import BACKENDS
 
@@ -253,8 +254,11 @@ def closed_loops(draw, sub_steps):
     qmap = QuadraticMap(draw(st.floats(0.0, 3.0)),
                         draw(matrices(1, n, 2.0))[0],
                         -(root @ root.T + 0.5 * np.eye(n)))
-    params = make_params(p0=-2.0, y_sat=draw(st.sampled_from([3.0, math.inf])),
-                         eta=draw(st.floats(0.05, 1.0)),
+    # a reference below its saturation ramps; one that starts at it
+    # (p0 = y_sat) holds from step 0
+    y_sat = draw(st.sampled_from([3.0, math.inf]))
+    p0 = -2.0 if math.isinf(y_sat) else draw(st.sampled_from([-2.0, y_sat]))
+    params = make_params(p0=p0, y_sat=y_sat, eta=draw(st.floats(0.05, 1.0)),
                          epsilon_sw=draw(st.floats(0.01, 0.2)))
     dt = min(1e-3, 0.9 * guard_limit(CascadePlant(lti, qmap), params,
                                       params.eta))
@@ -337,6 +341,17 @@ class TestChunkedBackend:
                                  | (np.diff(reference.dir_index) != 0))
         longest = np.diff(np.concatenate(([0], changes + 1, [len(reference)])))
         assert longest.max() >= 2 * _fastpath.CHUNK_MAX
+        chunked = run(sc.build_plant(), sc.controller, sc.sim, backend="auto")
+        assert_chunked_agrees(reference, chunked)
+
+    @pytest.mark.parametrize("overrides", [
+        {"controller.p0": "2.5"},   # y_sat: the reference starts saturated
+        {"sim.v0": "null"}])        # v0 omitted: zeros
+    def test_agrees_from_each_start(self, overrides):
+        sc = with_overrides(load_builtin("coupled_bowl"), {
+            "sim.horizon": "20", "sim.log_stride": "1", **overrides})
+        reference = run(sc.build_plant(), sc.controller, sc.sim,
+                        backend="python")
         chunked = run(sc.build_plant(), sc.controller, sc.sim, backend="auto")
         assert_chunked_agrees(reference, chunked)
 
@@ -442,6 +457,12 @@ class TestBackendChoiceLogged:
                 backend="python")
         assert self._choices(caplog) == ["backend: requested python, used python"]
 
+    def test_unknown_backend_refused(self, benchmark_plant, benchmark_params):
+        with pytest.raises(ConfigurationError,
+                           match=r"backend must be one of \('auto', 'python'\)"):
+            run(benchmark_plant, benchmark_params, short_config(horizon=0.01),
+                backend="numba")
+
 
 class TestGuards:
     def test_dt_guard_aborts(self, benchmark_plant, benchmark_params):
@@ -487,7 +508,8 @@ class TestGuards:
     @staticmethod
     def _abort_time(lti, qmap, x0, **params):
         # the time the finite-escape abort names, after checking that
-        # both backends abort with the same message
+        # both backends abort with the same message, as they do when the
+        # output or the relay argument overflows first
         messages = []
         for backend in ("auto", "python"):
             config = SimConfig(dt=1e-2, horizon=10.0, x0=x0, v0=[0.0, 0.0],
@@ -506,6 +528,29 @@ class TestGuards:
         # non-finite, at A = 5 I the relay's sine argument overflows first
         lti = LtiSubsystem(growth * np.eye(2), np.eye(2), allow_unstable=True)
         assert self._abort_time(lti, benchmark_map, [1.0, 1.0]) == t_fail
+
+    @pytest.mark.parametrize("c, steps", [
+        (1e-170, {"auto": 646, "python": 642}),
+        (1e-100, {"auto": 531, "python": 531})])
+    def test_state_escape_names_each_loops_step(self, benchmark_map, c,
+                                                steps):
+        # with C = 1e-170 I the state overflows long before the output:
+        # the reference loop forms A x = 200 x before scaling it by dt,
+        # which overflows about log_3(66.7) = 4 steps before the kernel's
+        # (I + h A) x = 3 x, so each loop names a step of its own; with
+        # C = 1e-100 I the output overflows first, at the same step
+        lti = LtiSubsystem(200.0 * np.eye(2), np.eye(2), c * np.eye(2),
+                           allow_unstable=True)
+        config = SimConfig(dt=1e-2, horizon=20.0, x0=[1.0, 1.0],
+                           v0=[0.0, 0.0], log_stride=1, plant_eta=1.0)
+        named = {}
+        for backend in BACKENDS:
+            with pytest.raises(SimulationAbort, match="finite-escape") as info:
+                run(CascadePlant(lti, benchmark_map), make_params(), config,
+                    backend=backend, dt_guard=False)
+            named[backend] = int(re.search(r"step (\d+)",
+                                           str(info.value)).group(1))
+        assert named == steps
 
     def test_escape_at_step_zero(self, benchmark_lti, benchmark_map):
         # a finite output at the start whose relay argument overflows:

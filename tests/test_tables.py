@@ -12,7 +12,6 @@ import json
 import logging
 import os
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -39,7 +38,8 @@ def reference_csv(traj, path) -> None:
     ])
     fmt = ["%.17g"] * (1 + m + 2 * n + 4 + m) + ["%d", "%.17g"]
     np.savetxt(path, table, fmt=fmt, delimiter=",",
-               header=",".join(traj.column_header()), comments="")
+               header=",".join(name for name, _, _ in traj.columns()),
+               comments="")
 
 
 def reference_plot_tables(outdir, traj, plant, fmt="%.17g") -> None:
@@ -405,48 +405,6 @@ class TestSplit:
                 write_all(tmp_path, traj, plant_of_dim(2))
         assert len(forks) == 1
         assert_reaped(forks)
-        assert list(tmp_path.iterdir()) == []
-
-    def test_fork_warning_about_threads_filtered(self, tmp_path, monkeypatch,
-                                                forks):
-        # the warning Python 3.12 and later give on a fork in a process
-        # with threads, here raised by a stand-in fork, is not an error
-        traj = split_case(SPLIT_ROWS + 1)
-        plant = plant_of_dim(2)
-        warned, quiet = tmp_path / "warned", tmp_path / "quiet"
-        warned.mkdir()
-        quiet.mkdir()
-        write_all(quiet, traj, plant)
-        recording_fork = os.fork
-
-        def warning_fork():
-            warnings.warn(f"This process (pid={os.getpid()}) is "
-                          "multi-threaded, use of fork() may lead to "
-                          "deadlocks in the child.", DeprecationWarning,
-                          stacklevel=2)
-            return recording_fork()
-
-        monkeypatch.setattr(os, "fork", warning_fork)
-        write_all(warned, traj, plant)
-        assert len(forks) == 2
-        assert_reaped(forks)
-        names = sorted(p.name for p in quiet.iterdir())
-        assert sorted(p.name for p in warned.iterdir()) == names
-        for name in names:
-            assert (warned / name).read_bytes() == (quiet / name).read_bytes()
-
-    def test_other_fork_warning_still_raised(self, tmp_path, monkeypatch):
-        # only that one warning is filtered: under the suite's
-        # warnings-as-errors another DeprecationWarning from the fork
-        # raises, and no table is left behind
-        def warning_fork():
-            warnings.warn("os.fork is deprecated", DeprecationWarning,
-                          stacklevel=2)
-            raise AssertionError("the warning did not raise")
-
-        monkeypatch.setattr(os, "fork", warning_fork)
-        with pytest.raises(DeprecationWarning, match="os.fork is deprecated"):
-            write_all(tmp_path, split_case(SPLIT_ROWS), plant_of_dim(2))
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("fork", ["fails", "missing"])

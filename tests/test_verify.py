@@ -1,10 +1,13 @@
-"""The controller-invariant draws of the oracle suite: the batched calls
-replay the stream of one scalar call per value, so the same draws are
-examined."""
+"""The verify suites: the controller-invariant draws of the oracle
+suite replay the stream of one scalar call per value, so the same draws
+are examined; every check of the oracle suite can fail; the scenario
+and sweep suites read their variants and plant_eta as their runs do."""
 
 import dataclasses
+import re
 
 import numpy as np
+import pytest
 
 from slidingesc import load_builtin, verify
 from slidingesc.scenario import scenario_from_dict
@@ -135,3 +138,69 @@ def test_residual_bound_reads_the_runs_plant_eta(monkeypatch):
     assert load_builtin("coupled_bowl").controller.eta == 0.01
     assert bounded == [0.04]
     assert ran == [0.04, 0.04]  # the run and its dt-halved rerun
+
+
+def invariants():
+    return verify._controller_invariants(
+        np.random.default_rng(verify.ORACLE_SEED), 5)
+
+
+def composition():
+    result = verify.composition_check(5)
+    return result.passed, result.detail
+
+
+def changed(change):
+    """A stand-in for a function whose result passes through ``change``,
+    which is also given the function's arguments."""
+    return lambda original: lambda *args: change(original(*args), *args)
+
+
+def resolved(**changes):
+    """A stand-in for ``ControllerParams.resolve`` with each field of
+    ``changes`` passed through its function."""
+    return changed(lambda constants, *_: dataclasses.replace(constants, **{
+        name: change(getattr(constants, name))
+        for name, change in changes.items()}))
+
+
+# each failure branch of the oracle checks: the name a faulty stand-in
+# replaces, the stand-in, the check and the detail it fails with
+FAULTS = {
+    "rho floor": (verify.ControllerParams, "resolve",
+                  resolved(rho=lambda rho: 0.5 * rho), invariants,
+                  r"draw 0: rho \S+ below bound \S+"),
+    "sub-step count": (verify.ControllerParams, "resolve",
+                       resolved(sub_steps=lambda n: n + 1), invariants,
+                       r"draw 0: T_s does not give \d+ steps"),
+    "scheduler period": (verify, "cyclic_direction",
+                         changed(lambda result, k, *_: (k, result[1])),
+                         invariants,
+                         r"draw 0: scheduler not periodic at k=\d+"),
+    "direction shares": (verify, "direction_index",
+                         changed(lambda index, *_: index[1:]), invariants,
+                         r"draw 0: direction shares \[.*\] not equal"),
+    "control law": (verify, "control_law", changed(lambda u, *_: 2.0 * u),
+                    invariants,
+                    r"draw 0: u=\[.*\] not a single \+-rho component"),
+    "reference": (verify, "reference_step",
+                  changed(lambda y_m, *_: y_m - 1.0), invariants,
+                  r"draw 0: reference not monotone/saturated"),
+    "sliding variable": (verify, "sliding_variable_step",
+                         changed(lambda s, state, e, lambda_eff, dt:
+                                 s + 100.0 * lambda_eff + 1.0), invariants,
+                         r"draw 0: \|s-e\| exceeds lambda_eff\*t"),
+    "composition": (verify, "controller_step",
+                    changed(lambda result, *_: (-result[0], result[1])),
+                    composition, r"draw 0: composition mismatch"),
+}
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+def test_each_oracle_check_can_fail(monkeypatch, fault):
+    owner, name, stand_in, check, detail = FAULTS[fault]
+    assert check()[0]
+    monkeypatch.setattr(owner, name, stand_in(getattr(owner, name)))
+    passed, got = check()
+    assert not passed
+    assert re.fullmatch(detail, got), got
