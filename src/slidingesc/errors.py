@@ -6,8 +6,8 @@ class ConfigurationError(ValueError):
 
 
 class SimulationAbort(RuntimeError):
-    """A run was stopped: non-finite signals, a failed hypothesis check,
-    or a time step that violates the resolution guard."""
+    """A run was stopped by non-finite signals, or a run or scenario load
+    by a time step that violates the resolution guard."""
 
 
 def real(value, name: str) -> float:

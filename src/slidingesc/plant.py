@@ -72,8 +72,8 @@ class LtiSubsystem:
     C : array_like, shape (n, n), optional
         Output matrix, identity by default.
     allow_unstable : bool
-        Skip the Hurwitz requirement (the stability check is still
-        reported by :meth:`CascadePlant.check_hypotheses`).
+        Skip the Hurwitz requirement (a scenario's ``plant.allow_unstable``);
+        :meth:`CascadePlant.check_hypotheses` still reports H3.
     """
 
     def __init__(self, A, B, C=None, *, allow_unstable: bool = False) -> None:

@@ -7,7 +7,8 @@ Schema (field names are the contract; the syntax is plain JSON):
       "plant": {
         "A": [[...]], "B": [[...]], "C": [[...]],        # row-major
         "map": {"kind": "quadratic", "y_star": 2.0, "z_star": [0, 0],
-                "coupling": 0.5}                         # or "H": [[...]]
+                "coupling": 0.5},                        # or "H": [[...]]
+        "allow_unstable": false      # optional; true accepts a non-Hurwitz A
       },
       "controller": {
         "p": 1.0, "p0": 0.0, "y_sat": 2.5, "lambda": 4.0,
@@ -18,7 +19,8 @@ Schema (field names are the contract; the syntax is plain JSON):
         "dt": 0.001, "horizon": 1500.0, "x0": [-2, 4],
         "v0": [0.5, 1.0],            # or "quasi_steady", or omitted (zeros)
         "log_stride": 100,
-        "plant_eta": null            # null: the controller's eta
+        "plant_eta": null,           # null: the controller's eta
+        "dt_guard": true             # optional; false: the guard only warns
       },
       "analysis": {"delta": null, "trailing_fraction": 0.1, "c_bound": 2.5}
     }
@@ -88,12 +90,11 @@ class Scenario:
     controller: ControllerParams
     sim: SimConfig
     analysis: AnalysisParams
-    allow_unstable: bool = False
 
     def build_plant(self) -> CascadePlant:
         plant = self.document["plant"]
         lti = LtiSubsystem(plant["A"], plant["B"], plant.get("C"),
-                           allow_unstable=self.allow_unstable)
+                           allow_unstable=plant.get("allow_unstable", False))
         # the map's other fields are the constructors' arguments; the
         # coupling family's y_star and z_star default there
         spec = {key: value for key, value in plant["map"].items()
@@ -103,13 +104,11 @@ class Scenario:
         return CascadePlant(lti, make(**spec))
 
 
-def _count(value, path: str) -> int:
-    """An integral count: 3 and 3.0 pass; 2.5, true and "3" do not."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not (isinstance(value, numbers.Integral)
-                    or float(value).is_integer())):
-        raise ScenarioError(f"{path}: expected an integer, got {value!r}")
-    return int(value)
+def _flag(value, path: str) -> bool:
+    """A JSON boolean: true and false pass; 0, "off" and null do not."""
+    if not isinstance(value, bool):
+        raise ScenarioError(f"{path}: expected true or false, got {value!r}")
+    return value
 
 
 def _number(value, path: str) -> float:
@@ -182,7 +181,8 @@ _SCHEMA = {
          "plant": (_read, REQUIRED), "controller": (_read, REQUIRED),
          "sim": (_read, REQUIRED), "analysis": (_read, OPTIONAL)},
     "plant": {"A": (_numbers, REQUIRED), "B": (_numbers, REQUIRED),
-              "C": (_numbers, NULL_OMITS), "map": (_read, REQUIRED)},
+              "C": (_numbers, NULL_OMITS), "map": (_read, REQUIRED),
+              "allow_unstable": (_flag, OPTIONAL)},
     "plant.map": {"kind": (None, REQUIRED), "y_star": (_number, OPTIONAL),
                   "z_star": (_numbers, OPTIONAL),
                   "coupling": (_number, OPTIONAL),
@@ -194,17 +194,17 @@ _SCHEMA = {
                                   "eta", "T_s")}},
     "sim": {"dt": (_number, REQUIRED), "horizon": (_number, REQUIRED),
             "x0": (_numbers, REQUIRED), "v0": (_v0, NULL_OMITS),
-            "log_stride": (_count, OPTIONAL),
-            "plant_eta": (_number, NULL_OMITS)},
+            "log_stride": (None, OPTIONAL),
+            "plant_eta": (_number, NULL_OMITS), "dt_guard": (_flag, OPTIONAL)},
     "analysis": {"delta": (_number, NULL_OMITS),
                  "trailing_fraction": (_number, OPTIONAL),
                  "c_bound": (_number, OPTIONAL)},
 }
 
 
-def scenario_from_dict(data: dict, *, allow_unstable: bool = False) -> Scenario:
+def scenario_from_dict(data: dict) -> Scenario:
     """Build and fully validate a Scenario from a parsed document, which
-    it keeps a copy of."""
+    it keeps a copy of; the dt guard refuses with a SimulationAbort."""
     fields = _read(data, "")
     spec = fields["plant"]["map"]
     if spec["kind"] != "quadratic":
@@ -225,8 +225,7 @@ def scenario_from_dict(data: dict, *, allow_unstable: bool = False) -> Scenario:
             records.append(make(**fields.get(section, {})))
         except ConfigurationError as exc:
             raise ScenarioError(f"{section}.{exc}") from exc
-    scenario = Scenario(copy.deepcopy(data), *records,
-                        allow_unstable=allow_unstable)
+    scenario = Scenario(copy.deepcopy(data), *records)
     # the plant and a run's set-up checks, so a scenario that loads can run
     try:
         plant = scenario.build_plant()
@@ -236,10 +235,13 @@ def scenario_from_dict(data: dict, *, allow_unstable: bool = False) -> Scenario:
         resolve_v0(plant, scenario.sim)
     except ConfigurationError as exc:
         raise ScenarioError(f"sim.{exc}") from exc
+    controller, sim = scenario.controller, scenario.sim
     try:
-        scenario.controller.resolve(scenario.sim.dt, plant.lti.m)
+        constants = controller.resolve(sim.dt, plant.lti.m)
     except ConfigurationError as exc:  # names controller.T_s / n_dirs
         raise ScenarioError(str(exc)) from exc
+    if sim.dt_guard:  # off, the run itself warns
+        sim.check_dt(plant, constants, sim.resolved_plant_eta(controller.eta))
     return scenario
 
 
@@ -297,7 +299,7 @@ def with_overrides(scenario: Scenario, overrides: dict[str, str]) -> Scenario:
     data = copy.deepcopy(scenario.document)
     for key, text in overrides.items():
         apply_override(data, key, text)
-    return scenario_from_dict(data, allow_unstable=scenario.allow_unstable)
+    return scenario_from_dict(data)
 
 
 def get_field(data: dict, dotted_key: str):

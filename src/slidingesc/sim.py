@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -54,6 +55,7 @@ class SimConfig:
     (see module docstring); ``None`` selects the controller's eta.
     ``v0`` is a vector, ``None`` (zeros) or ``"quasi_steady"``, which
     solves B v0 = -A x0 to start on the quasi-steady manifold of x0.
+    ``dt_guard`` off lets a run take a step above ``dt_guard_limit``.
     """
 
     dt: float
@@ -62,6 +64,7 @@ class SimConfig:
     v0: Union[np.ndarray, str, None] = None
     log_stride: int = 1
     plant_eta: Optional[float] = None
+    dt_guard: bool = True
 
     def __post_init__(self) -> None:
         if not 0.0 < real(self.dt, "dt") < math.inf:
@@ -69,6 +72,12 @@ class SimConfig:
         if not (real(self.horizon, "horizon") > self.dt):
             raise ConfigurationError(
                 f"horizon ({self.horizon}) must exceed dt ({self.dt})")
+        stride = self.log_stride  # 3 and 3.0 pass; 2.5, true and "3" do not
+        if (isinstance(stride, bool) or not isinstance(stride, numbers.Real)
+                or not real(stride, "log_stride").is_integer()):
+            raise ConfigurationError(
+                f"log_stride must be an integer, got {stride!r}")
+        object.__setattr__(self, "log_stride", int(stride))
         if self.log_stride < 1:
             raise ConfigurationError(
                 f"log_stride must be >= 1, got {self.log_stride}")
@@ -100,15 +109,15 @@ class SimConfig:
         return eta if self.plant_eta is None else self.plant_eta
 
     def check_dt(self, plant: CascadePlant, constants: ControllerConstants,
-                 plant_eta: float, dt_guard: bool = True) -> None:
+                 plant_eta: float) -> None:
         """The resolution guard on ``dt``: above ``dt_guard_limit`` a
         SimulationAbort, or with ``dt_guard`` off a warning."""
         limit = dt_guard_limit(plant, constants, plant_eta)
         if self.dt > limit:
             msg = (f"dt={self.dt:g} exceeds the resolution guard limit "
                    f"{limit:.3g} (Euler stability / relay band resolution)")
-            if dt_guard:
-                raise SimulationAbort(msg + "; rerun with the guard off to "
+            if self.dt_guard:
+                raise SimulationAbort(msg + "; set sim.dt_guard to false to "
                                       "force")
             logger.warning("DT GUARD OVERRIDDEN: %s", msg)
 
@@ -219,7 +228,7 @@ def dt_guard_limit(plant: CascadePlant, constants: ControllerConstants,
 
 
 def run(plant: CascadePlant, params: ControllerParams, config: SimConfig, *,
-        backend: str = "auto", dt_guard: bool = True) -> Trajectory:
+        backend: str = "auto") -> Trajectory:
     """Run the closed loop over [0, horizon] and return the full log.
 
     ``backend`` is one of BACKENDS: ``python`` is the reference loop;
@@ -235,10 +244,10 @@ def run(plant: CascadePlant, params: ControllerParams, config: SimConfig, *,
     aborted run its state is what it was before.  Deterministic:
     identical inputs on one backend produce bit-identical trajectories.
     Aborts (raises SimulationAbort) on non-finite signals and on a dt
-    violating the resolution guard unless ``dt_guard`` is off.  A failed
-    hypothesis check is logged as a warning, not raised: only H3 can
-    fail, and only on a plant built with ``allow_unstable=True``, which
-    is the opt-in.
+    violating the resolution guard unless ``config.dt_guard`` is off.  A
+    failed hypothesis check is logged as a warning, not raised: only H3
+    can fail, and only on a plant built with ``allow_unstable=True``,
+    which is the opt-in.
     """
     if backend not in BACKENDS:
         raise ConfigurationError(f"backend must be one of {BACKENDS}")
@@ -252,7 +261,7 @@ def run(plant: CascadePlant, params: ControllerParams, config: SimConfig, *,
                                  for c in report.failures()))
 
     plant_eta = config.resolved_plant_eta(params.eta)
-    config.check_dt(plant, constants, plant_eta, dt_guard)
+    config.check_dt(plant, constants, plant_eta)
 
     used = "chunked" if backend == "auto" else backend
     logger.info("backend: requested %s, used %s", backend, used)

@@ -277,14 +277,17 @@ class TestRunCommand:
         lines = (out / "trajectory.csv").read_text().splitlines()
         assert len(lines) == 1 + 20000 // 10 + 1
 
-    def test_dt_guard_violation_aborts(self, tmp_path, capsys):
+    def test_dt_guard_violation_aborts(self, tmp_path, capsys, monkeypatch):
+        # scenario load makes the run's guard check, so no run starts
+        no_run(monkeypatch)
         rc = run_cli("run", "--out", str(tmp_path / "o"),
                      "--override", "sim.dt=0.01",
                      "--override", "sim.horizon=1",
                      "--override", "sim.log_stride=1")
         assert rc == EXIT_FAIL
-        assert "guard" in capsys.readouterr().err
-        # the output directory is made only for a run that finished
+        err = capsys.readouterr().err
+        assert "resolution guard limit" in err
+        assert "set sim.dt_guard to false" in err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("field", BAD_SET_UPS)
@@ -297,13 +300,57 @@ class TestRunCommand:
         assert not out.exists()
 
     def test_unstable_plant_needs_flag(self, tmp_path):
+        # the opt-in is the document's plant.allow_unstable
         args = ["run", "--out", str(tmp_path / "o"),
                 "--override", "plant.A=[[1,0],[0,1]]",
                 "--override", "sim.horizon=0.2",
                 "--override", "sim.log_stride=1",
                 "--override", "sim.plant_eta=1.0"]
         assert run_cli(*args) == EXIT_USAGE
-        assert run_cli(*args, "--allow-unstable") == EXIT_OK
+        assert run_cli(*args, "--override",
+                       "plant.allow_unstable=true") == EXIT_OK
+        saved = json.loads((tmp_path / "o" / "scenario.json").read_text())
+        assert saved["plant"]["allow_unstable"] is True
+
+    def test_saved_document_reproduces_run(self, tmp_path):
+        # both opt-outs are fields of the document a run saves, so that
+        # document alone runs again, to the same bytes: an unstable A at
+        # the default dt of 0.001, above the guard's limit of 0.00094
+        first, second = tmp_path / "first", tmp_path / "second"
+        args = ["run", "--out", str(first),
+                *override_args(["plant.A=[[0.1,0],[0,-1]]", "sim.horizon=2",
+                                "sim.log_stride=1"])]
+        opt_outs = ["plant.allow_unstable=true", "sim.dt_guard=false"]
+        assert run_cli(*args, *override_args(opt_outs[:1])) == EXIT_FAIL
+        assert run_cli(*args, *override_args(opt_outs)) == EXIT_OK
+        assert run_cli("run", "--config", str(first / "scenario.json"),
+                       "--out", str(second)) == EXIT_OK
+        names = sorted(path.name for path in first.iterdir())
+        assert names == sorted(path.name for path in second.iterdir())
+        assert {"trajectory.csv", "metrics.json",
+                "output_vs_time.dat"} <= set(names)
+        for name in names:
+            assert (first / name).read_bytes() == (second / name).read_bytes()
+
+    @pytest.mark.parametrize("field", ["sim.dt_guard", "plant.allow_unstable"])
+    @pytest.mark.parametrize("value", ['"off"', "0", "null"])
+    def test_non_boolean_opt_out_is_usage_error(self, tmp_path, capsys,
+                                                field, value):
+        rc = run_cli("run", "--out", str(tmp_path / "o"), *SHORT,
+                     "--override", f"{field}={value}")
+        assert rc == EXIT_USAGE
+        assert (f"error: {field}: expected true or false"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flag", [["--allow-unstable"],
+                                      ["--dt-guard", "off"]])
+    def test_removed_flag_is_usage_error(self, tmp_path, capsys, flag):
+        # the opt-outs are document fields only
+        with pytest.raises(SystemExit) as exc:
+            run_cli("run", "--out", str(tmp_path / "o"), *SHORT, *flag)
+        assert exc.value.code == EXIT_USAGE
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_env_var_default_out(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("SLIDINGESC_OUT", str(tmp_path / "envout"))
@@ -387,15 +434,41 @@ class TestSweepCommand:
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_repeated_value_usage_error(self, tmp_path, capsys, jobs):
         # both runs would write into sim_plant_eta=0.01; refused before
-        # any run starts
+        # any run starts, also where a space sets the two apart
         out = tmp_path / "s"
-        rc = run_cli("sweep", "--param", "sim.plant_eta",
-                     "--values", "0.01,0.02,0.01", "--jobs", jobs,
-                     "--out", str(out), *SHORT)
-        assert rc == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert "sweep value '0.01'" in err and "sim_plant_eta=0.01" in err
-        assert not out.exists()
+        for values in ("0.01,0.02,0.01", "0.01, 0.01"):
+            rc = run_cli("sweep", "--param", "sim.plant_eta",
+                         "--values", values, "--jobs", jobs,
+                         "--out", str(out), *SHORT)
+            assert rc == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert "sweep value '0.01'" in err
+            assert "sim_plant_eta=0.01, which an earlier value" in err
+            assert not out.exists()
+
+    def test_values_stripped(self, tmp_path):
+        out = tmp_path / "s"
+        assert run_cli("sweep", "--param", "sim.plant_eta",
+                       "--values", " 0.01 , 0.02", "--out", str(out),
+                       *SHORT) == EXIT_OK
+        rows = (out / "sweep_metrics.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["0.01", "0.02"]
+        assert sorted(p.name for p in out.iterdir() if p.is_dir()) == [
+            "sim_plant_eta=0.01", "sim_plant_eta=0.02"]
+
+    def test_variants_keep_allow_unstable(self, tmp_path):
+        # each value's document is the base document, opt-in included
+        out = tmp_path / "s"
+        assert run_cli("sweep", "--param", "sim.plant_eta",
+                       "--values", "0.5,1", "--out", str(out),
+                       "--override", "plant.A=[[1,0],[0,1]]",
+                       "--override", "plant.allow_unstable=true",
+                       "--override", "sim.horizon=0.2",
+                       "--override", "sim.log_stride=1") == EXIT_OK
+        for value in ("0.5", "1"):
+            saved = json.loads(
+                (out / f"sim_plant_eta={value}" / "scenario.json").read_text())
+            assert saved["plant"]["allow_unstable"] is True
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     @pytest.mark.parametrize("field", BAD_SET_UPS)
@@ -424,18 +497,19 @@ class TestSweepCommand:
         assert run_cli(*args) == EXIT_FAIL
         assert "resolution guard" in capsys.readouterr().err
         assert not out.exists()
-        # with the guard off both values run
-        assert run_cli(*args, "--dt-guard", "off") == EXIT_OK
+        # with the document's guard off both values run
+        assert run_cli(*args, "--override", "sim.dt_guard=false") == EXIT_OK
         assert (out / "sim_dt=0.01").is_dir()
 
     def test_dt_guard_check_is_the_runs(self, tmp_path, monkeypatch):
-        # the sweep asks sim.dt_guard_limit, looked up when called, as a
-        # run does: a limit of 0 refuses any step before any run
+        # scenario load asks sim.dt_guard_limit, looked up when called,
+        # as a run does: a limit of 0 refuses any step before any run
         no_run(monkeypatch)
         monkeypatch.setattr(sim, "dt_guard_limit", lambda *args: 0.0)
-        rc = run_cli("sweep", "--param", "controller.eta",
-                     "--values", "0.01", "--out", str(tmp_path / "s"), *SHORT)
-        assert rc == EXIT_FAIL
+        sweep = ["--param", "controller.eta", "--values", "0.01"]
+        for command in (["run"], ["sweep", *sweep]):
+            assert run_cli(*command, "--out", str(tmp_path / "s"),
+                           *SHORT) == EXIT_FAIL
 
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_below_one_usage_error(self, tmp_path, capsys, jobs):
@@ -474,6 +548,15 @@ class TestSweepCommand:
         rc = run_cli("sweep", "--param", "name", "--values", "a,b",
                      "--out", str(tmp_path / "s"))
         assert rc == EXIT_USAGE
+
+    def test_boolean_param_rejected(self, tmp_path, capsys):
+        rc = run_cli("sweep", "--param", "sim.dt_guard", "--values", "0,1",
+                     "--override", "sim.dt_guard=true",
+                     "--out", str(tmp_path / "s"))
+        assert rc == EXIT_USAGE
+        assert ("sweep parameter sim.dt_guard is not numeric"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "s").exists()
 
 
 class TestVerifyCommand:

@@ -13,7 +13,8 @@ import pytest
 
 import slidingesc
 from slidingesc import (ControllerParams, ScenarioError, SimConfig,
-                        load_builtin, load_scenario, save_scenario)
+                        SimulationAbort, load_builtin, load_scenario,
+                        save_scenario)
 from slidingesc.scenario import (_SCHEMA, AnalysisParams, apply_override,
                                  builtin_scenario_dict,
                                  builtin_scenario_names, get_field,
@@ -70,8 +71,25 @@ class TestValidation:
         benchmark_doc["plant"]["A"] = [[1.0, 0.0], [0.0, 1.0]]
         with pytest.raises(ScenarioError, match="plant.*Hurwitz"):
             scenario_from_dict(benchmark_doc)
-        sc = scenario_from_dict(benchmark_doc, allow_unstable=True)
+        benchmark_doc["plant"]["allow_unstable"] = True
+        sc = scenario_from_dict(benchmark_doc)
         assert not sc.build_plant().lti.is_hurwitz
+        # a variant is read from the document, opt-in included
+        variant = with_overrides(sc, {"sim.horizon": "2"})
+        assert not variant.build_plant().lti.is_hurwitz
+
+    def test_dt_guard_checked_on_load(self, benchmark_doc, caplog):
+        # the run's guard refuses the scenario already; with the
+        # document's guard off it loads, and only the run warns
+        benchmark_doc["sim"]["dt"] = 0.01
+        with pytest.raises(SimulationAbort,
+                           match="resolution guard limit .* set sim.dt_guard "
+                                 "to false"):
+            scenario_from_dict(benchmark_doc)
+        benchmark_doc["sim"]["dt_guard"] = False
+        with caplog.at_level("WARNING"):
+            sc = scenario_from_dict(benchmark_doc)
+        assert sc.sim.dt_guard is False and not caplog.records
 
     def test_missing_field_has_path(self, benchmark_doc):
         del benchmark_doc["controller"]["epsilon_sw"]

@@ -53,6 +53,7 @@ BEYOND_FLOAT_RANGE = {
     "dt": lambda: short_config(dt=HUGE),
     "horizon": lambda: short_config(horizon=HUGE),
     "plant_eta": lambda: short_config(plant_eta=HUGE),
+    "log_stride": lambda: short_config(log_stride=HUGE),
 }
 
 
@@ -113,6 +114,19 @@ class TestRunBookkeeping:
         # refused when the config is built, before any plant is seen
         with pytest.raises(ConfigurationError, match="^log_stride"):
             short_config(log_stride=3)
+
+    @pytest.mark.parametrize("stride", [2.5, True, "10", math.nan])
+    def test_stride_must_be_whole(self, stride):
+        with pytest.raises(ConfigurationError, match="^log_stride must be"):
+            short_config(log_stride=stride)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_integral_float_stride_taken_as_int(self, benchmark_plant,
+                                                benchmark_params, backend):
+        config = short_config(log_stride=10.0)
+        assert type(config.log_stride) is int and config.log_stride == 10
+        traj = run(benchmark_plant, benchmark_params, config, backend=backend)
+        assert len(traj) == 2000 // 10 + 1
 
     def test_config_is_frozen(self):
         # run trusts the checks made when the config was built
@@ -434,9 +448,9 @@ class TestChunkedBackend:
         plant = CascadePlant(lti, benchmark_map)
         plant.v, plant.x = v, x
         config = SimConfig(dt=1e-2, horizon=10.0, x0=[1.0, 1.0],
-                           v0=[0.0, 0.0], log_stride=1)
+                           v0=[0.0, 0.0], log_stride=1, dt_guard=False)
         with pytest.raises(SimulationAbort, match="finite-escape"):
-            run(plant, make_params(), config, backend=backend, dt_guard=False)
+            run(plant, make_params(), config, backend=backend)
         assert np.array_equal(plant.v, v) and np.array_equal(plant.x, x)
 
 class TestBackendChoiceLogged:
@@ -474,10 +488,11 @@ class TestGuards:
     def test_dt_guard_override_runs(self, benchmark_plant, benchmark_params, caplog):
         limit = guard_limit(benchmark_plant, benchmark_params, 0.01)
         bad = SimConfig(dt=2.0 * limit, horizon=20 * limit, x0=np.zeros(2),
-                        v0=np.zeros(2), log_stride=1)
+                        v0=np.zeros(2), log_stride=1, dt_guard=False)
         with caplog.at_level("WARNING"):
-            run(benchmark_plant, benchmark_params, bad, dt_guard=False)
-        assert any("GUARD OVERRIDDEN" in r.message for r in caplog.records)
+            run(benchmark_plant, benchmark_params, bad)
+        warned = [r for r in caplog.records if "GUARD OVERRIDDEN" in r.message]
+        assert len(warned) == 1  # once per run
 
     def test_hypothesis_override_is_loud(self, benchmark_map, benchmark_params, caplog):
         # allow_unstable is the one opt-in: the library run goes ahead
@@ -501,9 +516,9 @@ class TestGuards:
         lti = LtiSubsystem(growth * np.eye(2), np.eye(2), allow_unstable=True)
         plant = CascadePlant(lti, benchmark_map)
         config = SimConfig(dt=1e-2, horizon=10.0, x0=[1.0, 1.0],
-                           v0=[0.0, 0.0], log_stride=1)
+                           v0=[0.0, 0.0], log_stride=1, dt_guard=False)
         with pytest.raises(SimulationAbort, match="non-finite|finite-escape"):
-            run(plant, make_params(), config, backend=backend, dt_guard=False)
+            run(plant, make_params(), config, backend=backend)
 
     @staticmethod
     def _abort_time(lti, qmap, x0, **params):
@@ -513,10 +528,10 @@ class TestGuards:
         messages = []
         for backend in ("auto", "python"):
             config = SimConfig(dt=1e-2, horizon=10.0, x0=x0, v0=[0.0, 0.0],
-                               log_stride=1)
+                               log_stride=1, dt_guard=False)
             with pytest.raises(SimulationAbort, match="finite-escape") as info:
                 run(CascadePlant(lti, qmap), make_params(**params), config,
-                    backend=backend, dt_guard=False)
+                    backend=backend)
             messages.append(str(info.value))
         assert messages[0] == messages[1]
         return float(re.search(r"t=([0-9.e+-]+)", messages[0]).group(1))
@@ -542,12 +557,13 @@ class TestGuards:
         lti = LtiSubsystem(200.0 * np.eye(2), np.eye(2), c * np.eye(2),
                            allow_unstable=True)
         config = SimConfig(dt=1e-2, horizon=20.0, x0=[1.0, 1.0],
-                           v0=[0.0, 0.0], log_stride=1, plant_eta=1.0)
+                           v0=[0.0, 0.0], log_stride=1, plant_eta=1.0,
+                           dt_guard=False)
         named = {}
         for backend in BACKENDS:
             with pytest.raises(SimulationAbort, match="finite-escape") as info:
                 run(CascadePlant(lti, benchmark_map), make_params(), config,
-                    backend=backend, dt_guard=False)
+                    backend=backend)
             named[backend] = int(re.search(r"step (\d+)",
                                            str(info.value)).group(1))
         assert named == steps
@@ -582,10 +598,9 @@ class TestGuards:
         monkeypatch.setattr(_fastpath, "run_chunked", strict)
         lti = LtiSubsystem(growth * np.eye(2), np.eye(2), allow_unstable=True)
         config = SimConfig(dt=1e-2, horizon=10.0, x0=[1.0, 1.0],
-                           v0=[0.0, 0.0], log_stride=1)
+                           v0=[0.0, 0.0], log_stride=1, dt_guard=False)
         with pytest.raises(SimulationAbort, match="finite-escape"):
-            run(CascadePlant(lti, benchmark_map), make_params(), config,
-                dt_guard=False)
+            run(CascadePlant(lti, benchmark_map), make_params(), config)
 
 
 class TestQuasiSteadyStart:
