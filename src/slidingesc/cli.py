@@ -32,7 +32,7 @@ from . import _tables
 from .analysis import SLIDING_MIN_STEPS, convergence_metrics
 from .errors import ConfigurationError, SimulationAbort
 from .scenario import (ScenarioError, apply_override, builtin_scenario_dict,
-                       builtin_scenario_names, get_field, read_document,
+                       builtin_scenario_names, numeric_field, read_document,
                        save_scenario, scenario_from_dict, with_overrides)
 from .sim import BACKENDS, run as run_sim
 from .verify import composition_check, oracle_suite, scenario_suite, sweep_suite
@@ -194,17 +194,16 @@ def cmd_sweep(args) -> int:
         print("error: sweep needs a nonempty comma-separated --values list",
               file=sys.stderr)
         return EXIT_USAGE
+    # the schema, not the base document, knows the field: the document
+    # may omit an optional one
     try:
-        current = get_field(base.document, args.param)
+        numeric = numeric_field(args.param)
     except ScenarioError as exc:
         print(f"error: unknown sweep parameter: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    numeric_or_null = (current is None
-                       or (isinstance(current, (int, float))
-                           and not isinstance(current, bool)))
-    if not numeric_or_null:
-        print(f"error: sweep parameter {args.param} is not numeric "
-              f"(current value {current!r})", file=sys.stderr)
+    if not numeric:
+        print(f"error: sweep parameter {args.param} is not numeric",
+              file=sys.stderr)
         return EXIT_USAGE
 
     outroot = Path(args.out)

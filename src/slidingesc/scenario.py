@@ -142,6 +142,11 @@ def _numbers(value, path: str):
     return value
 
 
+def _whole(value, path: str):
+    """A whole number, which SimConfig checks."""
+    return value
+
+
 def _v0(value, path: str):
     """An array of numbers, or a string, which SimConfig checks."""
     return value if isinstance(value, str) else _numbers(value, path)
@@ -194,7 +199,7 @@ _SCHEMA = {
                                   "eta", "T_s")}},
     "sim": {"dt": (_number, REQUIRED), "horizon": (_number, REQUIRED),
             "x0": (_numbers, REQUIRED), "v0": (_v0, NULL_OMITS),
-            "log_stride": (None, OPTIONAL),
+            "log_stride": (_whole, OPTIONAL),
             "plant_eta": (_number, NULL_OMITS), "dt_guard": (_flag, OPTIONAL)},
     "analysis": {"delta": (_number, NULL_OMITS),
                  "trailing_fraction": (_number, OPTIONAL),
@@ -302,13 +307,16 @@ def with_overrides(scenario: Scenario, overrides: dict[str, str]) -> Scenario:
     return scenario_from_dict(data)
 
 
-def get_field(data: dict, dotted_key: str):
-    node = data
-    for key in dotted_key.split("."):
-        if not isinstance(node, dict) or key not in node:
-            raise ScenarioError(f"{dotted_key}: no such field")
-        node = node[key]
-    return node
+def numeric_field(dotted_key: str) -> bool:
+    """Whether the schema's field at the dot-path ``dotted_key`` holds
+    one number, whether or not a document gives it; a ScenarioError if
+    the schema has no such field."""
+    section, _, key = dotted_key.rpartition(".")
+    try:
+        read, _ = _SCHEMA[section][key]
+    except KeyError:
+        raise ScenarioError(f"{dotted_key}: no such field") from None
+    return read in (_number, _whole)
 
 
 def builtin_scenario_names() -> list[str]:

@@ -87,11 +87,15 @@ def oracle_suite(scenario: Optional[Scenario] = None,
     return results
 
 
-def _controller_invariants(rng: np.random.Generator,
-                           draws: int) -> tuple[bool, str]:
-    # (low, high) of each draw's nine parameter uniforms, in draw order:
-    # one call with these bounds returns, bit for bit, what nine scalar
-    # calls would; T_s gives each direction a whole number of steps dt
+def _invariant_tables(rng: np.random.Generator, draws: int) -> tuple:
+    """The random inputs of ``draws`` invariant draws, one array per
+    input with a row per draw, drawn from ``rng`` in this order: the
+    nine parameter uniforms ``(draws, 9)``, ``n_dirs`` in 1..5,
+    ``sub_steps`` in 1..64, the step ``k`` in ``[0, 3 * n_dirs *
+    sub_steps)``, the sliding value ``s``, the 20 reference steps
+    ``(draws, 20)`` and the 20 ``(dt, e)`` pairs ``(draws, 20, 2)``."""
+    # (low, high) of the parameter uniforms, in column order; T_s gives
+    # each direction a whole number of steps dt
     low, high = np.array([(-2.0, 2.0),     # p0
                           (0.05, 5.0),     # p
                           (-1.0, 3.0),     # y_sat - p0
@@ -101,11 +105,24 @@ def _controller_invariants(rng: np.random.Generator,
                           (1e-2, 2.0),     # L_h
                           (1e-4, 1.0),     # eta
                           (1e-4, 0.1)]).T  # dt
-    for i in range(draws):
-        p0, p, sat_offset, lam, epsilon_sw, gamma, L_h, eta, dt = (
-            rng.uniform(low, high).tolist())
-        n_dirs = int(rng.integers(1, 6))
-        sub_steps = int(rng.integers(1, 65))
+    params = rng.uniform(low, high, (draws, 9))
+    n_dirs = rng.integers(1, 6, draws)
+    sub_steps = rng.integers(1, 65, draws)
+    k = rng.integers(0, 3 * n_dirs * sub_steps)
+    s = rng.uniform(-50.0, 50.0, draws)
+    ramp = rng.uniform(1e-4, 1.0, (draws, 20))
+    sliding = rng.uniform((1e-4, -5.0), (0.5, 5.0), (draws, 20, 2))
+    return params, n_dirs, sub_steps, k, s, ramp, sliding
+
+
+def _controller_invariants(rng: np.random.Generator,
+                           draws: int) -> tuple[bool, str]:
+    # the tables stay arrays, converted a row per draw: as Python lists
+    # they would hold several MB
+    rows = zip(*_invariant_tables(rng, draws))
+    for i, (row, n_dirs, sub_steps, k, s, ramp, sliding) in enumerate(rows):
+        p0, p, sat_offset, lam, epsilon_sw, gamma, L_h, eta, dt = row.tolist()
+        n_dirs, sub_steps, k, s = int(n_dirs), int(sub_steps), int(k), float(s)
         params = ControllerParams(
             p=p, p0=p0, y_sat=max(p0, p0 + sat_offset), lam=lam,
             epsilon_sw=epsilon_sw, gamma=gamma, L_h=L_h, eta=eta,
@@ -125,7 +142,6 @@ def _controller_invariants(rng: np.random.Generator,
         if constants.sub_steps != sub_steps:
             return False, f"draw {i}: T_s does not give {sub_steps} steps"
         period = n_dirs * sub_steps
-        k = int(rng.integers(0, 3 * period))
         idx, sigma = cyclic_direction(k, sub_steps, n_dirs)
         idx2, sigma2 = cyclic_direction(k + period, sub_steps, n_dirs)
         if idx != idx2 or not np.array_equal(sigma, sigma2):
@@ -137,7 +153,6 @@ def _controller_invariants(rng: np.random.Generator,
             return False, f"draw {i}: direction shares {counts} not equal"
 
         # control law: exactly one nonzero entry of magnitude rho
-        s = float(rng.uniform(-50.0, 50.0))
         u = control_law(rho, sigma, s, params.epsilon_sw)
         nonzero = np.nonzero(u)[0]
         if nonzero.size != 1 or not math.isclose(abs(u[nonzero[0]]), rho,
@@ -147,7 +162,7 @@ def _controller_invariants(rng: np.random.Generator,
         # reference: monotone nondecreasing and never above saturation
         state = ControllerState.initial(constants)
         prev = state.y_m
-        for dt in rng.uniform(1e-4, 1.0, 20).tolist():
+        for dt in ramp.tolist():
             ym = reference_step(state, p_eff, params.y_sat, dt)
             if ym < prev - 1e-15 or ym > params.y_sat + 1e-15:
                 return False, f"draw {i}: reference not monotone/saturated"
@@ -156,7 +171,7 @@ def _controller_invariants(rng: np.random.Generator,
         # sliding variable: |s - e| bounded by the accumulated gain*time
         state = ControllerState.initial(constants)
         acc = 0.0
-        for dt, e in rng.uniform((1e-4, -5.0), (0.5, 5.0), (20, 2)).tolist():
+        for dt, e in sliding.tolist():
             s_val = sliding_variable_step(state, e, lambda_eff, dt)
             acc += dt
             if abs(s_val - e) > lambda_eff * acc + 1e-12:
@@ -168,22 +183,30 @@ def composition_check(draws: int = 200) -> CheckResult:
     """controller_step equals the four sub-operations called in order."""
     rng = np.random.default_rng(ORACLE_SEED + 1)
     t0 = time.perf_counter()
-    for i in range(draws):
-        dt = float(rng.uniform(1e-4, 0.5))
-        n_dirs = int(rng.integers(1, 5))
-        sub_steps = int(rng.integers(1, 200))
+    # every draw's inputs up front, a row per draw: the nine uniforms
+    # with these (low, high), then n_dirs, sub_steps and the state's k
+    low, high = np.array([(1e-4, 0.5),      # dt
+                          (0.05, 5.0),      # p
+                          (0.5, 5.0),       # y_sat
+                          (0.1, 10.0),      # lambda
+                          (1e-3, 0.5),      # epsilon_sw
+                          (1e-3, 1.0),      # eta
+                          (-1.0, 1.0),      # y_m
+                          (-1.0, 1.0),      # s_int
+                          (-30.0, 30.0)]).T  # y
+    uniforms = rng.uniform(low, high, (draws, 9))
+    n_dirs_all = rng.integers(1, 5, draws)
+    sub_steps_all = rng.integers(1, 200, draws)
+    k_all = rng.integers(0, 10**6, draws)
+    rows = zip(uniforms, n_dirs_all, sub_steps_all, k_all)
+    for i, (row, n_dirs, sub_steps, k) in enumerate(rows):
+        dt, p, y_sat, lam, epsilon_sw, eta, y_m, s_int, y = row.tolist()
+        n_dirs, sub_steps = int(n_dirs), int(sub_steps)
         params = ControllerParams(
-            p=float(rng.uniform(0.05, 5.0)), p0=0.0,
-            y_sat=float(rng.uniform(0.5, 5.0)),
-            lam=float(rng.uniform(0.1, 10.0)),
-            epsilon_sw=float(rng.uniform(1e-3, 0.5)),
-            gamma=0.1, L_h=0.1, eta=float(rng.uniform(1e-3, 1.0)),
-            T_s=sub_steps * n_dirs * dt)
-        state_a = ControllerState(y_m=float(rng.uniform(-1.0, 1.0)),
-                                  s_int=float(rng.uniform(-1.0, 1.0)),
-                                  k=int(rng.integers(0, 10**6)))
+            p=p, p0=0.0, y_sat=y_sat, lam=lam, epsilon_sw=epsilon_sw,
+            gamma=0.1, L_h=0.1, eta=eta, T_s=sub_steps * n_dirs * dt)
+        state_a = ControllerState(y_m=y_m, s_int=s_int, k=int(k))
         state_b = ControllerState(state_a.y_m, state_a.s_int, state_a.k)
-        y = float(rng.uniform(-30.0, 30.0))
 
         constants = params.resolve(dt, n_dirs)
         u, tel = controller_step(constants, state_a, y, dt)

@@ -544,10 +544,29 @@ class TestSweepCommand:
         assert rc == EXIT_USAGE
         assert "unknown sweep parameter" in capsys.readouterr().err
 
-    def test_non_numeric_param_rejected(self, tmp_path):
+    def test_non_numeric_param_rejected(self, tmp_path, capsys):
         rc = run_cli("sweep", "--param", "name", "--values", "a,b",
                      "--out", str(tmp_path / "s"))
         assert rc == EXIT_USAGE
+        assert "sweep parameter name is not numeric" in capsys.readouterr().err
+
+    def test_optional_field_the_base_omits(self, tmp_path):
+        # the schema, not the base document, knows sim.plant_eta
+        document = scenario.builtin_scenario_dict("coupled_bowl")
+        del document["sim"]["plant_eta"]
+        base = tmp_path / "base.json"
+        base.write_text(json.dumps(document), encoding="utf-8")
+        out = tmp_path / "s"
+        rc = run_cli("sweep", "--config", str(base),
+                     "--param", "sim.plant_eta", "--values", "0.01,0.02",
+                     "--override", "sim.horizon=2", "--out", str(out))
+        assert rc == EXIT_OK
+        rows = (out / "sweep_metrics.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["0.01", "0.02"]
+        for value in ("0.01", "0.02"):
+            saved = json.loads(
+                (out / f"sim_plant_eta={value}" / "scenario.json").read_text())
+            assert saved["sim"]["plant_eta"] == float(value)
 
     def test_boolean_param_rejected(self, tmp_path, capsys):
         rc = run_cli("sweep", "--param", "sim.dt_guard", "--values", "0,1",

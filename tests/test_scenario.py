@@ -17,7 +17,7 @@ from slidingesc import (ControllerParams, ScenarioError, SimConfig,
                         save_scenario)
 from slidingesc.scenario import (_SCHEMA, AnalysisParams, apply_override,
                                  builtin_scenario_dict,
-                                 builtin_scenario_names, get_field,
+                                 builtin_scenario_names, numeric_field,
                                  scenario_from_dict, with_overrides)
 
 
@@ -283,7 +283,18 @@ class TestOverrides:
         with pytest.raises(ScenarioError, match="no such field"):
             apply_override(benchmark_doc, "controller.bogus.deep", "1")
 
-    def test_get_field(self, benchmark_doc):
-        assert get_field(benchmark_doc, "controller.eta") == 0.01
-        with pytest.raises(ScenarioError):
-            get_field(benchmark_doc, "nothing.here")
+    @pytest.mark.parametrize("path, numeric", [
+        ("controller.eta", True), ("controller.y_sat", True),
+        ("sim.plant_eta", True), ("sim.log_stride", True),
+        ("plant.map.coupling", True), ("analysis.delta", True),
+        ("name", False), ("sim", False), ("sim.x0", False),
+        ("sim.v0", False), ("sim.dt_guard", False), ("plant.map.kind", False)])
+    def test_numeric_field(self, path, numeric):
+        # the schema answers, whatever a document gives or omits
+        assert numeric_field(path) is numeric
+
+    @pytest.mark.parametrize("path", ["nothing.here", "controller.zeta",
+                                      "sim.x0.0", "", "sim."])
+    def test_numeric_field_unknown(self, path):
+        with pytest.raises(ScenarioError, match="no such field"):
+            numeric_field(path)

@@ -1,10 +1,12 @@
 """The verify suites: the controller-invariant draws of the oracle
-suite replay the stream of one scalar call per value, so the same draws
-are examined; every check of the oracle suite can fail; the scenario
-and sweep suites read their variants and plant_eta as their runs do."""
+suite are read from tables drawn up front, in the documented order, and
+those tables cover their ranges and stay small; every check of the
+oracle suite can fail; the scenario and sweep suites read their
+variants and plant_eta as their runs do."""
 
 import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,34 +16,32 @@ from slidingesc.scenario import scenario_from_dict
 
 DRAWS = 50
 
+# (low, high) of the nine parameter uniforms of an invariant draw
+PARAM_BOUNDS = {"p0": (-2.0, 2.0), "p": (0.05, 5.0), "sat_offset": (-1.0, 3.0),
+                "lam": (0.1, 10.0), "epsilon_sw": (1e-3, 0.5),
+                "gamma": (1e-3, 1.0), "L_h": (1e-2, 2.0), "eta": (1e-4, 1.0),
+                "dt": (1e-4, 0.1)}
 
-def scalar_invariant_draws(rng, draws):
-    """The draws of _controller_invariants, one scalar call per value."""
-    for _ in range(draws):
-        p0 = float(rng.uniform(-2.0, 2.0))
-        params = dict(
-            p=float(rng.uniform(0.05, 5.0)),
-            p0=p0,
-            y_sat=max(p0, p0 + float(rng.uniform(-1.0, 3.0))),
-            lam=float(rng.uniform(0.1, 10.0)),
-            epsilon_sw=float(rng.uniform(1e-3, 0.5)),
-            gamma=float(rng.uniform(1e-3, 1.0)),
-            L_h=float(rng.uniform(1e-2, 2.0)),
-            eta=float(rng.uniform(1e-4, 1.0)),
-        )
-        dt = float(rng.uniform(1e-4, 0.1))
-        n_dirs = int(rng.integers(1, 6))
-        sub_steps = int(rng.integers(1, 65))
-        params.update(T_s=sub_steps * n_dirs * dt)
-        k = int(rng.integers(0, 3 * n_dirs * sub_steps))
-        s = float(rng.uniform(-50.0, 50.0))
-        ramp = [float(rng.uniform(1e-4, 1.0)) for _ in range(20)]
-        sliding = []
-        for _ in range(20):
-            dt = float(rng.uniform(1e-4, 0.5))
-            e = float(rng.uniform(-5.0, 5.0))
-            sliding.append((e, dt))
-        yield params, (k, sub_steps, n_dirs), s, ramp, sliding
+
+def table_invariant_draws(rng, draws):
+    """The draws of _controller_invariants: one table call per input,
+    every draw's values at once, in the documented order."""
+    low, high = np.array(list(PARAM_BOUNDS.values())).T
+    uniforms = rng.uniform(low, high, (draws, 9))
+    n_dirs = rng.integers(1, 6, draws)
+    sub_steps = rng.integers(1, 65, draws)
+    k = rng.integers(0, 3 * n_dirs * sub_steps)
+    s = rng.uniform(-50.0, 50.0, draws)
+    ramp = rng.uniform(1e-4, 1.0, (draws, 20))
+    sliding = rng.uniform((1e-4, -5.0), (0.5, 5.0), (draws, 20, 2))
+    for i in range(draws):
+        u = dict(zip(PARAM_BOUNDS, uniforms[i].tolist()))
+        dt = u.pop("dt")
+        u["y_sat"] = max(u["p0"], u["p0"] + u.pop("sat_offset"))
+        u["T_s"] = int(sub_steps[i]) * int(n_dirs[i]) * dt
+        yield (u, (int(k[i]), int(sub_steps[i]), int(n_dirs[i])),
+               float(s[i]), ramp[i].tolist(),
+               [(e, dt) for dt, e in sliding[i].tolist()])
 
 
 def recorder(monkeypatch, name, record):
@@ -55,7 +55,7 @@ def recorder(monkeypatch, name, record):
     monkeypatch.setattr(verify, name, wrapper)
 
 
-def test_invariant_draws_replay_scalar_stream(monkeypatch):
+def test_invariant_draws_replay_table_stream(monkeypatch):
     seen = {"params": [], "k": [], "s": [], "ramp": [], "sliding": []}
     recorder(monkeypatch, "ControllerParams",
              lambda **kw: seen["params"].append(kw))
@@ -72,7 +72,7 @@ def test_invariant_draws_replay_scalar_stream(monkeypatch):
         np.random.default_rng(verify.ORACLE_SEED), DRAWS)
     assert ok
 
-    expected = list(scalar_invariant_draws(
+    expected = list(table_invariant_draws(
         np.random.default_rng(verify.ORACLE_SEED), DRAWS))
     assert seen["params"] == [params for params, *_ in expected]
     assert seen["k"][::2] == [k for _, k, *_ in expected]
@@ -80,6 +80,48 @@ def test_invariant_draws_replay_scalar_stream(monkeypatch):
     assert seen["ramp"] == [dt for *_, ramp, _ in expected for dt in ramp]
     assert seen["sliding"] == [pair for *_, sliding in expected
                                for pair in sliding]
+
+
+def test_invariant_tables_cover_their_ranges(monkeypatch):
+    # the tables the oracle suite's 1000 draws read, after its two
+    # 100-point oracles took their draws from the same generator
+    tables = []
+    drawn = verify._invariant_tables
+
+    def kept(rng, draws):
+        tables.append(drawn(rng, draws))
+        return tables[-1]
+
+    monkeypatch.setattr(verify, "_invariant_tables", kept)
+    assert all(r.passed for r in verify.oracle_suite())
+    params, n_dirs, sub_steps, k, s, ramp, sliding = tables[-1]
+
+    assert len(params) == 1000
+    assert set(n_dirs.tolist()) == {1, 2, 3, 4, 5}
+    assert {1, 64} <= set(sub_steps.tolist()) <= set(range(1, 65))
+    assert np.all((0 <= k) & (k < 3 * n_dirs * sub_steps))
+    for column, (low, high) in zip(params.T, PARAM_BOUNDS.values()):
+        assert np.all((low <= column) & (column < high))
+    for values, low, high in ((s, -50.0, 50.0), (ramp, 1e-4, 1.0),
+                              (sliding[..., 0], 1e-4, 0.5),
+                              (sliding[..., 1], -5.0, 5.0)):
+        assert np.all((low <= values) & (values < high))
+
+
+@pytest.mark.parametrize("check", [
+    lambda: verify._controller_invariants(
+        np.random.default_rng(verify.ORACLE_SEED), 1000),
+    lambda: verify.composition_check(200)], ids=["invariants", "composition"])
+def test_draw_tables_stay_small(check):
+    # the tables are arrays converted a row per draw; held as Python
+    # lists, the invariants' tables alone take several MB
+    tracemalloc.start()
+    try:
+        check()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_variants_read_back_to_their_records(monkeypatch):
