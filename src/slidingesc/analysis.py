@@ -1,5 +1,6 @@
-"""Trajectory verdicts: sliding detection, convergence metrics, the
-residual bound, and the finite-difference gain oracle."""
+"""Trajectory verdicts: how a run is judged (``AnalysisParams``),
+sliding detection, convergence metrics, the residual bound, and the
+finite-difference gain oracle."""
 
 from __future__ import annotations
 
@@ -9,14 +10,43 @@ from typing import Optional
 
 import numpy as np
 
+from .errors import ConfigurationError
 from .plant import CascadePlant, central_difference
 from .sim import Trajectory
 
 # a sample sits on a switching band within this fraction of its width
 BAND_TOL_FRACTION = 0.25
 # the shortest sliding segment counted as evidence of sliding, in steps
-# (min_duration = SLIDING_MIN_STEPS * dt); the value is not derived
+# of the run's dt (convergence_metrics applies it); the value is not
+# derived
 SLIDING_MIN_STEPS = 50
+
+
+@dataclass(frozen=True)
+class AnalysisParams:
+    """How a run is judged, checked when built: the vicinity radius
+    ``delta`` (None: sqrt(epsilon_sw)), the trailing fraction of the
+    samples the residuals are taken over, and the constant of the
+    residual bound."""
+
+    delta: Optional[float] = None
+    trailing_fraction: float = 0.1
+    c_bound: float = 2.5
+
+    def __post_init__(self) -> None:
+        if self.delta is not None and not (self.delta > 0.0):
+            raise ConfigurationError(f"delta must be > 0, got {self.delta}")
+        if not (0.0 < self.trailing_fraction <= 1.0):
+            raise ConfigurationError(
+                f"trailing_fraction must be in (0, 1], got "
+                f"{self.trailing_fraction}")
+        if not (self.c_bound > 0.0):
+            raise ConfigurationError(f"c_bound must be > 0, got {self.c_bound}")
+
+    def trailing_samples(self, n: int) -> int:
+        """The size of the trailing window of an ``n``-sample log: at
+        least one sample."""
+        return max(1, int(round(self.trailing_fraction * n)))
 
 
 @dataclass
@@ -58,8 +88,8 @@ def detect_sliding(t: np.ndarray, s: np.ndarray, epsilon_sw: float,
 
     A sample belongs to band k = round(s/epsilon) when
     |s - k*epsilon| <= BAND_TOL_FRACTION*epsilon.  Runs of samples on
-    the same band lasting at least min_duration are reported (a run's
-    callers pass SLIDING_MIN_STEPS * dt).
+    the same band lasting at least min_duration are reported
+    (``convergence_metrics`` passes SLIDING_MIN_STEPS steps).
     """
     t = np.asarray(t, dtype=float)
     s = np.asarray(s, dtype=float)
@@ -82,33 +112,29 @@ def detect_sliding(t: np.ndarray, s: np.ndarray, epsilon_sw: float,
 
 
 def convergence_metrics(traj: Trajectory, z_star, y_star: float, *,
-                        epsilon_sw: float, trailing_fraction: float,
-                        min_duration: float,
-                        delta: Optional[float] = None) -> Metrics:
-    """Compute all Metrics fields for one trajectory.
+                        epsilon_sw: float, dt: float,
+                        params: AnalysisParams) -> Metrics:
+    """Compute all Metrics fields for one trajectory of step ``dt``,
+    judged as ``params`` says.
 
-    Residuals are taken over the last ``trailing_fraction`` of the
-    samples; sliding segments are those ``detect_sliding`` reports
-    for ``min_duration``.  delta defaults to sqrt(epsilon_sw), the only
-    quantitative vicinity radius the theory offers.
+    Residuals are taken over the trailing window
+    ``params.trailing_samples``; sliding segments are those
+    ``detect_sliding`` reports for the floor of SLIDING_MIN_STEPS steps.
+    ``params.delta`` None means sqrt(epsilon_sw), the only quantitative
+    vicinity radius the theory offers.
     """
     if len(traj) == 0:
         raise ValueError("trajectory is empty")
-    if not (0.0 < trailing_fraction <= 1.0):
-        raise ValueError(f"trailing_fraction must be in (0, 1], got "
-                         f"{trailing_fraction}")
-    if delta is None:
-        delta = math.sqrt(epsilon_sw)
+    delta = math.sqrt(epsilon_sw) if params.delta is None else params.delta
 
     z_star = np.asarray(z_star, dtype=float)
     dist = np.linalg.norm(traj.z - z_star, axis=1)
     hits = np.nonzero(dist < delta)[0]
     t_reach = float(traj.t[hits[0]]) if hits.size else None
 
-    n_tail = max(1, int(round(trailing_fraction * len(traj))))
-    tail_dev = np.abs(traj.y[-n_tail:] - y_star)
+    tail_dev = np.abs(traj.y[-params.trailing_samples(len(traj)):] - y_star)
     segments = detect_sliding(traj.t, traj.s, epsilon_sw,
-                              min_duration=min_duration)
+                              min_duration=SLIDING_MIN_STEPS * dt)
     return Metrics(
         t_reach_delta=t_reach,
         residual_amp=float(tail_dev.max()),

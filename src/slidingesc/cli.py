@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _tables
-from .analysis import SLIDING_MIN_STEPS, convergence_metrics
+from .analysis import convergence_metrics
 from .errors import ConfigurationError, SimulationAbort
 from .scenario import (ScenarioError, apply_override, builtin_scenario_dict,
                        builtin_scenario_names, numeric_field, read_document,
@@ -133,10 +133,8 @@ def _run_one(scenario, outdir: Path, backend: str) -> dict:
     traj = run_sim(plant, scenario.controller, scenario.sim, backend=backend)
     metrics = convergence_metrics(
         traj, plant.map.z_star, plant.map.y_star,
-        epsilon_sw=scenario.controller.epsilon_sw,
-        delta=scenario.analysis.delta,
-        trailing_fraction=scenario.analysis.trailing_fraction,
-        min_duration=SLIDING_MIN_STEPS * scenario.sim.dt)
+        epsilon_sw=scenario.controller.epsilon_sw, dt=scenario.sim.dt,
+        params=scenario.analysis)
     outdir.mkdir(parents=True, exist_ok=True)  # so an aborted run writes none
     _write_tables(outdir, traj, plant)
     with open(outdir / "metrics.json", "w", encoding="utf-8") as fh:

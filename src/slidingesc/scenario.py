@@ -42,10 +42,10 @@ import math
 import numbers
 from dataclasses import dataclass
 from importlib import resources
-from typing import Optional
 
 import numpy as np
 
+from .analysis import AnalysisParams
 from .controller import ControllerParams
 from .errors import ConfigurationError
 from .plant import CascadePlant, LtiSubsystem, QuadraticMap
@@ -58,23 +58,6 @@ REQUIRED, OPTIONAL, NULL_OMITS = "required", "optional", "null omits"
 
 class ScenarioError(ConfigurationError):
     """Parse or validation failure, carrying the offending field path."""
-
-
-@dataclass
-class AnalysisParams:
-    delta: Optional[float] = None
-    trailing_fraction: float = 0.1
-    c_bound: float = 2.5
-
-    def __post_init__(self) -> None:
-        if self.delta is not None and not (self.delta > 0.0):
-            raise ConfigurationError(f"delta must be > 0, got {self.delta}")
-        if not (0.0 < self.trailing_fraction <= 1.0):
-            raise ConfigurationError(
-                f"trailing_fraction must be in (0, 1], got "
-                f"{self.trailing_fraction}")
-        if not (self.c_bound > 0.0):
-            raise ConfigurationError(f"c_bound must be > 0, got {self.c_bound}")
 
 
 @dataclass
@@ -280,7 +263,8 @@ def apply_override(data: dict, dotted_key: str, raw_value: str) -> None:
     """Set a dot-path field in a raw scenario document, in place.
 
     The value is parsed as JSON when possible (numbers, lists, null,
-    booleans) and kept as a string otherwise.
+    booleans) and kept as a string otherwise.  An object the schema names
+    and the document omits (an optional section) is created empty.
     """
     try:
         value = json.loads(raw_value)
@@ -288,7 +272,9 @@ def apply_override(data: dict, dotted_key: str, raw_value: str) -> None:
         value = raw_value
     keys = dotted_key.split(".")
     node = data
-    for key in keys[:-1]:
+    for depth, key in enumerate(keys[:-1], 1):
+        if isinstance(node, dict) and ".".join(keys[:depth]) in _SCHEMA:
+            node.setdefault(key, {})
         if not isinstance(node, dict) or key not in node:
             raise ScenarioError(f"override {dotted_key}: no such field")
         node = node[key]

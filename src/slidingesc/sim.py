@@ -98,6 +98,11 @@ class SimConfig:
         elif self.v0 is not None:
             object.__setattr__(self, "v0",
                                np.asarray(self.v0, dtype=float).reshape(-1))
+        for name in ("x0", "v0"):
+            value = getattr(self, name)
+            if isinstance(value, np.ndarray) and not np.isfinite(value).all():
+                raise ConfigurationError(
+                    f"{name} must be finite, got {value.tolist()}")
 
     @property
     def n_steps(self) -> int:

@@ -231,15 +231,25 @@ def composition_check(draws: int = 200) -> CheckResult:
 
 
 def _run_scenario(scenario: Scenario):
+    """One run of ``scenario``, its metrics and its residual bound at the
+    plant_eta the run took."""
     plant = scenario.build_plant()
     traj = run(plant, scenario.controller, scenario.sim)
+    controller = scenario.controller
     metrics = convergence_metrics(
         traj, plant.map.z_star, plant.map.y_star,
-        epsilon_sw=scenario.controller.epsilon_sw,
-        delta=scenario.analysis.delta,
-        trailing_fraction=scenario.analysis.trailing_fraction,
-        min_duration=SLIDING_MIN_STEPS * scenario.sim.dt)
-    return traj, metrics, plant
+        epsilon_sw=controller.epsilon_sw, dt=scenario.sim.dt,
+        params=scenario.analysis)
+    bound = residual_bound_check(
+        metrics, scenario.sim.resolved_plant_eta(controller.eta),
+        controller.epsilon_sw, scenario.analysis.c_bound)
+    return traj, metrics, bound, plant
+
+
+def _bound_detail(bound) -> str:
+    """The detail line of a residual-bound check, in both suites."""
+    return (f"residual_amp={bound.residual_amp:.4f} <= {bound.bound:.4f}, "
+            f"implied constant {bound.implied_constant:.3f}")
 
 
 def scenario_suite() -> list[CheckResult]:
@@ -249,7 +259,7 @@ def scenario_suite() -> list[CheckResult]:
     for name in SCENARIO_NAMES:
         scenario = load_builtin(name)
         t0 = time.perf_counter()
-        traj, metrics, plant = _run_scenario(scenario)
+        traj, metrics, bound, plant = _run_scenario(scenario)
         final_z = float(np.linalg.norm(traj.z[-1] - plant.map.z_star))
         mean_dev = metrics.mean_residual
         results.append(_timed(
@@ -271,25 +281,19 @@ def scenario_suite() -> list[CheckResult]:
             t0))
 
         t0 = time.perf_counter()
-        bound = residual_bound_check(
-            metrics, scenario.sim.resolved_plant_eta(scenario.controller.eta),
-            scenario.controller.epsilon_sw, scenario.analysis.c_bound)
-        results.append(_timed(
-            f"{name}_residual_bound", bound.passed,
-            f"residual_amp={bound.residual_amp:.4f} <= {bound.bound:.4f}, "
-            f"implied constant {bound.implied_constant:.3f}", t0))
+        results.append(_timed(f"{name}_residual_bound", bound.passed,
+                              _bound_detail(bound), t0))
 
         t0 = time.perf_counter()
         # the step halved, logging the same times
         halved = with_overrides(scenario, {
             "sim.dt": repr(scenario.sim.dt / 2.0),
             "sim.log_stride": str(2 * scenario.sim.log_stride)})
-        traj_half, metrics_half, _ = _run_scenario(halved)
+        traj_half, metrics_half, _, _ = _run_scenario(halved)
         y_diff = abs(traj_half.y[-1] - traj.y[-1])
         y_allow = max(metrics.residual_amp, metrics_half.residual_amp)
         z_diff = float(np.linalg.norm(traj_half.z[-1] - traj.z[-1]))
-        tail = max(1, int(round(scenario.analysis.trailing_fraction
-                                * len(traj))))
+        tail = scenario.analysis.trailing_samples(len(traj))
         z_allow = max(
             float(np.linalg.norm(t.z[-tail:] - plant.map.z_star,
                                  axis=1).max())
@@ -315,15 +319,10 @@ def sweep_suite() -> list[CheckResult]:
     for eta in SWEEP_ETAS:
         t0 = time.perf_counter()
         scenario = with_overrides(base, {"sim.plant_eta": repr(eta)})
-        _, metrics, _ = _run_scenario(scenario)
-        bound = residual_bound_check(
-            metrics, scenario.sim.resolved_plant_eta(scenario.controller.eta),
-            scenario.controller.epsilon_sw, scenario.analysis.c_bound)
+        _, _, bound, _ = _run_scenario(scenario)
         constants.append(bound.implied_constant)
-        results.append(_timed(
-            f"residual_bound_eta_{eta:g}", bound.passed,
-            f"residual_amp={bound.residual_amp:.4f} <= {bound.bound:.4f}, "
-            f"implied constant {bound.implied_constant:.3f}", t0))
+        results.append(_timed(f"residual_bound_eta_{eta:g}", bound.passed,
+                              _bound_detail(bound), t0))
     t0 = time.perf_counter()
     spread = max(constants) / min(constants) if min(constants) > 0 else math.inf
     results.append(_timed(

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slidingesc import (CascadePlant, LtiSubsystem, Metrics, QuadraticMap,
-                        Trajectory, convergence_metrics, detect_sliding,
-                        fd_gradient_oracle, residual_bound_check)
+from slidingesc import (AnalysisParams, CascadePlant, LtiSubsystem, Metrics,
+                        QuadraticMap, Trajectory, convergence_metrics,
+                        detect_sliding, fd_gradient_oracle,
+                        residual_bound_check)
 
 
 def reference_detect_sliding(t, s, epsilon_sw, min_duration):
@@ -120,7 +121,7 @@ class TestConvergenceMetrics:
         z = np.zeros((101, 2))
         traj = synthetic_trajectory(t, z, np.full(101, 2.0), np.zeros(101))
         m = convergence_metrics(traj, [0.0, 0.0], 2.0, epsilon_sw=0.02,
-                                trailing_fraction=0.1, min_duration=5.0)
+                                dt=0.1, params=AnalysisParams())
         assert m.t_reach_delta == 0.0
         assert m.residual_amp == 0.0
         assert m.mean_residual == 0.0
@@ -132,7 +133,7 @@ class TestConvergenceMetrics:
         z = np.column_stack([dist, np.zeros(101)])
         traj = synthetic_trajectory(t, z, np.full(101, 2.0), np.zeros(101))
         m = convergence_metrics(traj, [0.0, 0.0], 2.0, epsilon_sw=0.02,
-                                trailing_fraction=0.1, min_duration=5.0)
+                                dt=0.1, params=AnalysisParams())
         expected = math.sqrt(0.02)                   # ~0.1414
         first = t[np.argmax(dist < expected)]
         assert m.t_reach_delta == pytest.approx(first)
@@ -142,7 +143,7 @@ class TestConvergenceMetrics:
         z = np.ones((11, 2))
         traj = synthetic_trajectory(t, z, np.zeros(11), np.zeros(11))
         m = convergence_metrics(traj, [0.0, 0.0], 2.0, epsilon_sw=0.02,
-                                trailing_fraction=0.1, min_duration=5.0)
+                                dt=0.1, params=AnalysisParams())
         assert m.t_reach_delta is None
 
     def test_trailing_window_stats(self):
@@ -151,10 +152,28 @@ class TestConvergenceMetrics:
         y[-10:] = [2.1, 1.9, 2.0, 2.05, 1.95, 2.0, 2.2, 2.0, 1.8, 2.0]
         traj = synthetic_trajectory(t, np.zeros((100, 2)), y, np.zeros(100))
         m = convergence_metrics(traj, [0.0, 0.0], 2.0, epsilon_sw=0.02,
-                                trailing_fraction=0.1, min_duration=5.0)
+                                dt=0.1, params=AnalysisParams())
         assert m.residual_amp == pytest.approx(0.2)
         assert m.mean_residual == pytest.approx(np.abs(y[-10:] - 2.0).mean())
         assert m.residual_amp >= m.mean_residual >= 0.0
+
+    def test_sliding_floor_is_in_steps_of_dt(self):
+        # s sits on band 0 for 4.9 s, then between bands: a segment at a
+        # floor of 50 steps of 0.09 s, none at 50 steps of 0.1 s
+        t = np.linspace(0.0, 10.0, 101)
+        s = np.where(t < 4.95, 0.0, 0.01)
+        traj = synthetic_trajectory(t, np.zeros((101, 2)), np.full(101, 2.0),
+                                    s)
+        for dt, count in ((0.09, 1), (0.1, 0)):
+            m = convergence_metrics(traj, [0.0, 0.0], 2.0, epsilon_sw=0.02,
+                                    dt=dt, params=AnalysisParams())
+            assert len(m.sliding_segments) == count
+
+    @pytest.mark.parametrize("fraction, n, samples", [
+        (0.1, 100, 10), (0.1, 3, 1), (0.1, 1, 1), (1.0, 7, 7), (0.25, 10, 2)])
+    def test_trailing_samples(self, fraction, n, samples):
+        params = AnalysisParams(trailing_fraction=fraction)
+        assert params.trailing_samples(n) == samples
 
     @pytest.mark.parametrize("rows, trailing_fraction, message", [
         (0, 0.1, "trajectory is empty"),
@@ -163,10 +182,11 @@ class TestConvergenceMetrics:
         traj = synthetic_trajectory(np.linspace(0.0, 1.0, rows),
                                     np.zeros((rows, 2)), np.zeros(rows),
                                     np.zeros(rows))
+        # the record refuses a fraction before it reaches the metrics
         with pytest.raises(ValueError, match=message):
-            convergence_metrics(traj, [0.0, 0.0], 2.0, epsilon_sw=0.02,
-                                trailing_fraction=trailing_fraction,
-                                min_duration=5.0)
+            convergence_metrics(
+                traj, [0.0, 0.0], 2.0, epsilon_sw=0.02, dt=0.1,
+                params=AnalysisParams(trailing_fraction=trailing_fraction))
 
 
 class TestResidualBound:

@@ -568,6 +568,26 @@ class TestSweepCommand:
                 (out / f"sim_plant_eta={value}" / "scenario.json").read_text())
             assert saved["sim"]["plant_eta"] == float(value)
 
+    @pytest.mark.parametrize("command, deltas", [
+        (["run", "--override", "analysis.delta=0.1"], [0.1]),
+        (["sweep", "--param", "analysis.delta", "--values", "0.1,0.2"],
+         [0.1, 0.2])])
+    def test_field_of_a_section_the_base_omits(self, tmp_path, command,
+                                               deltas):
+        # the override makes the optional analysis object the document
+        # omits
+        document = scenario.builtin_scenario_dict("coupled_bowl")
+        del document["analysis"]
+        base = tmp_path / "base.json"
+        base.write_text(json.dumps(document), encoding="utf-8")
+        out = tmp_path / "s"
+        rc = run_cli(*command, "--config", str(base),
+                     "--override", "sim.horizon=2", "--out", str(out))
+        assert rc == EXIT_OK
+        saved = sorted(out.glob("**/scenario.json"))
+        assert [json.loads(path.read_text())["analysis"]
+                for path in saved] == [{"delta": delta} for delta in deltas]
+
     def test_boolean_param_rejected(self, tmp_path, capsys):
         rc = run_cli("sweep", "--param", "sim.dt_guard", "--values", "0,1",
                      "--override", "sim.dt_guard=true",

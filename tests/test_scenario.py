@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 import slidingesc
-from slidingesc import (ControllerParams, ScenarioError, SimConfig,
-                        SimulationAbort, load_builtin, load_scenario,
-                        save_scenario)
-from slidingesc.scenario import (_SCHEMA, AnalysisParams, apply_override,
+from slidingesc import (AnalysisParams, ControllerParams, ScenarioError,
+                        SimConfig, SimulationAbort, load_builtin,
+                        load_scenario, save_scenario)
+from slidingesc.scenario import (_SCHEMA, apply_override,
                                  builtin_scenario_dict,
                                  builtin_scenario_names, numeric_field,
                                  scenario_from_dict, with_overrides)
@@ -282,6 +282,17 @@ class TestOverrides:
     def test_unknown_path(self, benchmark_doc):
         with pytest.raises(ScenarioError, match="no such field"):
             apply_override(benchmark_doc, "controller.bogus.deep", "1")
+
+    def test_optional_section_made(self, benchmark_doc):
+        # only an object the schema names is made
+        del benchmark_doc["analysis"]
+        apply_override(benchmark_doc, "analysis.c_bound", "3")
+        assert benchmark_doc["analysis"] == {"c_bound": 3}
+        for path in ("bogus.deep", "sim.bogus.deep"):
+            with pytest.raises(ScenarioError, match="no such field"):
+                apply_override(benchmark_doc, path, "1")
+        assert "bogus" not in benchmark_doc
+        assert "bogus" not in benchmark_doc["sim"]
 
     @pytest.mark.parametrize("path, numeric", [
         ("controller.eta", True), ("controller.y_sat", True),

@@ -141,6 +141,17 @@ class TestRunBookkeeping:
                            match="plant_eta must be finite and > 0"):
             short_config(plant_eta=plant_eta)
 
+    @pytest.mark.parametrize("field, value, shown", [
+        ("x0", [math.nan, 0.0], "[nan, 0.0]"),
+        ("v0", [math.inf, 1.0], "[inf, 1.0]")])
+    def test_start_state_must_be_finite(self, field, value, shown):
+        # refused when built, naming the field, not by either loop's
+        # finite-escape abort at step 0
+        with pytest.raises(ConfigurationError,
+                           match=re.escape(f"{field} must be finite, got "
+                                           f"{shown}")):
+            short_config(**{field: value})
+
     @pytest.mark.parametrize("field", BEYOND_FLOAT_RANGE)
     def test_integer_beyond_float_range_names_field(self, field):
         # an integer too large for a float is refused by the constructor,
