@@ -10,7 +10,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, real
 from .plant import CascadePlant, central_difference
 from .sim import Trajectory
 
@@ -20,6 +20,11 @@ BAND_TOL_FRACTION = 0.25
 # of the run's dt (convergence_metrics applies it); the value is not
 # derived
 SLIDING_MIN_STEPS = 50
+
+
+def _positive(value, name: str) -> None:
+    if not real(value, name) > 0.0:
+        raise ConfigurationError(f"{name} must be > 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -34,14 +39,13 @@ class AnalysisParams:
     c_bound: float = 2.5
 
     def __post_init__(self) -> None:
-        if self.delta is not None and not (self.delta > 0.0):
-            raise ConfigurationError(f"delta must be > 0, got {self.delta}")
-        if not (0.0 < self.trailing_fraction <= 1.0):
+        if self.delta is not None:
+            _positive(self.delta, "delta")
+        if not 0.0 < real(self.trailing_fraction, "trailing_fraction") <= 1.0:
             raise ConfigurationError(
                 f"trailing_fraction must be in (0, 1], got "
                 f"{self.trailing_fraction}")
-        if not (self.c_bound > 0.0):
-            raise ConfigurationError(f"c_bound must be > 0, got {self.c_bound}")
+        _positive(self.c_bound, "c_bound")
 
     def trailing_samples(self, n: int) -> int:
         """The size of the trailing window of an ``n``-sample log: at
@@ -160,8 +164,12 @@ def residual_bound_check(metrics: Metrics, eta: float, epsilon_sw: float,
     The theory's constant is unknowable, so the caller supplies c_bound
     and the result reports the implied constant
     residual_amp / (sqrt(eta) + epsilon_sw) for cross-run comparison.
-    Fails outright when the run never reached the vicinity.
+    Fails outright when the run never reached the vicinity; a
+    ConfigurationError for an ``eta`` or ``c_bound`` that is not a
+    finite number > 0.
     """
+    _positive(eta, "eta")
+    _positive(c_bound, "c_bound")
     scale = math.sqrt(eta) + epsilon_sw
     implied = metrics.residual_amp / scale
     if metrics.t_reach_delta is None:

@@ -10,9 +10,9 @@ verify  execute the oracle / scenario / sweep suites and print a
 sweep   repeat a scenario over a list of values for one numeric field,
         writing per-value runs plus an aggregated metrics table.
 
-Exit codes: 0 success, 1 failed checks or aborted run, 2 usage or
-configuration error, 3 I/O error.  The default output
-directory is $SLIDINGESC_OUT, else ./out.
+Exit codes: 0 success, 1 failed checks or aborted run (a log too large
+to allocate included), 2 usage or configuration error, 3 I/O error.
+The default output directory is $SLIDINGESC_OUT, else ./out.
 """
 
 from __future__ import annotations
@@ -304,7 +304,7 @@ def main(argv=None) -> int:
     except (ScenarioError, ConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except SimulationAbort as exc:
+    except (SimulationAbort, MemoryError) as exc:  # or a log too large
         print(f"aborted: {exc}", file=sys.stderr)
         return EXIT_FAIL
 

@@ -88,13 +88,12 @@ class ControllerParams:
                     "epsilon_sw": self.epsilon_sw, "gamma": self.gamma,
                     "L_h": self.L_h, "T_s": self.T_s}
         for name, value in positive.items():
-            if not 0.0 < real(value, name) < math.inf:
+            if not real(value, name) > 0.0:
                 raise ConfigurationError(f"{name} must be > 0, got {value}")
-        if not (0.0 < self.eta <= 1.0):
+        if not 0.0 < real(self.eta, "eta") <= 1.0:
             raise ConfigurationError(f"eta must be in (0, 1], got {self.eta}")
-        if not math.isfinite(real(self.p0, "p0")):
-            raise ConfigurationError(f"p0 must be finite, got {self.p0}")
-        if math.isnan(real(self.y_sat, "y_sat")) or self.y_sat < self.p0:
+        # y_sat = inf is an unbounded reference
+        if real(self.y_sat, "y_sat", finite=False) < real(self.p0, "p0"):
             raise ConfigurationError(
                 f"y_sat ({self.y_sat}) must be >= p0 ({self.p0})")
 

@@ -13,26 +13,15 @@ gain k_p(z) = G^T grad h(z) used by the analysis oracles.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, real
+from .errors import ConfigurationError, real, reals
 
 HURWITZ_TOL = -1e-9
 FD_STEP = 1e-5
-
-
-def _as_matrix(value, name: str) -> np.ndarray:
-    try:
-        mat = np.atleast_2d(np.asarray(value, dtype=float))
-    except OverflowError:  # an integer beyond the float range
-        mat = np.array([[np.inf]])
-    if not np.all(np.isfinite(mat)):
-        raise ConfigurationError(f"{name} must contain only finite values")
-    return mat
 
 
 def _as_vector(value, dim: int, name: str) -> np.ndarray:
@@ -77,8 +66,8 @@ class LtiSubsystem:
     """
 
     def __init__(self, A, B, C=None, *, allow_unstable: bool = False) -> None:
-        self.A = _as_matrix(A, "A")
-        self.B = _as_matrix(B, "B")
+        self.A = np.atleast_2d(reals(A, "A"))
+        self.B = np.atleast_2d(reals(B, "B"))
         n = self.A.shape[0]
         if self.A.shape != (n, n):
             raise ConfigurationError(f"A must be square, got {self.A.shape}")
@@ -89,7 +78,7 @@ class LtiSubsystem:
             raise ConfigurationError(
                 f"B must have at least one column (one per input), got "
                 f"{self.B.shape}")
-        self.C = np.eye(n) if C is None else _as_matrix(C, "C")
+        self.C = np.eye(n) if C is None else np.atleast_2d(reals(C, "C"))
         if self.C.shape != (n, n):
             raise ConfigurationError(f"C must be {n}x{n}, got {self.C.shape}")
 
@@ -148,11 +137,8 @@ class QuadraticMap:
 
     def __init__(self, y_star: float, z_star, H) -> None:
         self.y_star = real(y_star, "y_star")
-        if not math.isfinite(self.y_star):
-            raise ConfigurationError(
-                f"y_star must be finite, got {self.y_star}")
-        self.z_star = _as_matrix(z_star, "z_star").reshape(-1)
-        self.H = _as_matrix(H, "H")
+        self.z_star = reals(z_star, "z_star").reshape(-1)
+        self.H = np.atleast_2d(reals(H, "H"))
         self.dim = self.z_star.size
         if self.H.shape != (self.dim, self.dim):
             raise ConfigurationError(

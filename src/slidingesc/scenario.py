@@ -38,8 +38,6 @@ from __future__ import annotations
 
 import copy
 import json
-import math
-import numbers
 from dataclasses import dataclass
 from importlib import resources
 
@@ -47,7 +45,7 @@ import numpy as np
 
 from .analysis import AnalysisParams
 from .controller import ControllerParams
-from .errors import ConfigurationError
+from .errors import ConfigurationError, real, reals
 from .plant import CascadePlant, LtiSubsystem, QuadraticMap
 from .sim import SimConfig, resolve_v0
 
@@ -94,45 +92,9 @@ def _flag(value, path: str) -> bool:
     return value
 
 
-def _number(value, path: str) -> float:
-    """A finite real number: 2, 2.5 and 1e-3 pass; true, "2", null, NaN,
-    Infinity and an integer beyond the float range do not."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ScenarioError(f"{path}: expected a number, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:
-        number = math.inf
-    if not math.isfinite(number):
-        raise ScenarioError(f"{path}: expected a finite number, got {value!r}")
-    return number
-
-
-def _numbers(value, path: str):
-    """A number or a rectangular nested list of them, each element
-    checked as ``_number`` checks a number field; the dimensions are
-    checked where used."""
-    if isinstance(value, (list, tuple, np.ndarray)):
-        for i, item in enumerate(value):
-            _numbers(item, f"{path}[{i}]")
-        try:  # numpy refuses a ragged nesting
-            np.asarray(value, dtype=float)
-        except ValueError:
-            raise ScenarioError(f"{path}: expected a rectangular array, got "
-                                f"entries of unequal shapes") from None
-    else:
-        _number(value, path)
-    return value
-
-
 def _whole(value, path: str):
     """A whole number, which SimConfig checks."""
     return value
-
-
-def _v0(value, path: str):
-    """An array of numbers, or a string, which SimConfig checks."""
-    return value if isinstance(value, str) else _numbers(value, path)
 
 
 def _read(obj, path: str) -> dict:
@@ -156,37 +118,41 @@ def _read(obj, path: str) -> dict:
         elif read is None:
             fields[key] = obj[key]
         else:
-            fields[key] = read(obj[key], prefix + key)
+            try:
+                fields[key] = read(obj[key], prefix + key)
+            except ConfigurationError as exc:  # named by its dot-path
+                raise ScenarioError(str(exc)) from None
     return fields
 
 
 # The schema: for each object, by its dot-path, each field's reader and
 # presence.  A reader checks a value and returns what the field's
-# constructor takes (None: the value as it is; _read: a nested object).
+# constructor takes (None: the value as it is; _read: a nested object;
+# real and reals: the rule for a number and an array of numbers).
 # A field is required, optional, or optional with null meaning omitted.
 _SCHEMA = {
     "": {"name": (None, OPTIONAL), "description": (None, OPTIONAL),
          "plant": (_read, REQUIRED), "controller": (_read, REQUIRED),
          "sim": (_read, REQUIRED), "analysis": (_read, OPTIONAL)},
-    "plant": {"A": (_numbers, REQUIRED), "B": (_numbers, REQUIRED),
-              "C": (_numbers, NULL_OMITS), "map": (_read, REQUIRED),
+    "plant": {"A": (reals, REQUIRED), "B": (reals, REQUIRED),
+              "C": (reals, NULL_OMITS), "map": (_read, REQUIRED),
               "allow_unstable": (_flag, OPTIONAL)},
-    "plant.map": {"kind": (None, REQUIRED), "y_star": (_number, OPTIONAL),
-                  "z_star": (_numbers, OPTIONAL),
-                  "coupling": (_number, OPTIONAL),
-                  "H": (_numbers, OPTIONAL)},
-    "controller": {"p": (_number, REQUIRED), "p0": (_number, REQUIRED),
-                   "y_sat": (_number, NULL_OMITS),
-                   **{key: (_number, REQUIRED)
+    "plant.map": {"kind": (None, REQUIRED), "y_star": (real, OPTIONAL),
+                  "z_star": (reals, OPTIONAL),
+                  "coupling": (real, OPTIONAL),
+                  "H": (reals, OPTIONAL)},
+    "controller": {"p": (real, REQUIRED), "p0": (real, REQUIRED),
+                   "y_sat": (real, NULL_OMITS),
+                   **{key: (real, REQUIRED)
                       for key in ("lambda", "epsilon_sw", "gamma", "L_h",
                                   "eta", "T_s")}},
-    "sim": {"dt": (_number, REQUIRED), "horizon": (_number, REQUIRED),
-            "x0": (_numbers, REQUIRED), "v0": (_v0, NULL_OMITS),
+    "sim": {"dt": (real, REQUIRED), "horizon": (real, REQUIRED),
+            "x0": (reals, REQUIRED), "v0": (None, NULL_OMITS),
             "log_stride": (_whole, OPTIONAL),
-            "plant_eta": (_number, NULL_OMITS), "dt_guard": (_flag, OPTIONAL)},
-    "analysis": {"delta": (_number, NULL_OMITS),
-                 "trailing_fraction": (_number, OPTIONAL),
-                 "c_bound": (_number, OPTIONAL)},
+            "plant_eta": (real, NULL_OMITS), "dt_guard": (_flag, OPTIONAL)},
+    "analysis": {"delta": (real, NULL_OMITS),
+                 "trailing_fraction": (real, OPTIONAL),
+                 "c_bound": (real, OPTIONAL)},
 }
 
 
@@ -302,7 +268,7 @@ def numeric_field(dotted_key: str) -> bool:
         read, _ = _SCHEMA[section][key]
     except KeyError:
         raise ScenarioError(f"{dotted_key}: no such field") from None
-    return read in (_number, _whole)
+    return read in (real, _whole)
 
 
 def builtin_scenario_names() -> list[str]:

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import logging
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -38,7 +37,8 @@ import numpy as np
 from . import _fastpath, _tables
 from .controller import (ControllerConstants, ControllerParams,
                          ControllerState, controller_step, whole_steps)
-from .errors import ConfigurationError, SimulationAbort, finite_escape, real
+from .errors import (ConfigurationError, SimulationAbort, finite_escape,
+                     real, reals)
 from .plant import CascadePlant
 
 logger = logging.getLogger(__name__)
@@ -67,17 +67,19 @@ class SimConfig:
     dt_guard: bool = True
 
     def __post_init__(self) -> None:
-        if not 0.0 < real(self.dt, "dt") < math.inf:
+        if not real(self.dt, "dt") > 0.0:
             raise ConfigurationError(f"dt must be > 0, got {self.dt}")
         if not (real(self.horizon, "horizon") > self.dt):
             raise ConfigurationError(
                 f"horizon ({self.horizon}) must exceed dt ({self.dt})")
-        stride = self.log_stride  # 3 and 3.0 pass; 2.5, true and "3" do not
-        if (isinstance(stride, bool) or not isinstance(stride, numbers.Real)
-                or not real(stride, "log_stride").is_integer()):
+        try:  # 3 and 3.0 pass; 2.5, true, "3" and NaN do not
+            whole = real(self.log_stride, "log_stride").is_integer()
+        except ConfigurationError:
+            whole = False
+        if not whole:
             raise ConfigurationError(
-                f"log_stride must be an integer, got {stride!r}")
-        object.__setattr__(self, "log_stride", int(stride))
+                f"log_stride must be an integer, got {self.log_stride!r}")
+        object.__setattr__(self, "log_stride", int(self.log_stride))
         if self.log_stride < 1:
             raise ConfigurationError(
                 f"log_stride must be >= 1, got {self.log_stride}")
@@ -86,23 +88,16 @@ class SimConfig:
                 f"log_stride ({self.log_stride}) must divide the step count "
                 f"({self.n_steps}) so the log stays uniform")
         if (self.plant_eta is not None
-                and not 0.0 < real(self.plant_eta, "plant_eta") < math.inf):
+                and not real(self.plant_eta, "plant_eta") > 0.0):
             raise ConfigurationError(
                 f"plant_eta must be finite and > 0, got {self.plant_eta}")
-        object.__setattr__(self, "x0",
-                           np.asarray(self.x0, dtype=float).reshape(-1))
+        object.__setattr__(self, "x0", reals(self.x0, "x0").reshape(-1))
         if isinstance(self.v0, str):
             if self.v0 != "quasi_steady":
                 raise ConfigurationError(f"v0 must be a vector, None or "
                                          f"'quasi_steady', got {self.v0!r}")
         elif self.v0 is not None:
-            object.__setattr__(self, "v0",
-                               np.asarray(self.v0, dtype=float).reshape(-1))
-        for name in ("x0", "v0"):
-            value = getattr(self, name)
-            if isinstance(value, np.ndarray) and not np.isfinite(value).all():
-                raise ConfigurationError(
-                    f"{name} must be finite, got {value.tolist()}")
+            object.__setattr__(self, "v0", reals(self.v0, "v0").reshape(-1))
 
     @property
     def n_steps(self) -> int:

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slidingesc import (AnalysisParams, CascadePlant, LtiSubsystem, Metrics,
-                        QuadraticMap, Trajectory, convergence_metrics,
-                        detect_sliding, fd_gradient_oracle,
-                        residual_bound_check)
+from slidingesc import (AnalysisParams, CascadePlant, ConfigurationError,
+                        LtiSubsystem, Metrics, QuadraticMap, Trajectory,
+                        convergence_metrics, detect_sliding,
+                        fd_gradient_oracle, residual_bound_check)
 
 
 def reference_detect_sliding(t, s, epsilon_sw, min_duration):
@@ -215,6 +215,15 @@ class TestResidualBound:
         m = Metrics(t_reach_delta=1.0, residual_amp=0.5, mean_residual=0.3)
         assert not residual_bound_check(m, eta=0.01, epsilon_sw=0.02,
                                         c_bound=2.5).passed
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1.0])
+    @pytest.mark.parametrize("name", ["eta", "c_bound"])
+    def test_bound_inputs_refused(self, name, value):
+        # an infinite c_bound would pass any residual
+        m = Metrics(t_reach_delta=1.0, residual_amp=1e9, mean_residual=1e9)
+        args = {"eta": 0.01, "epsilon_sw": 0.02, "c_bound": 2.5, name: value}
+        with pytest.raises(ConfigurationError, match=f"^{name}[: ]"):
+            residual_bound_check(m, **args)
 
 
 class TestGainOracle:

@@ -290,6 +290,17 @@ class TestRunCommand:
         assert "set sim.dt_guard to false" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("backend", sim.BACKENDS)
+    def test_log_too_large_aborts(self, tmp_path, capsys, backend):
+        # 10**13 logged rows: numpy refuses the request for hundreds of
+        # TiB at once, so nothing is allocated
+        rc = run_cli("run", "--out", str(tmp_path / "o"), "--backend",
+                     backend, "--override", "sim.horizon=1e12")
+        assert rc == EXIT_FAIL
+        err = capsys.readouterr().err
+        assert err.startswith("aborted: Unable to allocate")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("field", BAD_SET_UPS)
     def test_bad_set_up_is_usage_error(self, tmp_path, capsys, field):
         out = tmp_path / "o"

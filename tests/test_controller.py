@@ -41,7 +41,8 @@ class TestEffectiveGains:
     @pytest.mark.parametrize("p0", [math.nan, -math.inf, math.inf])
     def test_non_finite_p0_refused(self, p0):
         # with y_sat = inf, y_sat >= p0 alone would admit p0 = +inf
-        with pytest.raises(ConfigurationError, match="p0 must be finite"):
+        with pytest.raises(ConfigurationError,
+                           match="^p0: expected a finite number"):
             make_params(p0=p0, y_sat=math.inf)
 
     def test_unbounded_reference_allowed(self):

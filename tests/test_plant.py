@@ -117,7 +117,8 @@ class TestQuadraticMap:
         (0.0, [np.nan, 0.0], "z_star"), (0.0, [0.0, np.inf], "z_star")])
     def test_non_finite_maximum_rejected(self, y_star, z_star, field):
         # eval would return NaN or inf everywhere
-        with pytest.raises(ConfigurationError, match=f"{field} must .*finite"):
+        with pytest.raises(ConfigurationError,
+                           match=rf"^{field}.*: expected a finite number"):
             QuadraticMap(y_star, z_star, -np.eye(2))
 
     def test_unit_coupling_rejected(self):

@@ -12,13 +12,16 @@ import numpy as np
 import pytest
 
 import slidingesc
-from slidingesc import (AnalysisParams, ControllerParams, ScenarioError,
-                        SimConfig, SimulationAbort, load_builtin,
-                        load_scenario, save_scenario)
+from slidingesc import (AnalysisParams, ConfigurationError,
+                        ControllerParams, LtiSubsystem, QuadraticMap,
+                        ScenarioError, SimConfig, SimulationAbort,
+                        load_builtin, load_scenario, save_scenario)
 from slidingesc.scenario import (_SCHEMA, apply_override,
                                  builtin_scenario_dict,
                                  builtin_scenario_names, numeric_field,
                                  scenario_from_dict, with_overrides)
+from test_controller import make_params
+from test_sim import short_config
 
 
 @pytest.fixture
@@ -211,6 +214,87 @@ class TestSchemaMatchesDataclasses:
         schema = {self.RENAMED.get(key, key) for key in _SCHEMA[section]}
         fields = {f.name for f in dataclasses.fields(cls)}
         assert schema == fields
+
+
+# every field of the schema that holds one number, by its dot-path
+NUMERIC_FIELDS = [f"{section}.{key}" for section, fields in _SCHEMA.items()
+                  for key in fields if numeric_field(f"{section}.{key}")]
+
+
+def build_record(path: str, value):
+    """The library's record or constructor given ``value`` for the
+    document field ``path``, the other fields valid."""
+    section, _, key = path.rpartition(".")
+    if section == "controller":
+        key = TestSchemaMatchesDataclasses.RENAMED.get(key, key)
+        return make_params(**{key: value})
+    if section == "sim":
+        return short_config(**{key: value})
+    if section == "analysis":
+        return AnalysisParams(**{key: value})
+    if key == "coupling":
+        return QuadraticMap.from_coupling(value)
+    return QuadraticMap(**{"z_star": [0.0, 0.0], "H": -np.eye(2), key: value})
+
+
+class TestOneRuleForANumber:
+    """A document and the library refuse the same numbers, naming the
+    field: a valid number is a finite real that is not a bool or a
+    string (errors.real), or a rectangular array of them (errors.reals).
+    The one exception: the library takes ``y_sat = inf``, an unbounded
+    reference, which a document writes as null."""
+
+    def test_fields_covered(self):
+        assert NUMERIC_FIELDS == [
+            "plant.map.y_star", "plant.map.coupling",
+            *(f"controller.{key}" for key in (
+                "p", "p0", "y_sat", "lambda", "epsilon_sw", "gamma", "L_h",
+                "eta", "T_s")),
+            "sim.dt", "sim.horizon", "sim.log_stride", "sim.plant_eta",
+            "analysis.delta", "analysis.trailing_fraction",
+            "analysis.c_bound"]
+
+    @pytest.mark.parametrize("value", [
+        True, "1", math.nan, math.inf, -math.inf,
+        pytest.param(10**400, id="10**400")])
+    @pytest.mark.parametrize("path", NUMERIC_FIELDS)
+    def test_refused_by_document_and_record(self, benchmark_doc, path,
+                                            value):
+        *sections, key = path.split(".")
+        node = benchmark_doc
+        for section in sections:
+            node = node[section]
+        node[key] = value
+        with pytest.raises(ScenarioError, match=rf"^{re.escape(path)}[: ]"):
+            scenario_from_dict(benchmark_doc)
+        if path == "controller.y_sat" and value == math.inf:
+            assert build_record(path, value).y_sat == math.inf
+            return
+        with pytest.raises(ConfigurationError, match=rf"^{key}[: ]"):
+            build_record(path, value)
+
+    @pytest.mark.parametrize("matrices, message", [
+        ({"A": [["0", "1"], ["-4", "-2"]]}, "A[0][0]: expected a number, "
+                                            "got '0'"),
+        ({"A": [[0.0, 1.0], [True, -2.0]]}, "A[1][0]: expected a number, "
+                                            "got True"),
+        ({"B": [[1.0, 0.0], [0.0, "1"]]}, "B[1][1]: expected a number, "
+                                          "got '1'"),
+        ({"C": [[False, 0.0], [0.0, 1.0]]}, "C[0][0]: expected a number, "
+                                            "got False"),
+        ({"A": [[0.0, 1.0], [-4.0]]}, "A: expected a rectangular array")])
+    def test_matrix_elements(self, matrices, message):
+        given = {"A": [[0.0, 1.0], [-4.0, -2.0]], "B": np.eye(2), **matrices}
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}"):
+            LtiSubsystem(**given)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("x0", [True, "1"], "x0[0]: expected a number, got True"),
+        ("x0", [0.0, "1"], "x0[1]: expected a number, got '1'"),
+        ("v0", [1.0, False], "v0[1]: expected a number, got False")])
+    def test_start_state_elements(self, field, value, message):
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}"):
+            short_config(**{field: value})
 
 
 class TestRoundTrip:

@@ -137,26 +137,29 @@ class TestRunBookkeeping:
     def test_plant_eta_must_be_finite_and_positive(self, plant_eta):
         # at plant_eta = inf the plant would never move, and nothing
         # but a numpy warning would say so
-        with pytest.raises(ConfigurationError,
-                           match="plant_eta must be finite and > 0"):
+        with pytest.raises(ConfigurationError, match=r"^plant_eta( must be "
+                           r"finite and > 0|: expected a finite number)"):
             short_config(plant_eta=plant_eta)
 
     @pytest.mark.parametrize("field, value, shown", [
-        ("x0", [math.nan, 0.0], "[nan, 0.0]"),
-        ("v0", [math.inf, 1.0], "[inf, 1.0]")])
+        ("x0", [math.nan, 0.0], "nan"), ("v0", [math.inf, 1.0], "inf")])
     def test_start_state_must_be_finite(self, field, value, shown):
-        # refused when built, naming the field, not by either loop's
+        # refused when built, naming the element, not by either loop's
         # finite-escape abort at step 0
         with pytest.raises(ConfigurationError,
-                           match=re.escape(f"{field} must be finite, got "
-                                           f"{shown}")):
+                           match=re.escape(f"{field}[0]: expected a finite "
+                                           f"number, got {shown}")):
             short_config(**{field: value})
 
     @pytest.mark.parametrize("field", BEYOND_FLOAT_RANGE)
     def test_integer_beyond_float_range_names_field(self, field):
         # an integer too large for a float is refused by the constructor,
-        # not by an OverflowError wherever it is first used
-        with pytest.raises(ConfigurationError, match=rf"^{field} must"):
+        # not by an OverflowError wherever it is first used; a stride
+        # that is not a float's whole number is refused as not whole
+        message = (rf"^{field}(\[0\])?: expected a finite number"
+                   if field != "log_stride"
+                   else "^log_stride must be an integer")
+        with pytest.raises(ConfigurationError, match=message):
             BEYOND_FLOAT_RANGE[field]()
 
     def test_horizon_must_be_integer_steps(self):
