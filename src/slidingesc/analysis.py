@@ -11,7 +11,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError, real
-from .plant import CascadePlant, central_difference
+from .plant import CascadePlant, _points
 from .sim import Trajectory
 
 # a sample sits on a switching band within this fraction of its width
@@ -20,6 +20,8 @@ BAND_TOL_FRACTION = 0.25
 # of the run's dt (convergence_metrics applies it); the value is not
 # derived
 SLIDING_MIN_STEPS = 50
+# fd_gradient_oracle's step, scaled by max(1, ||v||) at each point v
+FD_STEP = 1e-5
 
 
 def _positive(value, name: str) -> None:
@@ -182,15 +184,20 @@ def residual_bound_check(metrics: Metrics, eta: float, epsilon_sw: float,
 
 
 def fd_gradient_oracle(plant: CascadePlant, v) -> np.ndarray:
-    """Brute-force check value for the analytic input gain.
+    """Brute-force check value for the analytic input gain, at one v of
+    shape (m,) or at each of a batch of shape (..., m).
 
     Central finite differences of v -> h(steady_state_output(v)); by the
     chain rule this equals the gain k_p at z = steady_state_output(v),
-    independently of the analytic gradient path.
+    independently of the analytic gradient path.  The step balances
+    truncation and rounding error.
     """
-    v = np.asarray(v, dtype=float)
-
-    def through_channel(point: np.ndarray) -> float:
-        return plant.map.eval(plant.lti.steady_state_output(point))
-
-    return central_difference(through_channel, v)
+    v = _points(v, plant.lti.m, "v")
+    # sqrt(v . v) gives each point's norm as np.linalg.norm(point) does
+    h = FD_STEP * np.maximum(1.0, np.sqrt(np.vecdot(v, v)))[..., None]
+    # row i of the last two axes is v moved by h along input i
+    steps = h[..., None] * np.eye(plant.lti.m)
+    ahead, behind = (plant.map.eval(plant.lti.steady_state_output(points))
+                     for points in (v[..., None, :] + steps,
+                                    v[..., None, :] - steps))
+    return (ahead - behind) / (2.0 * h)

@@ -36,9 +36,9 @@ class StepTelemetry(NamedTuple):
     dir_index: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class ControllerParams:
-    """Tuning constants of the seeking controller.
+    """Tuning constants of the seeking controller, checked when built.
 
     Attributes
     ----------

@@ -55,6 +55,15 @@ def reals(value, name: str) -> np.ndarray:
                                  f"entries of unequal shapes") from None
 
 
+def vector(value, name: str) -> np.ndarray:
+    """``value`` as ``reals`` reads it, refused unless it is 1-D."""
+    vec = reals(value, name)
+    if vec.ndim != 1:
+        raise ConfigurationError(
+            f"{name}: expected a vector, got an array of shape {vec.shape}")
+    return vec
+
+
 def finite_escape(k: int, dt: float) -> SimulationAbort:
     """The abort of either closed loop at step ``k`` of step size ``dt``,
     whose output, relay argument or updated state is non-finite."""

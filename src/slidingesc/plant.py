@@ -14,38 +14,28 @@ gain k_p(z) = G^T grad h(z) used by the analysis oracles.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, real, reals
+from .errors import ConfigurationError, real, reals, vector
 
 HURWITZ_TOL = -1e-9
-FD_STEP = 1e-5
 
 
-def _as_vector(value, dim: int, name: str) -> np.ndarray:
-    vec = np.asarray(value, dtype=float).reshape(-1)
-    if vec.shape != (dim,):
-        raise ConfigurationError(f"{name} must have dimension {dim}, got {vec.shape}")
-    return vec
-
-
-def central_difference(fn: Callable[[np.ndarray], float],
-                       point: np.ndarray) -> np.ndarray:
-    """Central finite differences of a scalar function of a vector.
-
-    The step FD_STEP is scaled by max(1, ||point||) to balance
-    truncation and rounding error.
-    """
-    point = np.asarray(point, dtype=float)
-    h = FD_STEP * max(1.0, float(np.linalg.norm(point)))
-    grad = np.empty_like(point)
-    for i in range(point.size):
-        offset = np.zeros_like(point)
-        offset[i] = h
-        grad[i] = (fn(point + offset) - fn(point - offset)) / (2.0 * h)
-    return grad
+def _points(value, dim: int, name: str) -> np.ndarray:
+    """``value`` as a float array of real numbers whose last axis is
+    ``dim``, one point ``(dim,)`` or a batch ``(..., dim)``, else a
+    ConfigurationError naming ``name``.  Non-finite values pass, for the
+    closed loops' finite-escape guard to see an escaping plant."""
+    points = np.asarray(value)
+    if points.dtype.kind not in "fiu":
+        raise ConfigurationError(
+            f"{name}: expected real numbers, got an array of {points.dtype}")
+    if points.shape[-1:] != (dim,):
+        raise ConfigurationError(
+            f"{name} must have last dimension {dim}, got {points.shape}")
+    return points.astype(float, copy=False)
 
 
 class LtiSubsystem:
@@ -107,14 +97,15 @@ class LtiSubsystem:
         self.dc_gain.flags.writeable = False
 
     def steady_state_output(self, v) -> np.ndarray:
-        """Quasi-steady output z_ss = -C A^{-1} B v for a frozen input v."""
-        v = _as_vector(v, self.m, "v")
-        return self.dc_gain @ v
+        """Quasi-steady output z_ss = -C A^{-1} B v for a frozen input v
+        of shape (m,), or for each of a batch of shape (..., m)."""
+        # a matrix times each point, a column: a batch's rows equal the
+        # one-point products bit for bit, which points @ M.T does not
+        return (self.dc_gain @ _points(v, self.m, "v")[..., None])[..., 0]
 
     def quasi_steady_state(self, v) -> np.ndarray:
-        """The x solving A x + B v = 0."""
-        v = _as_vector(v, self.m, "v")
-        return self._neg_Ainv_B @ v
+        """The x solving A x + B v = 0, for v as in steady_state_output."""
+        return (self._neg_Ainv_B @ _points(v, self.m, "v")[..., None])[..., 0]
 
     def __repr__(self) -> str:
         return (f"LtiSubsystem(n={self.n}, m={self.m}, "
@@ -137,7 +128,7 @@ class QuadraticMap:
 
     def __init__(self, y_star: float, z_star, H) -> None:
         self.y_star = real(y_star, "y_star")
-        self.z_star = reals(z_star, "z_star").reshape(-1)
+        self.z_star = vector(z_star, "z_star")
         self.H = np.atleast_2d(reals(H, "H"))
         self.dim = self.z_star.size
         if self.H.shape != (self.dim, self.dim):
@@ -166,11 +157,7 @@ class QuadraticMap:
 
     def _offset(self, z) -> np.ndarray:
         """z - z* for one point of shape (n,) or points of shape (..., n)."""
-        z = np.asarray(z, dtype=float)
-        if z.shape[-1:] != (self.dim,):
-            raise ConfigurationError(
-                f"z must have last dimension {self.dim}, got {z.shape}")
-        return z - self.z_star
+        return _points(z, self.dim, "z") - self.z_star
 
     def eval(self, z):
         """h at one point z of shape (n,), a float, or at every point of
@@ -235,7 +222,7 @@ class CascadePlant:
 
     @v.setter
     def v(self, value) -> None:
-        self._v = _as_vector(value, self.lti.m, "v")
+        self._v = _points(vector(value, "v"), self.lti.m, "v")
 
     @property
     def x(self) -> np.ndarray:
@@ -243,7 +230,7 @@ class CascadePlant:
 
     @x.setter
     def x(self, value) -> None:
-        self._x = _as_vector(value, self.lti.n, "x")
+        self._x = _points(vector(value, "x"), self.lti.n, "x")
 
     @property
     def z(self) -> np.ndarray:
@@ -255,19 +242,23 @@ class CascadePlant:
 
     def derivative(self, u) -> tuple[np.ndarray, np.ndarray]:
         """Right-hand side (v', x') = (u, A x + B v) at the current state."""
-        u = _as_vector(u, self.lti.m, "u")
+        u = _points(u, self.lti.m, "u")
+        if u.ndim != 1:
+            raise ConfigurationError(
+                f"u must be one point of shape ({self.lti.m},), got {u.shape}")
         dv = u.copy()
         dx = self.lti.A @ self._x + self.lti.B @ self._v
         return dv, dx
 
     def high_freq_gain(self, z) -> np.ndarray:
-        """Input-to-output-rate gain k_p with k_p = G^T grad h(z).
+        """Input-to-output-rate gain k_p with k_p = G^T grad h(z), at one
+        z of shape (n,) or at each of a batch of shape (..., n).
 
         Under the quasi-steady state the measured output obeys
         y' = k_p(z)^T u, which is what the finite-difference oracle in
         the analysis module checks.
         """
-        return self.lti.dc_gain.T @ self.map.gradient(z)
+        return (self.lti.dc_gain.T @ self.map.gradient(z)[..., None])[..., 0]
 
     def check_hypotheses(self, L_h: Optional[float] = None) -> HypothesisReport:
         """Structural report: the stability check, the maximum's shape

@@ -45,7 +45,7 @@ import numpy as np
 
 from .analysis import AnalysisParams
 from .controller import ControllerParams
-from .errors import ConfigurationError, real, reals
+from .errors import ConfigurationError, real, reals, vector
 from .plant import CascadePlant, LtiSubsystem, QuadraticMap
 from .sim import SimConfig, resolve_v0
 
@@ -128,7 +128,8 @@ def _read(obj, path: str) -> dict:
 # The schema: for each object, by its dot-path, each field's reader and
 # presence.  A reader checks a value and returns what the field's
 # constructor takes (None: the value as it is; _read: a nested object;
-# real and reals: the rule for a number and an array of numbers).
+# real, reals and vector: the rule for a number, an array of numbers
+# and a 1-D array of numbers).
 # A field is required, optional, or optional with null meaning omitted.
 _SCHEMA = {
     "": {"name": (None, OPTIONAL), "description": (None, OPTIONAL),
@@ -138,7 +139,7 @@ _SCHEMA = {
               "C": (reals, NULL_OMITS), "map": (_read, REQUIRED),
               "allow_unstable": (_flag, OPTIONAL)},
     "plant.map": {"kind": (None, REQUIRED), "y_star": (real, OPTIONAL),
-                  "z_star": (reals, OPTIONAL),
+                  "z_star": (vector, OPTIONAL),
                   "coupling": (real, OPTIONAL),
                   "H": (reals, OPTIONAL)},
     "controller": {"p": (real, REQUIRED), "p0": (real, REQUIRED),
@@ -147,7 +148,7 @@ _SCHEMA = {
                       for key in ("lambda", "epsilon_sw", "gamma", "L_h",
                                   "eta", "T_s")}},
     "sim": {"dt": (real, REQUIRED), "horizon": (real, REQUIRED),
-            "x0": (reals, REQUIRED), "v0": (None, NULL_OMITS),
+            "x0": (vector, REQUIRED), "v0": (None, NULL_OMITS),
             "log_stride": (_whole, OPTIONAL),
             "plant_eta": (real, NULL_OMITS), "dt_guard": (_flag, OPTIONAL)},
     "analysis": {"delta": (real, NULL_OMITS),

@@ -38,8 +38,8 @@ from . import _fastpath, _tables
 from .controller import (ControllerConstants, ControllerParams,
                          ControllerState, controller_step, whole_steps)
 from .errors import (ConfigurationError, SimulationAbort, finite_escape,
-                     real, reals)
-from .plant import CascadePlant
+                     real, vector)
+from .plant import CascadePlant, _points
 
 logger = logging.getLogger(__name__)
 
@@ -91,13 +91,13 @@ class SimConfig:
                 and not real(self.plant_eta, "plant_eta") > 0.0):
             raise ConfigurationError(
                 f"plant_eta must be finite and > 0, got {self.plant_eta}")
-        object.__setattr__(self, "x0", reals(self.x0, "x0").reshape(-1))
+        object.__setattr__(self, "x0", vector(self.x0, "x0"))
         if isinstance(self.v0, str):
             if self.v0 != "quasi_steady":
                 raise ConfigurationError(f"v0 must be a vector, None or "
                                          f"'quasi_steady', got {self.v0!r}")
         elif self.v0 is not None:
-            object.__setattr__(self, "v0", reals(self.v0, "v0").reshape(-1))
+            object.__setattr__(self, "v0", vector(self.v0, "v0"))
 
     @property
     def n_steps(self) -> int:
@@ -176,9 +176,7 @@ def resolve_v0(plant: CascadePlant, config: SimConfig) -> np.ndarray:
     """The start value of v for a run of ``config`` on ``plant``: the
     set-up checks that need the plant, of x0 and v0 against its
     dimensions (ConfigurationError naming the field)."""
-    if config.x0.shape != (plant.lti.n,):
-        raise ConfigurationError(
-            f"x0 must have dimension {plant.lti.n}, got {config.x0.shape}")
+    _points(config.x0, plant.lti.n, "x0")
     if config.v0 is None:
         return np.zeros(plant.lti.m)
     if isinstance(config.v0, str):  # "quasi_steady"
@@ -190,10 +188,7 @@ def resolve_v0(plant: CascadePlant, config: SimConfig) -> np.ndarray:
             return np.linalg.solve(plant.lti.B, -(plant.lti.A @ config.x0))
         except np.linalg.LinAlgError as exc:
             raise ConfigurationError(f"v0 'quasi_steady': singular B ({exc})")
-    if config.v0.shape != (plant.lti.m,):
-        raise ConfigurationError(
-            f"v0 must have dimension {plant.lti.m}, got {config.v0.shape}")
-    return config.v0
+    return _points(config.v0, plant.lti.m, "v0")
 
 
 def dt_guard_limit(plant: CascadePlant, constants: ControllerConstants,

@@ -48,9 +48,9 @@ def oracle_suite(scenario: Optional[Scenario] = None,
                  draws: int = 1000) -> list[CheckResult]:
     """Gradient/steady-state oracles plus controller invariants.
 
-    The two numeric oracles run at 100 random points each; the
-    controller invariants are property-checked over ``draws`` random
-    parameter draws.
+    The two numeric oracles each check a table of 100 random inputs in
+    one call; the controller invariants are property-checked over
+    ``draws`` random parameter draws.
     """
     if scenario is None:
         scenario = load_builtin("coupled_bowl")
@@ -59,24 +59,21 @@ def oracle_suite(scenario: Optional[Scenario] = None,
     results: list[CheckResult] = []
 
     t0 = time.perf_counter()
-    worst = 0.0
-    for _ in range(100):
-        v = rng.uniform(-5.0, 5.0, plant.lti.m)
-        analytic = plant.high_freq_gain(plant.lti.steady_state_output(v))
-        brute = fd_gradient_oracle(plant, v)
-        scale = max(1.0, float(np.linalg.norm(analytic)))
-        worst = max(worst, float(np.linalg.norm(analytic - brute)) / scale)
+    v = rng.uniform(-5.0, 5.0, (100, plant.lti.m))
+    analytic = plant.high_freq_gain(plant.lti.steady_state_output(v))
+    brute = fd_gradient_oracle(plant, v)
+    scale = np.maximum(1.0, np.linalg.norm(analytic, axis=-1))
+    worst = float(np.max(np.linalg.norm(analytic - brute, axis=-1) / scale))
     results.append(_timed(
         "gain_matches_fd_oracle", worst <= 1e-6,
         f"max relative deviation {worst:.3e} (tol 1e-6, 100 points)", t0))
 
     t0 = time.perf_counter()
-    worst = 0.0
-    for _ in range(100):
-        v = rng.uniform(-5.0, 5.0, plant.lti.m)
-        x_ss = plant.lti.quasi_steady_state(v)
-        residual = np.linalg.norm(plant.lti.A @ x_ss + plant.lti.B @ v)
-        worst = max(worst, float(residual / (1.0 + np.linalg.norm(v))))
+    v = rng.uniform(-5.0, 5.0, (100, plant.lti.m))
+    x_ss = plant.lti.quasi_steady_state(v)[..., None]
+    residual = np.linalg.norm(
+        (plant.lti.A @ x_ss + plant.lti.B @ v[..., None])[..., 0], axis=-1)
+    worst = float(np.max(residual / (1.0 + np.linalg.norm(v, axis=-1))))
     results.append(_timed(
         "steady_state_residual", worst <= 1e-10,
         f"max scaled residual {worst:.3e} (tol 1e-10, 100 points)", t0))

@@ -225,6 +225,12 @@ class TestRunCommand:
         ("plant.C=[[1,0,0]]", "plant: C must be 2x2, got (1, 3)"),
         ("plant.A=[[-1,1e13],[0,-1]]",
          "plant: A is singular or ill-conditioned (cond=1e+26)"),
+        ("sim.x0=[[-2,4]]",
+         "sim.x0: expected a vector, got an array of shape (1, 2)"),
+        ("sim.v0=[[0.5],[1.0]]",
+         "sim.v0: expected a vector, got an array of shape (2, 1)"),
+        ("plant.map.z_star=[[0,0]]",
+         "plant.map.z_star: expected a vector, got an array of shape (1, 2)"),
         ("bogus", "override 'bogus' must have the form key.path=value"),
         ("sim.dt.x=1", "override sim.dt.x: no such field")])
     def test_unknown_or_conflicting_field_is_usage_error(self, tmp_path,

@@ -48,6 +48,13 @@ class TestEffectiveGains:
     def test_unbounded_reference_allowed(self):
         assert make_params(y_sat=math.inf).y_sat == math.inf
 
+    def test_fields_cannot_be_assigned(self):
+        # an assignment would skip the checks made when it is built
+        params = make_params()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            params.eta = 5.0
+        assert params.resolve(1e-3, 2).rho == pytest.approx(0.501)
+
     def test_resolve(self):
         params = make_params(p0=0.5)
         constants = params.resolve(1e-3, 2)

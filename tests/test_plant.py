@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slidingesc import (CascadePlant, ConfigurationError, LtiSubsystem,
-                        QuadraticMap, central_difference)
+                        QuadraticMap, fd_gradient_oracle)
 
 
 class TestLtiSubsystem:
@@ -137,10 +137,13 @@ class TestQuadraticMap:
     @given(st.floats(0.05, 0.95), st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=30, deadline=None)
     def test_gradient_matches_finite_differences(self, coupling, seed):
+        # through the identity channel (A = -I, B = I) the gain oracle's
+        # finite differences are those of the map itself
         bowl = QuadraticMap.from_coupling(coupling)
-        z = np.random.default_rng(seed).uniform(-5, 5, 2)
-        fd = central_difference(bowl.eval, z)
-        assert np.allclose(bowl.gradient(z), fd, rtol=1e-6, atol=1e-6)
+        plant = CascadePlant(LtiSubsystem(-np.eye(2), np.eye(2)), bowl)
+        z = np.random.default_rng(seed).uniform(-5, 5, (8, 2))
+        assert np.allclose(bowl.gradient(z), fd_gradient_oracle(plant, z),
+                           rtol=1e-6, atol=1e-6)
 
 
 class TestCascadePlant:
@@ -163,6 +166,25 @@ class TestCascadePlant:
     def test_derivative_dimension_error(self, benchmark_plant):
         with pytest.raises(ConfigurationError, match="dimension"):
             benchmark_plant.derivative([1.0, 0.0, 0.0])
+        with pytest.raises(ConfigurationError,
+                           match=r"^u must be one point of shape \(2,\), "
+                                 r"got \(1, 2\)$"):
+            benchmark_plant.derivative([[1.0, 0.0]])
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("x", ["1", "2"], r"x\[0\]: expected a number, got '1'"),
+        ("v", [np.nan, 0.0], r"v\[0\]: expected a finite number, got nan"),
+        ("x", [[1.0, 2.0]], r"x: expected a vector, got an array of shape "
+                            r"\(1, 2\)"),
+        ("v", 1.0, r"v: expected a vector, got an array of shape \(\)"),
+        ("v", [1.0, 2.0, 3.0], r"v must have last dimension 2, got \(3,\)")])
+    def test_state_setters_take_one_finite_point(self, benchmark_plant, name,
+                                                 value, message):
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+            setattr(benchmark_plant, name, value)
+        assert np.array_equal(getattr(benchmark_plant, name), [0.0, 0.0])
+        setattr(benchmark_plant, name, np.array([1, 2]))
+        assert getattr(benchmark_plant, name).tolist() == [1.0, 2.0]
 
     def test_outputs_always_derived(self, benchmark_plant):
         benchmark_plant.x = [1.0, 2.0]
@@ -212,3 +234,69 @@ class TestHypothesisReport:
         assert not report.ok
         assert any(c.name.startswith("H3") and c.status == "fail"
                    for c in report.failures())
+
+
+class TestShapeRule:
+    """Every evaluator of the plant takes one point of shape (dim,) or a
+    batch of shape (..., dim), and names its argument when refusing."""
+
+    @staticmethod
+    def plant():
+        # three states and two inputs, so that no evaluator can mix up
+        # the input and the output dimension
+        lti = LtiSubsystem([[-1.0, 0.5, 0.0], [0.0, -2.0, 0.3],
+                            [0.2, 0.0, -3.0]],
+                           [[1.0, 0.0], [0.0, 1.0], [1.0, -1.0]])
+        bowl = QuadraticMap(1.0, [0.5, -1.0, 0.2],
+                            [[-2.0, 0.3, 0.0], [0.3, -1.0, 0.1],
+                             [0.0, 0.1, -1.5]])
+        return CascadePlant(lti, bowl)
+
+    # (evaluator, its argument's name, the dimension of its points)
+    EVALUATORS = {
+        "steady_state_output": (lambda p: p.lti.steady_state_output, "v", 2),
+        "quasi_steady_state": (lambda p: p.lti.quasi_steady_state, "v", 2),
+        "eval": (lambda p: p.map.eval, "z", 3),
+        "gradient": (lambda p: p.map.gradient, "z", 3),
+        "high_freq_gain": (lambda p: p.high_freq_gain, "z", 3),
+        "fd_gradient_oracle": (
+            lambda p: lambda v: fd_gradient_oracle(p, v), "v", 2),
+    }
+
+    @pytest.mark.parametrize("evaluator", EVALUATORS)
+    def test_batch_equals_one_point_calls(self, evaluator):
+        make, _, dim = self.EVALUATORS[evaluator]
+        fn = make(self.plant())
+        points = np.random.default_rng(5).uniform(-5.0, 5.0, (7, dim))
+        batch = fn(points)
+        assert np.array_equal(batch, [fn(point) for point in points])
+        assert np.array_equal(fn(points.reshape(7, 1, dim)),
+                              batch.reshape(7, 1, *batch.shape[1:]))
+
+    @pytest.mark.parametrize("evaluator", EVALUATORS)
+    @pytest.mark.parametrize("shape", [(4, 1), (1,), ()])
+    def test_wrong_last_axis_names_argument(self, evaluator, shape):
+        make, name, dim = self.EVALUATORS[evaluator]
+        shape = shape + (dim + 1,) if shape else shape
+        with pytest.raises(ConfigurationError,
+                           match=rf"^{name} must have last dimension {dim}, "
+                                 rf"got \({', '.join(map(str, shape))}"):
+            make(self.plant())(np.zeros(shape))
+
+    @pytest.mark.parametrize("evaluator", EVALUATORS)
+    @pytest.mark.parametrize("value", ["1", True, 1j])
+    def test_non_real_entries_refused(self, evaluator, value):
+        make, name, dim = self.EVALUATORS[evaluator]
+        with pytest.raises(ConfigurationError,
+                           match=rf"^{name}: expected real numbers"):
+            make(self.plant())([value] * dim)
+
+    def test_non_finite_points_pass(self):
+        # the closed loops' finite-escape guard, not the rule, stops an
+        # escaping plant
+        plant = self.plant()
+        z = plant.lti.steady_state_output([np.nan, 0.0])
+        assert np.isnan(z).all()
+        assert np.isnan(plant.map.eval(z))
+        dv, _ = plant.derivative([np.inf, 0.0])
+        assert dv.tolist() == [np.inf, 0.0]

@@ -1,8 +1,8 @@
 """The verify suites: the controller-invariant draws of the oracle
 suite are read from tables drawn up front, in the documented order, and
 those tables cover their ranges and stay small; every check of the
-oracle suite can fail; the scenario and sweep suites read their
-variants and plant_eta as their runs do."""
+oracle suite, the two numeric oracles included, can fail; the scenario
+and sweep suites read their variants and plant_eta as their runs do."""
 
 import dataclasses
 import re
@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from slidingesc import load_builtin, verify
+from slidingesc import CascadePlant, LtiSubsystem, load_builtin, verify
 from slidingesc.scenario import scenario_from_dict
 
 DRAWS = 50
@@ -193,6 +193,14 @@ def composition():
     return result.passed, result.detail
 
 
+def oracle(name):
+    """The check ``name`` of the oracle suite (five invariant draws)."""
+    def check():
+        result, = [r for r in verify.oracle_suite(draws=5) if r.name == name]
+        return result.passed, result.detail
+    return check
+
+
 def changed(change):
     """A stand-in for a function whose result passes through ``change``,
     which is also given the function's arguments."""
@@ -210,6 +218,15 @@ def resolved(**changes):
 # each failure branch of the oracle checks: the name a faulty stand-in
 # replaces, the stand-in, the check and the detail it fails with
 FAULTS = {
+    "input gain": (CascadePlant, "high_freq_gain",
+                   changed(lambda gain, *_: 1.01 * gain),
+                   oracle("gain_matches_fd_oracle"),
+                   r"max relative deviation \S+ \(tol 1e-6, 100 points\)"),
+    "quasi-steady state": (LtiSubsystem, "quasi_steady_state",
+                           changed(lambda x, *_: x + 1e-6),
+                           oracle("steady_state_residual"),
+                           r"max scaled residual \S+ \(tol 1e-10, "
+                           r"100 points\)"),
     "rho floor": (verify.ControllerParams, "resolve",
                   resolved(rho=lambda rho: 0.5 * rho), invariants,
                   r"draw 0: rho \S+ below bound \S+"),
