@@ -13,6 +13,7 @@ gain k_p(z) = G^T grad h(z) used by the analysis oracles.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -28,6 +29,14 @@ def _points(value, dim: int, name: str) -> np.ndarray:
     ``dim``, one point ``(dim,)`` or a batch ``(..., dim)``, else a
     ConfigurationError naming ``name``.  Non-finite values pass, for the
     closed loops' finite-escape guard to see an escaping plant."""
+    if isinstance(value, (list, tuple)):
+        # numpy reads [True, 2] as the integers [1, 2], so a list is
+        # judged entry by entry by the number rule's type test (finite or
+        # not), and an array by its dtype below
+        for entry in np.asarray(value, dtype=object).flat:
+            if isinstance(entry, bool) or not isinstance(entry, numbers.Real):
+                raise ConfigurationError(
+                    f"{name}: expected real numbers, got {entry!r}")
     points = np.asarray(value)
     if points.dtype.kind not in "fiu":
         raise ConfigurationError(
@@ -44,18 +53,15 @@ class LtiSubsystem:
     Parameters
     ----------
     A : array_like, shape (n, n)
-        State matrix.  Must be invertible; must be Hurwitz unless
-        ``allow_unstable`` is set.
+        State matrix.  Must be Hurwitz (hypothesis H3) and well
+        conditioned.
     B : array_like, shape (n, m)
         Input matrix, m >= 1.
     C : array_like, shape (n, n), optional
         Output matrix, identity by default.
-    allow_unstable : bool
-        Skip the Hurwitz requirement (a scenario's ``plant.allow_unstable``);
-        :meth:`CascadePlant.check_hypotheses` still reports H3.
     """
 
-    def __init__(self, A, B, C=None, *, allow_unstable: bool = False) -> None:
+    def __init__(self, A, B, C=None) -> None:
         self.A = np.atleast_2d(reals(A, "A"))
         self.B = np.atleast_2d(reals(B, "B"))
         n = self.A.shape[0]
@@ -75,8 +81,7 @@ class LtiSubsystem:
         self.n = n
         self.m = self.B.shape[1]
         self.eigenvalues = np.linalg.eigvals(self.A)
-        self.is_hurwitz = bool(np.max(self.eigenvalues.real) < HURWITZ_TOL)
-        if not self.is_hurwitz and not allow_unstable:
+        if not np.max(self.eigenvalues.real) < HURWITZ_TOL:
             raise ConfigurationError(
                 "A is not Hurwitz (eigenvalues must lie in the open left "
                 f"half-plane): eigenvalues {self.eigenvalues}")
@@ -108,8 +113,7 @@ class LtiSubsystem:
         return (self._neg_Ainv_B @ _points(v, self.m, "v")[..., None])[..., 0]
 
     def __repr__(self) -> str:
-        return (f"LtiSubsystem(n={self.n}, m={self.m}, "
-                f"hurwitz={self.is_hurwitz})")
+        return f"LtiSubsystem(n={self.n}, m={self.m})"
 
 
 class QuadraticMap:
@@ -175,27 +179,22 @@ class QuadraticMap:
 @dataclass
 class HypothesisCheck:
     name: str
-    status: str          # "pass" | "fail" | "assumed"
+    status: str          # "pass" | "assumed"
     detail: str
 
 
 @dataclass
 class HypothesisReport:
-    """Outcome of the structural checks on a plant.
+    """The structural checks on a plant, which a caller can ask for with
+    ``CascadePlant.check_hypotheses``.  No run builds one; a run record
+    (ROADMAP direction 6) is where one is to be written.
 
-    Machine-checkable items report pass/fail; the remaining assumptions
-    are listed as "assumed" together with the configured gradient lower
-    bound so that a run's premises are on record.
+    Each check is "pass", for a hypothesis that every plant meets by
+    construction, or "assumed", for one the code cannot decide; the H5
+    and H6 rows give the gradient lower bound ``L_h`` the caller passed.
     """
 
     checks: list[HypothesisCheck] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(c.status != "fail" for c in self.checks)
-
-    def failures(self) -> list[HypothesisCheck]:
-        return [c for c in self.checks if c.status == "fail"]
 
 
 class CascadePlant:
@@ -261,9 +260,9 @@ class CascadePlant:
         return (self.lti.dc_gain.T @ self.map.gradient(z)[..., None])[..., 0]
 
     def check_hypotheses(self, L_h: Optional[float] = None) -> HypothesisReport:
-        """Structural report: the stability check, the maximum's shape
-        (which every map has by construction) and the assumptions that
-        cannot be machine-verified."""
+        """Structural report: the stability of the LTI block and the
+        maximum's shape, which every plant has by construction, and the
+        assumptions that cannot be machine-verified."""
         rep = HypothesisReport()
         recorded = f"L_h={L_h if L_h is not None else 'unset'}"
         rep.checks.append(HypothesisCheck(
@@ -273,8 +272,9 @@ class CascadePlant:
             "H2 smoothness", "pass", "quadratic objective is smooth everywhere"))
         eig_str = np.array2string(self.lti.eigenvalues, precision=4)
         rep.checks.append(HypothesisCheck(
-            "H3 stable subsystem", "pass" if self.lti.is_hurwitz else "fail",
-            f"eigenvalues of A: {eig_str}"))
+            "H3 stable subsystem", "pass",
+            f"eigenvalues of A: {eig_str}, all with negative real part "
+            "(checked when the block is built)"))
         rep.checks.append(HypothesisCheck(
             "H4 unique maximum", "pass",
             "curvature eigenvalues "

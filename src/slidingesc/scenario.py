@@ -7,8 +7,7 @@ Schema (field names are the contract; the syntax is plain JSON):
       "plant": {
         "A": [[...]], "B": [[...]], "C": [[...]],        # row-major
         "map": {"kind": "quadratic", "y_star": 2.0, "z_star": [0, 0],
-                "coupling": 0.5},                        # or "H": [[...]]
-        "allow_unstable": false      # optional; true accepts a non-Hurwitz A
+                "coupling": 0.5}                         # or "H": [[...]]
       },
       "controller": {
         "p": 1.0, "p0": 0.0, "y_sat": 2.5, "lambda": 4.0,
@@ -29,9 +28,10 @@ Schema (field names are the contract; the syntax is plain JSON):
 per plant input (column of B), each held for T_s / m.  A quadratic map
 takes either an explicit "H" or, for the two-input benchmark family,
 "coupling" (the bowl h = y* - (z1^2 + z2^2 - 2*c*z1*z2)), not both.
-Every number must be finite, and a field the schema does not name is
-refused.  A Scenario keeps the document it was read from; a variant is
-that document overridden and read again (``with_overrides``).
+"A" must be Hurwitz; "dt_guard" is the one opt-out.  Every number must
+be finite, and a field the schema does not name is refused.  A Scenario
+keeps the document it was read from; a variant is that document
+overridden and read again (``with_overrides``).
 """
 
 from __future__ import annotations
@@ -74,8 +74,7 @@ class Scenario:
 
     def build_plant(self) -> CascadePlant:
         plant = self.document["plant"]
-        lti = LtiSubsystem(plant["A"], plant["B"], plant.get("C"),
-                           allow_unstable=plant.get("allow_unstable", False))
+        lti = LtiSubsystem(plant["A"], plant["B"], plant.get("C"))
         # the map's other fields are the constructors' arguments; the
         # coupling family's y_star and z_star default there
         spec = {key: value for key, value in plant["map"].items()
@@ -136,8 +135,7 @@ _SCHEMA = {
          "plant": (_read, REQUIRED), "controller": (_read, REQUIRED),
          "sim": (_read, REQUIRED), "analysis": (_read, OPTIONAL)},
     "plant": {"A": (reals, REQUIRED), "B": (reals, REQUIRED),
-              "C": (reals, NULL_OMITS), "map": (_read, REQUIRED),
-              "allow_unstable": (_flag, OPTIONAL)},
+              "C": (reals, NULL_OMITS), "map": (_read, REQUIRED)},
     "plant.map": {"kind": (None, REQUIRED), "y_star": (real, OPTIONAL),
                   "z_star": (vector, OPTIONAL),
                   "coupling": (real, OPTIONAL),

@@ -213,6 +213,7 @@ class TestRunCommand:
     @pytest.mark.parametrize("override, field", [
         ("sim.dtt=5e-4", "sim.dtt: unknown field"),
         ("controller.n_dirs=2", "controller.n_dirs: unknown field"),
+        ("plant.allow_unstable=false", "plant.allow_unstable: unknown field"),
         ("plant.B=[[],[]]", "B must have at least one column"),
         ("plant.map.H=[[1,0],[0,1]]", "exactly one of coupling and H"),
         ("sim.dt=0", "sim.dt must be > 0, got 0.0"),
@@ -316,30 +317,40 @@ class TestRunCommand:
         assert capsys.readouterr().err.startswith(f"error: {field}")
         assert not out.exists()
 
-    def test_unstable_plant_needs_flag(self, tmp_path):
-        # the opt-in is the document's plant.allow_unstable
-        args = ["run", "--out", str(tmp_path / "o"),
-                "--override", "plant.A=[[1,0],[0,1]]",
-                "--override", "sim.horizon=0.2",
-                "--override", "sim.log_stride=1",
-                "--override", "sim.plant_eta=1.0"]
-        assert run_cli(*args) == EXIT_USAGE
-        assert run_cli(*args, "--override",
-                       "plant.allow_unstable=true") == EXIT_OK
-        saved = json.loads((tmp_path / "o" / "scenario.json").read_text())
-        assert saved["plant"]["allow_unstable"] is True
+    def test_unstable_plant_refused(self, tmp_path, capsys, monkeypatch):
+        # no field opts out of H3: a document with a non-Hurwitz A, and
+        # an override of the removed plant.allow_unstable, are refused on
+        # load by run and by sweep, before any run
+        from slidingesc.scenario import builtin_scenario_dict
+        no_run(monkeypatch)
+        doc = builtin_scenario_dict("coupled_bowl")
+        doc["plant"]["A"] = [[1.0, 0.0], [0.5, -2.0]]
+        cfg = tmp_path / "unstable.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        sweep = ["sweep", "--param", "sim.plant_eta", "--values", "0.5,1"]
+        for command in (["run"], sweep):
+            assert run_cli(*command, "--config", str(cfg),
+                           "--out", str(out)) == EXIT_USAGE
+            assert ("plant: A is not Hurwitz (eigenvalues must lie in the "
+                    "open left half-plane): eigenvalues [-2.  1.]"
+                    in capsys.readouterr().err)
+            assert run_cli(*command, "--out", str(out), "--override",
+                           "plant.allow_unstable=true") == EXIT_USAGE
+            assert ("error: plant.allow_unstable: unknown field"
+                    in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_saved_document_reproduces_run(self, tmp_path):
-        # both opt-outs are fields of the document a run saves, so that
-        # document alone runs again, to the same bytes: an unstable A at
-        # the default dt of 0.001, above the guard's limit of 0.00094
+        # the opt-out is a field of the document a run saves, so that
+        # document alone runs again, to the same bytes: a dt of 0.005,
+        # above the builtin plant's guard limit of 0.0025
         first, second = tmp_path / "first", tmp_path / "second"
         args = ["run", "--out", str(first),
-                *override_args(["plant.A=[[0.1,0],[0,-1]]", "sim.horizon=2",
+                *override_args(["sim.dt=0.005", "sim.horizon=2",
                                 "sim.log_stride=1"])]
-        opt_outs = ["plant.allow_unstable=true", "sim.dt_guard=false"]
-        assert run_cli(*args, *override_args(opt_outs[:1])) == EXIT_FAIL
-        assert run_cli(*args, *override_args(opt_outs)) == EXIT_OK
+        assert run_cli(*args) == EXIT_FAIL
+        assert run_cli(*args, "--override", "sim.dt_guard=false") == EXIT_OK
         assert run_cli("run", "--config", str(first / "scenario.json"),
                        "--out", str(second)) == EXIT_OK
         names = sorted(path.name for path in first.iterdir())
@@ -349,7 +360,7 @@ class TestRunCommand:
         for name in names:
             assert (first / name).read_bytes() == (second / name).read_bytes()
 
-    @pytest.mark.parametrize("field", ["sim.dt_guard", "plant.allow_unstable"])
+    @pytest.mark.parametrize("field", ["sim.dt_guard"])
     @pytest.mark.parametrize("value", ['"off"', "0", "null"])
     def test_non_boolean_opt_out_is_usage_error(self, tmp_path, capsys,
                                                 field, value):
@@ -473,19 +484,20 @@ class TestSweepCommand:
         assert sorted(p.name for p in out.iterdir() if p.is_dir()) == [
             "sim_plant_eta=0.01", "sim_plant_eta=0.02"]
 
-    def test_variants_keep_allow_unstable(self, tmp_path):
-        # each value's document is the base document, opt-in included
+    def test_variants_keep_dt_guard(self, tmp_path):
+        # each value's document is the base document, opt-out included:
+        # a dt of 0.005 is above the guard's limit at either plant_eta
         out = tmp_path / "s"
-        assert run_cli("sweep", "--param", "sim.plant_eta",
-                       "--values", "0.5,1", "--out", str(out),
-                       "--override", "plant.A=[[1,0],[0,1]]",
-                       "--override", "plant.allow_unstable=true",
-                       "--override", "sim.horizon=0.2",
-                       "--override", "sim.log_stride=1") == EXIT_OK
-        for value in ("0.5", "1"):
+        args = ["sweep", "--param", "sim.plant_eta", "--values",
+                "0.005,0.01", "--out", str(out),
+                *override_args(["sim.dt=0.005", "sim.horizon=0.2",
+                                "sim.log_stride=1"])]
+        assert run_cli(*args) == EXIT_FAIL
+        assert run_cli(*args, "--override", "sim.dt_guard=false") == EXIT_OK
+        for value in ("0.005", "0.01"):
             saved = json.loads(
                 (out / f"sim_plant_eta={value}" / "scenario.json").read_text())
-            assert saved["plant"]["allow_unstable"] is True
+            assert saved["sim"]["dt_guard"] is False
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     @pytest.mark.parametrize("field", BAD_SET_UPS)

@@ -31,6 +31,15 @@ def guard_limit(plant, params, plant_eta) -> float:
     return dt_guard_limit(plant, params.resolve(1e-3, 1), plant_eta)
 
 
+def beyond_euler(growth, h=1.0, C=None) -> LtiSubsystem:
+    """A stable block that escapes under Euler steps of h = dt/plant_eta
+    (1 at dt 0.01 and the controller's eta 0.01):
+    A = -(growth + 2/h) I is Hurwitz, and each step multiplies x by
+    -(1 + h growth), as the unstable block growth I would by 1 + h growth.
+    Only a run with ``dt_guard`` off takes such a step."""
+    return LtiSubsystem(-(growth + 2.0 / h) * np.eye(2), np.eye(2), C)
+
+
 def short_config(**overrides) -> SimConfig:
     base = dict(dt=1e-3, horizon=2.0, x0=np.zeros(2), v0=np.zeros(2),
                 log_stride=1)
@@ -448,8 +457,9 @@ class TestChunkedBackend:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_leaves_plant_as_it_was(self, benchmark_params, benchmark_lti,
                                     benchmark_map, backend):
-        # a finished run, and a run that escapes (A = 200 I) and aborts,
-        # read the caller's plant and never move it
+        # a finished run, and a run that escapes (A = -202 I, beyond
+        # Euler's bound) and aborts, read the caller's plant and never
+        # move it
         v, x = np.array([0.3, -0.2]), np.array([0.5, 0.7])
         plant = CascadePlant(benchmark_lti, benchmark_map)
         plant.v, plant.x = v, x
@@ -458,8 +468,7 @@ class TestChunkedBackend:
         assert not np.array_equal(traj.x[-1], x)
         assert np.array_equal(plant.v, v) and np.array_equal(plant.x, x)
 
-        lti = LtiSubsystem(200.0 * np.eye(2), np.eye(2), allow_unstable=True)
-        plant = CascadePlant(lti, benchmark_map)
+        plant = CascadePlant(beyond_euler(200.0), benchmark_map)
         plant.v, plant.x = v, x
         config = SimConfig(dt=1e-2, horizon=10.0, x0=[1.0, 1.0],
                            v0=[0.0, 0.0], log_stride=1, dt_guard=False)
@@ -499,6 +508,16 @@ class TestGuards:
         with pytest.raises(SimulationAbort, match="resolution guard"):
             run(benchmark_plant, benchmark_params, bad)
 
+    def test_run_checks_no_hypothesis(self, benchmark_plant,
+                                      benchmark_params, monkeypatch):
+        # a plant meets H3 and H4 when built, so a run asks for no report
+        def refuse(*args, **kwargs):
+            raise AssertionError("a run built a hypothesis report")
+
+        monkeypatch.setattr(CascadePlant, "check_hypotheses", refuse)
+        assert len(run(benchmark_plant, benchmark_params,
+                       short_config(horizon=0.01))) == 11
+
     def test_dt_guard_override_runs(self, benchmark_plant, benchmark_params, caplog):
         limit = guard_limit(benchmark_plant, benchmark_params, 0.01)
         bad = SimConfig(dt=2.0 * limit, horizon=20 * limit, x0=np.zeros(2),
@@ -508,27 +527,14 @@ class TestGuards:
         warned = [r for r in caplog.records if "GUARD OVERRIDDEN" in r.message]
         assert len(warned) == 1  # once per run
 
-    def test_hypothesis_override_is_loud(self, benchmark_map, benchmark_params, caplog):
-        # allow_unstable is the one opt-in: the library run goes ahead
-        # and names the failed H3 check once
-        lti = LtiSubsystem(np.eye(2), np.eye(2), allow_unstable=True)
-        plant = CascadePlant(lti, benchmark_map)
-        config = short_config(horizon=0.05)
-        with caplog.at_level("WARNING"):
-            traj = run(plant, benchmark_params, config)
-        assert len(traj) == 51
-        warned = [r.getMessage() for r in caplog.records
-                  if "OVERRIDDEN" in r.getMessage()]
-        assert len(warned) == 1 and "H3 stable subsystem" in warned[0]
-
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("backend", ["auto", "python"])
     @pytest.mark.parametrize("growth", [200.0, 5.0])
     def test_finite_escape_detected(self, benchmark_map, growth, backend):
-        # an unstable block escapes within the horizon; at A = 5 I the
-        # output grows so large that the relay's sine argument overflows
-        lti = LtiSubsystem(growth * np.eye(2), np.eye(2), allow_unstable=True)
-        plant = CascadePlant(lti, benchmark_map)
+        # a stable block stepped beyond Euler's bound escapes within the
+        # horizon; at growth 5 the output grows so large that the relay's
+        # sine argument overflows
+        plant = CascadePlant(beyond_euler(growth), benchmark_map)
         config = SimConfig(dt=1e-2, horizon=10.0, x0=[1.0, 1.0],
                            v0=[0.0, 0.0], log_stride=1, dt_guard=False)
         with pytest.raises(SimulationAbort, match="non-finite|finite-escape"):
@@ -553,23 +559,22 @@ class TestGuards:
     @pytest.mark.parametrize("growth, t_fail", [(200.0, 0.67), (5.0, 1.97)])
     def test_finite_escape_names_the_step(self, benchmark_map, growth,
                                           t_fail):
-        # both loops stop at the same step: at A = 200 I the output turns
-        # non-finite, at A = 5 I the relay's sine argument overflows first
-        lti = LtiSubsystem(growth * np.eye(2), np.eye(2), allow_unstable=True)
-        assert self._abort_time(lti, benchmark_map, [1.0, 1.0]) == t_fail
+        # both loops stop at the same step: at growth 200 the output turns
+        # non-finite, at growth 5 the relay's sine argument overflows first
+        assert self._abort_time(beyond_euler(growth), benchmark_map,
+                                [1.0, 1.0]) == t_fail
 
     @pytest.mark.parametrize("c, steps", [
-        (1e-170, {"auto": 646, "python": 642}),
+        (1e-170, {"auto": 646, "python": 641}),
         (1e-100, {"auto": 531, "python": 531})])
     def test_state_escape_names_each_loops_step(self, benchmark_map, c,
                                                 steps):
         # with C = 1e-170 I the state overflows long before the output:
-        # the reference loop forms A x = 200 x before scaling it by dt,
-        # which overflows about log_3(66.7) = 4 steps before the kernel's
-        # (I + h A) x = 3 x, so each loop names a step of its own; with
+        # the reference loop forms A x = -400 x before scaling it by dt,
+        # which overflows about log_3(133) = 4.5 steps before the kernel's
+        # (I + h A) x = -3 x, so each loop names a step of its own; with
         # C = 1e-100 I the output overflows first, at the same step
-        lti = LtiSubsystem(200.0 * np.eye(2), np.eye(2), c * np.eye(2),
-                           allow_unstable=True)
+        lti = beyond_euler(200.0, h=0.01, C=c * np.eye(2))
         config = SimConfig(dt=1e-2, horizon=20.0, x0=[1.0, 1.0],
                            v0=[0.0, 0.0], log_stride=1, plant_eta=1.0,
                            dt_guard=False)
@@ -592,9 +597,8 @@ class TestGuards:
         # a slow escape far out, where the relay's sine argument overflows
         # at step 272 while the predicted states and their squares stay
         # finite: only the sines can show it
-        lti = LtiSubsystem(1e-3 * np.eye(2), np.eye(2), allow_unstable=True)
         qmap = QuadraticMap(-4e304, np.zeros(2), -np.eye(2))
-        assert self._abort_time(lti, qmap, [1e152, 1e152],
+        assert self._abort_time(beyond_euler(1e-3), qmap, [1e152, 1e152],
                                 epsilon_sw=1e-3) == 2.72
 
     @pytest.mark.parametrize("growth", [200.0, 5.0])
@@ -610,11 +614,11 @@ class TestGuards:
                 return kernel(*args)
 
         monkeypatch.setattr(_fastpath, "run_chunked", strict)
-        lti = LtiSubsystem(growth * np.eye(2), np.eye(2), allow_unstable=True)
         config = SimConfig(dt=1e-2, horizon=10.0, x0=[1.0, 1.0],
                            v0=[0.0, 0.0], log_stride=1, dt_guard=False)
         with pytest.raises(SimulationAbort, match="finite-escape"):
-            run(CascadePlant(lti, benchmark_map), make_params(), config)
+            run(CascadePlant(beyond_euler(growth), benchmark_map),
+                make_params(), config)
 
 
 class TestQuasiSteadyStart:
