@@ -3,8 +3,9 @@ parameters.
 
 Commands
 --------
-run     simulate one scenario; writes trajectory.csv, metrics.json and
-        gnuplot-ready data files into the output directory.
+run     simulate one scenario; writes trajectory.csv, metrics.json,
+        scenario.json and, for a two-dimensional map, the gnuplot
+        surface objective_surface.dat into the output directory.
 verify  execute the oracle / scenario / sweep suites and print a
         pass-fail table.
 sweep   repeat a scenario over a list of values for one numeric field,
@@ -28,7 +29,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _tables
 from .analysis import convergence_metrics
 from .errors import ConfigurationError, SimulationAbort
 from .scenario import (ScenarioError, apply_override, builtin_scenario_dict,
@@ -67,49 +67,6 @@ def _scenario_from_args(args):
     return scenario
 
 
-def _plot_tables(outdir: Path, traj, plant) -> list[_tables.Table]:
-    """Plotter-agnostic whitespace tables for the four standard views.
-
-    Cells use the CSV's 17 significant digits (enough to round-trip
-    every double), so written with the CSV they share its text.
-    """
-    n = traj.z.shape[1]
-    m = traj.u.shape[1]
-    fmt = "%.17g"
-    t, y = (traj.t, fmt), (traj.y, fmt)
-    z = [(column, fmt) for column in traj.z.T]
-    u = [(column, fmt) for column in traj.u.T]
-    # sigma_i indicates direction i (dir_index counts from 1)
-    sigma = [(traj.dir_index == i + 1, fmt) for i in range(m)]
-
-    header = "# t " + " ".join(f"z{i+1}" for i in range(n)) + " y y_m"
-    tables = [_tables.Table(outdir / "output_vs_time.dat", header,
-                            [t, *z, y, (traj.y_m, fmt)])]
-    if n == 2:
-        tables.append(_tables.Table(
-            outdir / "phase_plane.dat",
-            f"# z1 z2   (maximizer at {plant.map.z_star.tolist()})", z))
-    header = ("# t " + " ".join(f"u{i+1}" for i in range(m)) + " "
-              + " ".join(f"sigma{i+1}" for i in range(m)))
-    tables.append(_tables.Table(outdir / "control_signals.dat", header,
-                                [t, *u, *sigma]))
-    if n == 2:
-        tables.append(_tables.Table(outdir / "output_path_3d.dat",
-                                    "# z1 z2 y", [*z, y],
-                                    stride=max(1, len(traj) // 2000)))
-    return tables
-
-
-def _write_tables(outdir: Path, traj, plant) -> None:
-    """trajectory.csv and the plot tables in one pass, sharing their
-    text, then the objective surface of a two-dimensional map."""
-    traj.to_csv(outdir / "trajectory.csv", *_plot_tables(outdir, traj, plant))
-    if traj.z.shape[1] == 2:
-        span = max(2.0, float(np.abs(traj.z).max()) * 1.1)
-        _write_objective_surface(outdir / "objective_surface.dat", plant.map,
-                                 span)
-
-
 def _write_objective_surface(path: Path, qmap, span: float) -> None:
     """h on a 61x61 grid over [-span, span]^2 as gnuplot splot blocks.
 
@@ -136,7 +93,11 @@ def _run_one(scenario, outdir: Path, backend: str) -> dict:
         epsilon_sw=scenario.controller.epsilon_sw, dt=scenario.sim.dt,
         params=scenario.analysis)
     outdir.mkdir(parents=True, exist_ok=True)  # so an aborted run writes none
-    _write_tables(outdir, traj, plant)
+    traj.to_csv(outdir / "trajectory.csv")
+    if traj.z.shape[1] == 2:
+        span = max(2.0, float(np.abs(traj.z).max()) * 1.1)
+        _write_objective_surface(outdir / "objective_surface.dat", plant.map,
+                                 span)
     with open(outdir / "metrics.json", "w", encoding="utf-8") as fh:
         json.dump(metrics.to_flat_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")

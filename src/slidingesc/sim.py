@@ -159,19 +159,10 @@ class Trajectory:
         return all(bool(np.all(np.isfinite(values)))
                    for _, values, _ in self.columns())
 
-    def to_csv(self, path, *tables: _tables.Table) -> None:
+    def to_csv(self, path) -> None:
         """Write the log as CSV, 17 significant digits, in the order of
-        ``columns``.
-
-        Further ``tables`` over the same rows are written in the same
-        pass, so a value they share with the CSV at the same format is
-        turned into text once.
-        """
-        columns = self.columns()
-        _tables.write_tables([_tables.Table(
-            path, ",".join(name for name, _, _ in columns),
-            [(values, fmt) for _, values, fmt in columns], delimiter=","),
-            *tables])
+        ``columns``."""
+        _tables.write_csv(path, self.columns())
 
 
 def resolve_v0(plant: CascadePlant, config: SimConfig) -> np.ndarray:

@@ -29,7 +29,7 @@ MANIFEST = Path(__file__).resolve().with_name("byte_identity.json")
 SCENARIOS = Path(__file__).resolve().parent.parent / "src/slidingesc/scenarios"
 
 # the runs, by id: (builtin, backend, overrides); the first logs every
-# one of 5000 steps, so its tables are written by two processes
+# one of 5000 steps, so its CSV is written by two processes
 SHORT = ("sim.horizon=2", "sim.log_stride=10")
 RUNS = {
     "coupled_bowl/auto": ("coupled_bowl", "auto",

@@ -1,6 +1,7 @@
 """CLI contract: file outputs, determinism, exit codes."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,10 @@ from slidingesc.cli import EXIT_FAIL, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from slidingesc.verify import CheckResult
 
 SHORT = ["--override", "sim.horizon=20", "--override", "sim.log_stride=10"]
+# every file a run of a two-dimensional scenario writes
+OUTPUTS = ["metrics.json", "objective_surface.dat", "scenario.json",
+           "trajectory.csv"]
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 # set-ups a run refuses before any work, by the field the refusal
 # names: the overrides that make one, and a sweep over a good value
@@ -51,10 +56,23 @@ class TestRunCommand:
         assert csv.exists()
         header = csv.read_text().splitlines()[0]
         assert header == "t,v1,v2,x1,x2,z1,z2,y,y_m,e,s,u1,u2,dir,rho"
-        for name in ("metrics.json", "output_vs_time.dat", "phase_plane.dat",
-                     "control_signals.dat", "objective_surface.dat",
-                     "output_path_3d.dat", "scenario.json"):
-            assert (out / name).exists(), name
+        assert sorted(path.name for path in out.iterdir()) == OUTPUTS
+
+    def test_readme_gnuplot_names_exist(self, tmp_path):
+        # README's gnuplot block draws the paper's views from a run's
+        # files by column name: each file it reads is one that a
+        # coupled_bowl run writes, each column one of the CSV header's
+        text = README.read_text(encoding="utf-8")
+        block = re.search(r"```gnuplot\n(.*?)```", text, re.S).group(1)
+        files = set(re.findall(r'"([\w.]+\.(?:csv|dat))"', block))
+        names = {name for spec in re.findall(r"using (\S+)", block)
+                 for name in re.findall(r'"(\w+)"', spec)}
+        assert names >= {"t", "y", "y_m", "z1", "z2", "u1", "u2", "dir"}
+        out = tmp_path / "run"
+        assert run_cli("run", "--out", str(out), *SHORT) == EXIT_OK
+        assert files and files <= set(OUTPUTS)
+        header = (out / "trajectory.csv").read_text().splitlines()[0]
+        assert names <= set(header.split(","))
 
     def test_scenario_json_is_the_saved_document(self, tmp_path):
         # the run writes the document it read, overrides applied, through
@@ -355,8 +373,7 @@ class TestRunCommand:
                        "--out", str(second)) == EXIT_OK
         names = sorted(path.name for path in first.iterdir())
         assert names == sorted(path.name for path in second.iterdir())
-        assert {"trajectory.csv", "metrics.json",
-                "output_vs_time.dat"} <= set(names)
+        assert names == OUTPUTS
         for name in names:
             assert (first / name).read_bytes() == (second / name).read_bytes()
 

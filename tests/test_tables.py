@@ -1,10 +1,8 @@
-"""The streaming table writer against ``np.savetxt``, byte for byte.
+"""The streaming CSV writer against ``np.savetxt``, byte for byte.
 
-``reference_csv`` and ``reference_plot_tables`` are the oracle: the
-``np.savetxt`` calls that ``Trajectory.to_csv`` and the CLI's plot
-tables were written with before the streaming writer replaced them
-(the plot tables at the CSV's ``%.17g``; ``%.18e`` before they were
-written in one pass with the CSV), and the point-by-point loop that
+``reference_csv`` and ``reference_surface`` are the oracle: the
+``np.savetxt`` call that ``Trajectory.to_csv`` was written with before
+the streaming writer replaced it, and the point-by-point loop that
 wrote the objective surface before it was evaluated in one batch.
 """
 
@@ -16,17 +14,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from slidingesc import (CascadePlant, LtiSubsystem, QuadraticMap, Trajectory,
-                        _tables, run)
-from slidingesc._tables import (BLOCK_ROWS, SPLIT_ROWS, Table, format_runs,
-                               write_tables)
-from slidingesc.cli import (EXIT_IO, EXIT_OK, _plot_tables, _write_objective_surface,
-                           _write_tables, main)
+from slidingesc import QuadraticMap, Trajectory, _tables, run
+from slidingesc._tables import BLOCK_ROWS, SPLIT_ROWS, format_runs
+from slidingesc.cli import EXIT_IO, EXIT_OK, _write_objective_surface, main
 from slidingesc.scenario import builtin_scenario_dict, scenario_from_dict
-
-TABLES = ("trajectory.csv", "output_vs_time.dat", "phase_plane.dat",
-          "control_signals.dat", "output_path_3d.dat", "objective_surface.dat")
-PLOT_TABLES = TABLES[1:5]
 
 
 def reference_csv(traj, path) -> None:
@@ -42,39 +33,6 @@ def reference_csv(traj, path) -> None:
                comments="")
 
 
-def reference_plot_tables(outdir, traj, plant, fmt="%.17g") -> None:
-    n = traj.z.shape[1]
-    m = traj.u.shape[1]
-
-    header = "t " + " ".join(f"z{i+1}" for i in range(n)) + " y y_m"
-    np.savetxt(outdir / "output_vs_time.dat",
-               np.column_stack([traj.t, traj.z, traj.y, traj.y_m]),
-               fmt=fmt, header=header, comments="# ")
-
-    if n == 2:
-        np.savetxt(outdir / "phase_plane.dat",
-                   np.column_stack([traj.z[:, 0], traj.z[:, 1]]), fmt=fmt,
-                   header=f"z1 z2   (maximizer at {plant.map.z_star.tolist()})",
-                   comments="# ")
-
-    header = ("t " + " ".join(f"u{i+1}" for i in range(m)) + " "
-              + " ".join(f"sigma{i+1}" for i in range(m)))
-    sigma = np.zeros((len(traj), m))
-    sigma[np.arange(len(traj)), traj.dir_index.astype(int) - 1] = 1.0
-    np.savetxt(outdir / "control_signals.dat",
-               np.column_stack([traj.t, traj.u, sigma]),
-               fmt=fmt, header=header, comments="# ")
-
-    if n == 2:
-        stride = max(1, len(traj) // 2000)
-        np.savetxt(outdir / "output_path_3d.dat",
-                   np.column_stack([traj.z[::stride, 0], traj.z[::stride, 1],
-                                    traj.y[::stride]]),
-                   fmt=fmt, header="z1 z2 y", comments="# ")
-        span = max(2.0, float(np.abs(traj.z).max()) * 1.1)
-        reference_surface(outdir / "objective_surface.dat", plant.map, span)
-
-
 def reference_surface(path, qmap, span) -> None:
     grid = np.linspace(-span, span, 61)
     with open(path, "w", encoding="utf-8") as fh:
@@ -86,36 +44,14 @@ def reference_surface(path, qmap, span) -> None:
             fh.write("\n")
 
 
-def write_both(tmp_path, traj, plant):
-    """Write with the package and with the oracle; return both dirs."""
-    ours, ref = tmp_path / "ours", tmp_path / "ref"
+def assert_matches_savetxt(tmp_path, traj) -> None:
+    """``to_csv`` writes the oracle's bytes and no other file."""
+    ours, ref = tmp_path / "ours", tmp_path / "ref.csv"
     ours.mkdir()
-    ref.mkdir()
-    _write_tables(ours, traj, plant)
-    reference_csv(traj, ref / "trajectory.csv")
-    reference_plot_tables(ref, traj, plant)
-    return ours, ref
-
-
-def assert_same_tables(ours, ref) -> None:
-    written = [name for name in TABLES if (ref / name).exists()]
-    assert written
-    for name in TABLES:
-        assert (ours / name).exists() == (ref / name).exists(), name
-    for name in written:
-        assert (ours / name).read_bytes() == (ref / name).read_bytes(), name
-
-
-def write_apart(outdir, traj, plant) -> None:
-    """The CSV and each plot table in a ``write_tables`` call of its own."""
-    traj.to_csv(outdir / "trajectory.csv")
-    for table in _plot_tables(outdir, traj, plant):
-        write_tables([table])
-
-
-def plant_of_dim(dim: int) -> CascadePlant:
-    lti = LtiSubsystem(-np.eye(dim), np.eye(dim))
-    return CascadePlant(lti, QuadraticMap(2.0, np.zeros(dim), -np.eye(dim)))
+    traj.to_csv(ours / "trajectory.csv")
+    reference_csv(traj, ref)
+    assert [p.name for p in ours.iterdir()] == ["trajectory.csv"]
+    assert (ours / "trajectory.csv").read_bytes() == ref.read_bytes()
 
 
 def synthetic(rows: int, dim: int, seed: int = 0) -> Trajectory:
@@ -181,20 +117,7 @@ class TestMatchesSavetxt:
         # at the edges of a 64-row block: the bytes do not depend on the
         # block size, so a small block keeps these cases small
         monkeypatch.setattr(_tables, "BLOCK_ROWS", 64)
-        traj = synthetic(rows, dim)
-        assert_same_tables(*write_both(tmp_path, traj, plant_of_dim(dim)))
-
-    def test_path_stride_across_blocks(self, tmp_path):
-        # 3 * 2000 + 1 rows give stride 3, which does not divide the
-        # block size, so the subsampled rows start mid-block
-        rows = 6001
-        assert BLOCK_ROWS % 3 != 0
-        assert rows > 2 * BLOCK_ROWS
-        traj = synthetic(rows, 2, seed=2)
-        ours, ref = write_both(tmp_path, traj, plant_of_dim(2))
-        assert_same_tables(ours, ref)
-        lines = (ours / "output_path_3d.dat").read_text().splitlines()
-        assert len(lines) == 1 + 2001
+        assert_matches_savetxt(tmp_path, synthetic(rows, dim))
 
     def test_equal_columns_share_text(self, tmp_path):
         # with C = I the output z repeats the state x bit for bit
@@ -202,23 +125,17 @@ class TestMatchesSavetxt:
         traj.x[5, 0] = 0.0
         traj.z = traj.x.copy()
         traj.z[5, 0] = -0.0  # z1's first block differs from x1's in one bit
-        assert_same_tables(*write_both(tmp_path, traj, plant_of_dim(2)))
+        assert_matches_savetxt(tmp_path, traj)
 
     @pytest.mark.parametrize("rows", [BLOCK_ROWS - 1, BLOCK_ROWS,
                                       BLOCK_ROWS + 1])
     def test_runs_at_block_edge(self, tmp_path, rows):
-        traj = at_block_edge(synthetic(rows, 2, seed=5))
-        assert_same_tables(*write_both(tmp_path, traj, plant_of_dim(2)))
+        assert_matches_savetxt(tmp_path,
+                               at_block_edge(synthetic(rows, 2, seed=5)))
 
     def test_to_csv_alone(self, tmp_path):
-        traj = at_block_edge(synthetic(BLOCK_ROWS + 1, 2, seed=6))
-        (tmp_path / "ours").mkdir()
-        traj.to_csv(tmp_path / "ours" / "trajectory.csv")
-        reference_csv(traj, tmp_path / "ref.csv")
-        assert [p.name for p in (tmp_path / "ours").iterdir()] == [
-            "trajectory.csv"]
-        assert ((tmp_path / "ours" / "trajectory.csv").read_bytes()
-                == (tmp_path / "ref.csv").read_bytes())
+        assert_matches_savetxt(tmp_path,
+                               at_block_edge(synthetic(BLOCK_ROWS + 1, 2, seed=6)))
 
     def test_ragged_columns_rejected(self, tmp_path):
         traj = synthetic(10, 2)
@@ -228,7 +145,7 @@ class TestMatchesSavetxt:
 
 
 # The writer's peak Python heap on a 2401-row log, measured with blocks
-# of 64, 128, 256 and 512 rows: 0.21, 0.29, 0.51 and 0.95 MB.  The bound
+# of 64, 128, 256 and 512 rows: 0.14, 0.26, 0.50 and 0.97 MB.  The bound
 # holds at BLOCK_ROWS = 256 and fails once the text of a block (or of
 # more than a block) grows to twice that.
 PEAK_HEAP_MB = 0.7
@@ -236,81 +153,19 @@ PEAK_HEAP_MB = 0.7
 
 def test_peak_heap_of_a_2401_row_log(tmp_path):
     traj = synthetic(2401, 2, seed=4)
-    plant = plant_of_dim(2)
-    _write_tables(tmp_path, traj, plant)  # first-call allocations
+    traj.to_csv(tmp_path / "trajectory.csv")  # first-call allocations
     tracemalloc.start()
     try:
-        _write_tables(tmp_path, traj, plant)
+        traj.to_csv(tmp_path / "trajectory.csv")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < PEAK_HEAP_MB * 1e6
 
 
-class TestOnePass:
-    """The CSV and the plot tables written in one ``write_tables`` call."""
-
-    @pytest.mark.parametrize("rows", [1, BLOCK_ROWS - 1, BLOCK_ROWS + 1])
-    @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_joint_equals_apart(self, tmp_path, rows, dim):
-        traj = synthetic(rows, dim, seed=7)
-        if rows > BLOCK_ROWS:
-            at_block_edge(traj)
-        plant = plant_of_dim(dim)
-        joint, apart = tmp_path / "joint", tmp_path / "apart"
-        joint.mkdir()
-        apart.mkdir()
-        traj.to_csv(joint / "trajectory.csv",
-                    *_plot_tables(joint, traj, plant))
-        write_apart(apart, traj, plant)
-        names = sorted(p.name for p in apart.iterdir())
-        assert names == sorted(p.name for p in joint.iterdir())
-        assert "trajectory.csv" in names and "control_signals.dat" in names
-        for name in names:
-            assert ((joint / name).read_bytes()
-                    == (apart / name).read_bytes()), name
-
-    @pytest.mark.parametrize("source", ["synthetic", "coupled_bowl"])
-    def test_cells_parse_as_before(self, tmp_path, source):
-        """Every plot-table cell parses to the float64 that the former
-        ``%.18e`` text parses to, bit for bit."""
-        if source == "synthetic":
-            traj = at_block_edge(synthetic(BLOCK_ROWS + 1, 2, seed=8))
-            plant = plant_of_dim(2)
-        else:
-            doc = builtin_scenario_dict("coupled_bowl")
-            doc["sim"].update(horizon=5.0, log_stride=1)
-            sc = scenario_from_dict(doc)
-            plant = sc.build_plant()
-            traj = run(plant, sc.controller, sc.sim)
-        ours, before = tmp_path / "ours", tmp_path / "before"
-        ours.mkdir()
-        before.mkdir()
-        _write_tables(ours, traj, plant)
-        reference_plot_tables(before, traj, plant, fmt="%.18e")
-        for name in PLOT_TABLES:
-            now = (ours / name).read_text().splitlines()
-            old = (before / name).read_text().splitlines()
-            assert now[0] == old[0] and len(now) == len(old), name
-            now, old = np.loadtxt(ours / name), np.loadtxt(before / name)
-            assert now.shape == old.shape, name
-            assert np.array_equal(now.view(np.int64), old.view(np.int64)), name
-
-
 def split_point(rows: int) -> int:
     """The block edge nearest half the rows, where the writer splits."""
     return round(rows / (2 * BLOCK_ROWS)) * BLOCK_ROWS
-
-
-def every_third(outdir, traj) -> Table:
-    return Table(outdir / "every_third.dat", "# t y",
-                 [(traj.t, "%.17g"), (traj.y, "%.17g")], stride=3)
-
-
-def write_all(outdir, traj, plant) -> None:
-    """The CSV, the plot tables and a stride-3 table in one call."""
-    traj.to_csv(outdir / "trajectory.csv", *_plot_tables(outdir, traj, plant),
-                every_third(outdir, traj))
 
 
 def split_case(rows: int) -> Trajectory:
@@ -367,30 +222,20 @@ class TestSplit:
                                              forks, rows):
         assert BLOCK_ROWS * 2 < split_point(rows) < rows
         traj = split_case(rows)
-        plant = plant_of_dim(2)
-        split, one, ref = (tmp_path / name for name in ("split", "one", "ref"))
-        for outdir in (split, one, ref):
-            outdir.mkdir()
-        write_all(split, traj, plant)
+        split, one, ref = (tmp_path / f"{name}.csv"
+                           for name in ("split", "one", "ref"))
+        traj.to_csv(split)
         assert len(forks) == (rows >= SPLIT_ROWS)
         assert_reaped(forks)
         monkeypatch.setattr(_tables, "SPLIT_ROWS", rows + 1)
-        write_all(one, traj, plant)
+        traj.to_csv(one)
         assert len(forks) == (rows >= SPLIT_ROWS)
 
-        reference_csv(traj, ref / "trajectory.csv")
-        reference_plot_tables(ref, traj, plant)
-        (ref / "objective_surface.dat").unlink()
-        np.savetxt(ref / "every_third.dat",
-                   np.column_stack([traj.t[::3], traj.y[::3]]), fmt="%.17g",
-                   header="t y", comments="# ")
-        names = sorted(p.name for p in ref.iterdir())
-        assert "every_third.dat" in names and "output_path_3d.dat" in names
-        for outdir in (split, one):
-            assert sorted(p.name for p in outdir.iterdir()) == names
-            for name in names:
-                assert ((outdir / name).read_bytes()
-                        == (ref / name).read_bytes()), (outdir.name, name)
+        reference_csv(traj, ref)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "one.csv", "ref.csv", "split.csv"]
+        assert split.read_bytes() == ref.read_bytes()
+        assert one.read_bytes() == ref.read_bytes()
 
     @pytest.mark.parametrize("where", ["child", "parent"])
     def test_failure_raises_reaps_and_removes(self, tmp_path, monkeypatch,
@@ -399,10 +244,10 @@ class TestSplit:
         fail_in(monkeypatch, where)
         if where == "child":
             with pytest.raises(OSError, match="trajectory.csv.*status 1"):
-                write_all(tmp_path, traj, plant_of_dim(2))
+                traj.to_csv(tmp_path / "trajectory.csv")
         else:
             with pytest.raises(RuntimeError, match="parent"):
-                write_all(tmp_path, traj, plant_of_dim(2))
+                traj.to_csv(tmp_path / "trajectory.csv")
         assert len(forks) == 1
         assert_reaped(forks)
         assert list(tmp_path.iterdir()) == []
@@ -411,12 +256,9 @@ class TestSplit:
     def test_without_fork_one_process(self, tmp_path, monkeypatch, caplog,
                                       fork):
         traj = split_case(SPLIT_ROWS + 1)
-        plant = plant_of_dim(2)
-        one, alone = tmp_path / "one", tmp_path / "alone"
-        one.mkdir()
-        alone.mkdir()
+        one, alone = tmp_path / "one.csv", tmp_path / "alone.csv"
         monkeypatch.setattr(_tables, "SPLIT_ROWS", SPLIT_ROWS + 2)
-        write_all(one, traj, plant)
+        traj.to_csv(one)
         monkeypatch.undo()
         if fork == "fails":
             def no_fork():
@@ -425,13 +267,12 @@ class TestSplit:
         else:
             monkeypatch.delattr(os, "fork")
         with caplog.at_level(logging.WARNING, logger="slidingesc._tables"):
-            write_all(alone, traj, plant)
+            traj.to_csv(alone)
         assert [r.levelname for r in caplog.records] == ["WARNING"]
         assert "one process" in caplog.records[0].getMessage()
-        names = sorted(p.name for p in one.iterdir())
-        assert sorted(p.name for p in alone.iterdir()) == names
-        for name in names:
-            assert (alone / name).read_bytes() == (one / name).read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "alone.csv", "one.csv"]
+        assert alone.read_bytes() == one.read_bytes()
 
 
 class TestObjectiveSurface:
@@ -464,15 +305,17 @@ LONG_RUN = ["--override", "sim.horizon=5", "--override", "sim.log_stride=1"]
 
 
 def test_cli_run_matches_reference(tmp_path, forks):
-    """``run`` on coupled_bowl logging every step (5001 rows, written by
-    two processes) writes every table as the oracle writes the same
-    scenario's trajectory, and nothing else."""
+    """``run`` on coupled_bowl logging every step (5001 rows, the CSV
+    written by two processes) writes the CSV and the surface as the
+    oracle writes the same scenario's, and nothing else but its metrics
+    and scenario."""
     out = tmp_path / "run"
     assert main(["run", "--out", str(out), *LONG_RUN]) == EXIT_OK
     assert len(forks) == 1
     assert_reaped(forks)
-    assert sorted(p.name for p in out.iterdir()) == sorted(
-        [*TABLES, "metrics.json", "scenario.json"])
+    assert sorted(p.name for p in out.iterdir()) == [
+        "metrics.json", "objective_surface.dat", "scenario.json",
+        "trajectory.csv"]
 
     doc = builtin_scenario_dict("coupled_bowl")
     doc["sim"]["horizon"] = 5
@@ -484,12 +327,14 @@ def test_cli_run_matches_reference(tmp_path, forks):
     ref = tmp_path / "ref"
     ref.mkdir()
     reference_csv(traj, ref / "trajectory.csv")
-    reference_plot_tables(ref, traj, plant)
-    assert_same_tables(out, ref)
+    span = max(2.0, float(np.abs(traj.z).max()) * 1.1)
+    reference_surface(ref / "objective_surface.dat", plant.map, span)
+    for name in ("trajectory.csv", "objective_surface.dat"):
+        assert (out / name).read_bytes() == (ref / name).read_bytes(), name
 
 
 def test_cli_run_failed_child(tmp_path, monkeypatch, forks, capsys):
-    """A child that fails fails the run and leaves no table, no stray
+    """A child that fails fails the run and leaves no CSV, no stray
     file and no process behind."""
     fail_in(monkeypatch, "child")
     out = tmp_path / "run"
