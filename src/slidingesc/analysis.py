@@ -10,8 +10,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, real
-from .plant import CascadePlant, _points
+from .errors import ConfigurationError, points, positive, real
+from .plant import CascadePlant
 from .sim import Trajectory
 
 # a sample sits on a switching band within this fraction of its width
@@ -22,11 +22,6 @@ BAND_TOL_FRACTION = 0.25
 SLIDING_MIN_STEPS = 50
 # fd_gradient_oracle's step, scaled by max(1, ||v||) at each point v
 FD_STEP = 1e-5
-
-
-def _positive(value, name: str) -> None:
-    if not real(value, name) > 0.0:
-        raise ConfigurationError(f"{name} must be > 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -42,12 +37,12 @@ class AnalysisParams:
 
     def __post_init__(self) -> None:
         if self.delta is not None:
-            _positive(self.delta, "delta")
+            positive(self.delta, "delta")
         if not 0.0 < real(self.trailing_fraction, "trailing_fraction") <= 1.0:
             raise ConfigurationError(
                 f"trailing_fraction must be in (0, 1], got "
                 f"{self.trailing_fraction}")
-        _positive(self.c_bound, "c_bound")
+        positive(self.c_bound, "c_bound")
 
     def trailing_samples(self, n: int) -> int:
         """The size of the trailing window of an ``n``-sample log: at
@@ -96,7 +91,13 @@ def detect_sliding(t: np.ndarray, s: np.ndarray, epsilon_sw: float,
     |s - k*epsilon| <= BAND_TOL_FRACTION*epsilon.  Runs of samples on
     the same band lasting at least min_duration are reported
     (``convergence_metrics`` passes SLIDING_MIN_STEPS steps).
+    ConfigurationError unless epsilon_sw is a finite number > 0 and
+    min_duration one >= 0.
     """
+    positive(epsilon_sw, "epsilon_sw")
+    if real(min_duration, "min_duration") < 0.0:
+        raise ConfigurationError(
+            f"min_duration must be >= 0, got {min_duration}")
     t = np.asarray(t, dtype=float)
     s = np.asarray(s, dtype=float)
     if t.size == 0:
@@ -127,8 +128,11 @@ def convergence_metrics(traj: Trajectory, z_star, y_star: float, *,
     ``params.trailing_samples``; sliding segments are those
     ``detect_sliding`` reports for the floor of SLIDING_MIN_STEPS steps.
     ``params.delta`` None means sqrt(epsilon_sw), the only quantitative
-    vicinity radius the theory offers.
+    vicinity radius the theory offers.  ConfigurationError unless
+    ``epsilon_sw`` and ``dt`` are finite numbers > 0.
     """
+    positive(epsilon_sw, "epsilon_sw")
+    positive(dt, "dt")
     if len(traj) == 0:
         raise ValueError("trajectory is empty")
     delta = math.sqrt(epsilon_sw) if params.delta is None else params.delta
@@ -167,11 +171,12 @@ def residual_bound_check(metrics: Metrics, eta: float, epsilon_sw: float,
     and the result reports the implied constant
     residual_amp / (sqrt(eta) + epsilon_sw) for cross-run comparison.
     Fails outright when the run never reached the vicinity; a
-    ConfigurationError for an ``eta`` or ``c_bound`` that is not a
-    finite number > 0.
+    ConfigurationError for an ``eta``, ``epsilon_sw`` or ``c_bound``
+    that is not a finite number > 0.
     """
-    _positive(eta, "eta")
-    _positive(c_bound, "c_bound")
+    positive(eta, "eta")
+    positive(epsilon_sw, "epsilon_sw")
+    positive(c_bound, "c_bound")
     scale = math.sqrt(eta) + epsilon_sw
     implied = metrics.residual_amp / scale
     if metrics.t_reach_delta is None:
@@ -192,12 +197,12 @@ def fd_gradient_oracle(plant: CascadePlant, v) -> np.ndarray:
     independently of the analytic gradient path.  The step balances
     truncation and rounding error.
     """
-    v = _points(v, plant.lti.m, "v")
+    v = points(v, plant.lti.m, "v")
     # sqrt(v . v) gives each point's norm as np.linalg.norm(point) does
     h = FD_STEP * np.maximum(1.0, np.sqrt(np.vecdot(v, v)))[..., None]
     # row i of the last two axes is v moved by h along input i
     steps = h[..., None] * np.eye(plant.lti.m)
-    ahead, behind = (plant.map.eval(plant.lti.steady_state_output(points))
-                     for points in (v[..., None, :] + steps,
-                                    v[..., None, :] - steps))
+    ahead, behind = (plant.map.eval(plant.lti.steady_state_output(moved))
+                     for moved in (v[..., None, :] + steps,
+                                   v[..., None, :] - steps))
     return (ahead - behind) / (2.0 * h)

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import convergence_metrics
-from .errors import ConfigurationError, SimulationAbort
+from .errors import ConfigurationError, SimulationAbort, whole
 from .scenario import (ScenarioError, apply_override, builtin_scenario_dict,
                        builtin_scenario_names, numeric_field, read_document,
                        save_scenario, scenario_from_dict, with_overrides)
@@ -144,35 +144,30 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.jobs < 1:
-        print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
-        return EXIT_USAGE
+    whole(args.jobs, "--jobs")
     base = _scenario_from_args(args)
     values = [v for v in map(str.strip, args.values.split(",")) if v]
     if not values:
-        print("error: sweep needs a nonempty comma-separated --values list",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigurationError(
+            "sweep needs a nonempty comma-separated --values list")
     # the schema, not the base document, knows the field: the document
     # may omit an optional one
     try:
         numeric = numeric_field(args.param)
     except ScenarioError as exc:
-        print(f"error: unknown sweep parameter: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ScenarioError(f"unknown sweep parameter: {exc}") from None
     if not numeric:
-        print(f"error: sweep parameter {args.param} is not numeric",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigurationError(
+            f"sweep parameter {args.param} is not numeric")
 
     outroot = Path(args.out)
     scenarios, subdirs = [], []
     for value in values:
         subdir = outroot / f"{args.param.replace('.', '_')}={value}"
         if subdir in subdirs:
-            print(f"error: sweep value {value!r} writes into {subdir}, "
-                  "which an earlier value already uses", file=sys.stderr)
-            return EXIT_USAGE
+            raise ConfigurationError(
+                f"sweep value {value!r} writes into {subdir}, which an "
+                "earlier value already uses")
         subdirs.append(subdir)
         # read once, here, so a bad value fails before any run starts
         scenarios.append(with_overrides(base, {args.param: value}))
@@ -262,7 +257,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ScenarioError, ConfigurationError) as exc:
+    except ConfigurationError as exc:  # a ScenarioError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (SimulationAbort, MemoryError) as exc:  # or a log too large

@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, finite_escape, real
+from .errors import ConfigurationError, finite_escape, positive, real
 
 
 class StepTelemetry(NamedTuple):
@@ -65,9 +65,10 @@ class ControllerParams:
         Cyclic search period (s), shared equally by the search
         directions, one per plant input.  A run needs each direction's
         share, T_s/n_dirs, to be a whole number of its steps.
-    y_sat : float
+    y_sat : float or None
         Reference saturation level, an upper bound of the objective's
-        maximum; ``inf`` (the default) disables saturation.
+        maximum and >= p0; ``None`` (the default) disables saturation,
+        which ``resolve`` hands the loops as ``inf``.
 
     A run reads these through the record ``resolve(dt, n_dirs)`` builds
     once, with n_dirs the plant's input count.
@@ -81,19 +82,19 @@ class ControllerParams:
     L_h: float
     eta: float
     T_s: float
-    y_sat: float = math.inf
+    y_sat: Optional[float] = None
 
     def __post_init__(self) -> None:
-        positive = {"p": self.p, "lambda": self.lam,
-                    "epsilon_sw": self.epsilon_sw, "gamma": self.gamma,
-                    "L_h": self.L_h, "T_s": self.T_s}
-        for name, value in positive.items():
-            if not real(value, name) > 0.0:
-                raise ConfigurationError(f"{name} must be > 0, got {value}")
+        positive(self.p, "p")
+        positive(self.lam, "lambda")
+        positive(self.epsilon_sw, "epsilon_sw")
+        positive(self.gamma, "gamma")
+        positive(self.L_h, "L_h")
+        positive(self.T_s, "T_s")
         if not 0.0 < real(self.eta, "eta") <= 1.0:
             raise ConfigurationError(f"eta must be in (0, 1], got {self.eta}")
-        # y_sat = inf is an unbounded reference
-        if real(self.y_sat, "y_sat", finite=False) < real(self.p0, "p0"):
+        p0 = real(self.p0, "p0")
+        if self.y_sat is not None and real(self.y_sat, "y_sat") < p0:
             raise ConfigurationError(
                 f"y_sat ({self.y_sat}) must be >= p0 ({self.p0})")
 
@@ -107,7 +108,8 @@ class ControllerParams:
                                 "controller.T_s / n_dirs")
         return ControllerConstants(
             self.eta * self.p, self.eta * self.lam, rho, self.epsilon_sw,
-            self.y_sat, self.p0, sub_steps, n_dirs)
+            math.inf if self.y_sat is None else self.y_sat, self.p0,
+            sub_steps, n_dirs)
 
 
 @dataclass(frozen=True, slots=True)

@@ -13,38 +13,14 @@ gain k_p(z) = G^T grad h(z) used by the analysis oracles.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, real, reals, vector
+from .errors import ConfigurationError, points, real, reals, vector
 
 HURWITZ_TOL = -1e-9
-
-
-def _points(value, dim: int, name: str) -> np.ndarray:
-    """``value`` as a float array of real numbers whose last axis is
-    ``dim``, one point ``(dim,)`` or a batch ``(..., dim)``, else a
-    ConfigurationError naming ``name``.  Non-finite values pass, for the
-    closed loops' finite-escape guard to see an escaping plant."""
-    if isinstance(value, (list, tuple)):
-        # numpy reads [True, 2] as the integers [1, 2], so a list is
-        # judged entry by entry by the number rule's type test (finite or
-        # not), and an array by its dtype below
-        for entry in np.asarray(value, dtype=object).flat:
-            if isinstance(entry, bool) or not isinstance(entry, numbers.Real):
-                raise ConfigurationError(
-                    f"{name}: expected real numbers, got {entry!r}")
-    points = np.asarray(value)
-    if points.dtype.kind not in "fiu":
-        raise ConfigurationError(
-            f"{name}: expected real numbers, got an array of {points.dtype}")
-    if points.shape[-1:] != (dim,):
-        raise ConfigurationError(
-            f"{name} must have last dimension {dim}, got {points.shape}")
-    return points.astype(float, copy=False)
 
 
 class LtiSubsystem:
@@ -106,11 +82,11 @@ class LtiSubsystem:
         of shape (m,), or for each of a batch of shape (..., m)."""
         # a matrix times each point, a column: a batch's rows equal the
         # one-point products bit for bit, which points @ M.T does not
-        return (self.dc_gain @ _points(v, self.m, "v")[..., None])[..., 0]
+        return (self.dc_gain @ points(v, self.m, "v")[..., None])[..., 0]
 
     def quasi_steady_state(self, v) -> np.ndarray:
         """The x solving A x + B v = 0, for v as in steady_state_output."""
-        return (self._neg_Ainv_B @ _points(v, self.m, "v")[..., None])[..., 0]
+        return (self._neg_Ainv_B @ points(v, self.m, "v")[..., None])[..., 0]
 
     def __repr__(self) -> str:
         return f"LtiSubsystem(n={self.n}, m={self.m})"
@@ -161,7 +137,7 @@ class QuadraticMap:
 
     def _offset(self, z) -> np.ndarray:
         """z - z* for one point of shape (n,) or points of shape (..., n)."""
-        return _points(z, self.dim, "z") - self.z_star
+        return points(z, self.dim, "z") - self.z_star
 
     def eval(self, z):
         """h at one point z of shape (n,), a float, or at every point of
@@ -221,7 +197,7 @@ class CascadePlant:
 
     @v.setter
     def v(self, value) -> None:
-        self._v = _points(vector(value, "v"), self.lti.m, "v")
+        self._v = points(vector(value, "v"), self.lti.m, "v")
 
     @property
     def x(self) -> np.ndarray:
@@ -229,7 +205,7 @@ class CascadePlant:
 
     @x.setter
     def x(self, value) -> None:
-        self._x = _points(vector(value, "x"), self.lti.n, "x")
+        self._x = points(vector(value, "x"), self.lti.n, "x")
 
     @property
     def z(self) -> np.ndarray:
@@ -241,7 +217,7 @@ class CascadePlant:
 
     def derivative(self, u) -> tuple[np.ndarray, np.ndarray]:
         """Right-hand side (v', x') = (u, A x + B v) at the current state."""
-        u = _points(u, self.lti.m, "u")
+        u = points(u, self.lti.m, "u")
         if u.ndim != 1:
             raise ConfigurationError(
                 f"u must be one point of shape ({self.lti.m},), got {u.shape}")

@@ -28,10 +28,12 @@ Schema (field names are the contract; the syntax is plain JSON):
 per plant input (column of B), each held for T_s / m.  A quadratic map
 takes either an explicit "H" or, for the two-input benchmark family,
 "coupling" (the bowl h = y* - (z1^2 + z2^2 - 2*c*z1*z2)), not both.
-"A" must be Hurwitz; "dt_guard" is the one opt-out.  Every number must
-be finite, and a field the schema does not name is refused.  A Scenario
-keeps the document it was read from; a variant is that document
-overridden and read again (``with_overrides``).
+"A" must be Hurwitz; "dt_guard" is the one opt-out.  A number follows
+the rules of ``errors``, as in the records: finite, > 0 for a gain, a
+band, a step or a time scale, and whole for "log_stride".  A field the
+schema does not name is refused.  A Scenario keeps the document it was
+read from; a variant is that document overridden and read again
+(``with_overrides``).
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ import numpy as np
 
 from .analysis import AnalysisParams
 from .controller import ControllerParams
-from .errors import ConfigurationError, real, reals, vector
+from .errors import ConfigurationError, real, reals, vector, whole
 from .plant import CascadePlant, LtiSubsystem, QuadraticMap
 from .sim import SimConfig, resolve_v0
 
@@ -91,11 +93,6 @@ def _flag(value, path: str) -> bool:
     return value
 
 
-def _whole(value, path: str):
-    """A whole number, which SimConfig checks."""
-    return value
-
-
 def _read(obj, path: str) -> dict:
     """The fields of the object ``obj`` at the dot-path ``path``, each
     checked and read as ``_SCHEMA[path]`` says; an omitted field is left
@@ -127,8 +124,8 @@ def _read(obj, path: str) -> dict:
 # The schema: for each object, by its dot-path, each field's reader and
 # presence.  A reader checks a value and returns what the field's
 # constructor takes (None: the value as it is; _read: a nested object;
-# real, reals and vector: the rule for a number, an array of numbers
-# and a 1-D array of numbers).
+# real, whole, reals and vector: the rule for a number, a whole number
+# >= 1, an array of numbers and a 1-D array of numbers, from errors).
 # A field is required, optional, or optional with null meaning omitted.
 _SCHEMA = {
     "": {"name": (None, OPTIONAL), "description": (None, OPTIONAL),
@@ -147,7 +144,7 @@ _SCHEMA = {
                                   "eta", "T_s")}},
     "sim": {"dt": (real, REQUIRED), "horizon": (real, REQUIRED),
             "x0": (vector, REQUIRED), "v0": (None, NULL_OMITS),
-            "log_stride": (_whole, OPTIONAL),
+            "log_stride": (whole, OPTIONAL),
             "plant_eta": (real, NULL_OMITS), "dt_guard": (_flag, OPTIONAL)},
     "analysis": {"delta": (real, NULL_OMITS),
                  "trailing_fraction": (real, OPTIONAL),
@@ -267,7 +264,7 @@ def numeric_field(dotted_key: str) -> bool:
         read, _ = _SCHEMA[section][key]
     except KeyError:
         raise ScenarioError(f"{dotted_key}: no such field") from None
-    return read in (real, _whole)
+    return read in (real, whole)
 
 
 def builtin_scenario_names() -> list[str]:

@@ -40,8 +40,8 @@ from . import _fastpath, _tables
 from .controller import (ControllerConstants, ControllerParams,
                          ControllerState, controller_step, whole_steps)
 from .errors import (ConfigurationError, SimulationAbort, finite_escape,
-                     real, vector)
-from .plant import CascadePlant, _points
+                     points, positive, real, vector, whole)
+from .plant import CascadePlant
 
 logger = logging.getLogger(__name__)
 
@@ -69,30 +69,18 @@ class SimConfig:
     dt_guard: bool = True
 
     def __post_init__(self) -> None:
-        if not real(self.dt, "dt") > 0.0:
-            raise ConfigurationError(f"dt must be > 0, got {self.dt}")
+        positive(self.dt, "dt")
         if not (real(self.horizon, "horizon") > self.dt):
             raise ConfigurationError(
                 f"horizon ({self.horizon}) must exceed dt ({self.dt})")
-        try:  # 3 and 3.0 pass; 2.5, true, "3" and NaN do not
-            whole = real(self.log_stride, "log_stride").is_integer()
-        except ConfigurationError:
-            whole = False
-        if not whole:
-            raise ConfigurationError(
-                f"log_stride must be an integer, got {self.log_stride!r}")
-        object.__setattr__(self, "log_stride", int(self.log_stride))
-        if self.log_stride < 1:
-            raise ConfigurationError(
-                f"log_stride must be >= 1, got {self.log_stride}")
+        object.__setattr__(self, "log_stride",
+                           whole(self.log_stride, "log_stride"))
         if self.n_steps % self.log_stride != 0:
             raise ConfigurationError(
                 f"log_stride ({self.log_stride}) must divide the step count "
                 f"({self.n_steps}) so the log stays uniform")
-        if (self.plant_eta is not None
-                and not real(self.plant_eta, "plant_eta") > 0.0):
-            raise ConfigurationError(
-                f"plant_eta must be finite and > 0, got {self.plant_eta}")
+        if self.plant_eta is not None:
+            positive(self.plant_eta, "plant_eta")
         object.__setattr__(self, "x0", vector(self.x0, "x0"))
         if isinstance(self.v0, str):
             if self.v0 != "quasi_steady":
@@ -169,7 +157,7 @@ def resolve_v0(plant: CascadePlant, config: SimConfig) -> np.ndarray:
     """The start value of v for a run of ``config`` on ``plant``: the
     set-up checks that need the plant, of x0 and v0 against its
     dimensions (ConfigurationError naming the field)."""
-    _points(config.x0, plant.lti.n, "x0")
+    points(config.x0, plant.lti.n, "x0")
     if config.v0 is None:
         return np.zeros(plant.lti.m)
     if isinstance(config.v0, str):  # "quasi_steady"
@@ -181,13 +169,14 @@ def resolve_v0(plant: CascadePlant, config: SimConfig) -> np.ndarray:
             return np.linalg.solve(plant.lti.B, -(plant.lti.A @ config.x0))
         except np.linalg.LinAlgError as exc:
             raise ConfigurationError(f"v0 'quasi_steady': singular B ({exc})")
-    return _points(config.v0, plant.lti.m, "v0")
+    return points(config.v0, plant.lti.m, "v0")
 
 
 def dt_guard_limit(plant: CascadePlant, constants: ControllerConstants,
                    plant_eta: float) -> float:
     """Largest step the resolution guard accepts, for the controller
-    record ``constants`` (only its rho and epsilon_sw are read).
+    record ``constants`` (only its rho and epsilon_sw are read) and a
+    ``plant_eta`` that ``errors.positive`` accepts.
 
     Two requirements: (a) explicit Euler must be stable on the
     time-scaled LTI block, with a factor-2 margin on the exact bound
@@ -202,7 +191,7 @@ def dt_guard_limit(plant: CascadePlant, constants: ControllerConstants,
     -18.88 with dt = 5e-4, the guard's limit, and at 1.96 (y* = 2) with
     dt = 2.5e-4.
     """
-    eigs = plant.lti.eigenvalues / plant_eta
+    eigs = plant.lti.eigenvalues / positive(plant_eta, "plant_eta")
     euler_term = 0.5 * float(np.min(2.0 * np.abs(eigs.real) / np.abs(eigs) ** 2))
 
     box = math.sqrt(constants.epsilon_sw)

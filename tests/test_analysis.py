@@ -97,6 +97,18 @@ class TestDetectSliding:
     def test_empty_trace(self):
         assert detect_sliding(np.array([]), np.array([]), 0.02, 0.5) == []
 
+    @pytest.mark.parametrize("name, value", [
+        ("epsilon_sw", 0.0), ("epsilon_sw", -0.02), ("epsilon_sw", math.nan),
+        ("epsilon_sw", True), ("min_duration", -0.5),
+        ("min_duration", math.nan), ("min_duration", True)])
+    def test_inputs_refused(self, name, value):
+        # a band of width <= 0 has no samples on it, and a negative
+        # floor counts every lone sample as sliding
+        t = np.arange(0.0, 1.0, 0.01)
+        args = {"epsilon_sw": 0.02, "min_duration": 0.5, name: value}
+        with pytest.raises(ConfigurationError, match=f"^{name}[: ]"):
+            detect_sliding(t, np.zeros(t.size), **args)
+
     @given(s_runs, st.data())
     @settings(max_examples=300, deadline=None)
     def test_matches_reference_loop(self, runs, data):
@@ -175,6 +187,20 @@ class TestConvergenceMetrics:
         params = AnalysisParams(trailing_fraction=fraction)
         assert params.trailing_samples(n) == samples
 
+    @pytest.mark.parametrize("name, value", [
+        ("epsilon_sw", -0.02), ("epsilon_sw", 0.0), ("epsilon_sw", math.inf),
+        ("dt", -1.0), ("dt", 0.0), ("dt", math.nan), ("dt", True)])
+    def test_inputs_refused(self, name, value):
+        # a negative dt would make the sliding floor negative, counting
+        # every lone sample on a band as a segment
+        t = np.linspace(0.0, 2.0, 201)
+        traj = synthetic_trajectory(t, np.zeros((201, 2)), np.full(201, 2.0),
+                                    np.zeros(201))
+        args = {"epsilon_sw": 0.02, "dt": 0.01, name: value}
+        with pytest.raises(ConfigurationError, match=f"^{name}[: ]"):
+            convergence_metrics(traj, [0.0, 0.0], 2.0,
+                                params=AnalysisParams(), **args)
+
     @pytest.mark.parametrize("rows, trailing_fraction, message", [
         (0, 0.1, "trajectory is empty"),
         (11, 0.0, r"trailing_fraction must be in \(0, 1\], got 0.0")])
@@ -216,10 +242,11 @@ class TestResidualBound:
         assert not residual_bound_check(m, eta=0.01, epsilon_sw=0.02,
                                         c_bound=2.5).passed
 
-    @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1.0])
-    @pytest.mark.parametrize("name", ["eta", "c_bound"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1.0, True])
+    @pytest.mark.parametrize("name", ["eta", "epsilon_sw", "c_bound"])
     def test_bound_inputs_refused(self, name, value):
-        # an infinite c_bound would pass any residual
+        # an infinite c_bound would pass any residual, and an epsilon_sw
+        # of -sqrt(eta) divides by zero
         m = Metrics(t_reach_delta=1.0, residual_amp=1e9, mean_residual=1e9)
         args = {"eta": 0.01, "epsilon_sw": 0.02, "c_bound": 2.5, name: value}
         with pytest.raises(ConfigurationError, match=f"^{name}[: ]"):

@@ -40,13 +40,15 @@ class TestEffectiveGains:
 
     @pytest.mark.parametrize("p0", [math.nan, -math.inf, math.inf])
     def test_non_finite_p0_refused(self, p0):
-        # with y_sat = inf, y_sat >= p0 alone would admit p0 = +inf
+        # p0 is checked also where no y_sat is compared with it
         with pytest.raises(ConfigurationError,
                            match="^p0: expected a finite number"):
-            make_params(p0=p0, y_sat=math.inf)
+            make_params(p0=p0, y_sat=None)
 
     def test_unbounded_reference_allowed(self):
-        assert make_params(y_sat=math.inf).y_sat == math.inf
+        params = make_params(y_sat=None)
+        assert params.y_sat is None
+        assert params.resolve(1e-3, 2).y_sat == math.inf
 
     def test_fields_cannot_be_assigned(self):
         # an assignment would skip the checks made when it is built

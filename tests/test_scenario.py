@@ -139,7 +139,8 @@ class TestValidation:
     def test_null_y_sat_is_unbounded(self, benchmark_doc):
         benchmark_doc["controller"]["y_sat"] = None
         sc = scenario_from_dict(benchmark_doc)
-        assert math.isinf(sc.controller.y_sat)
+        assert sc.controller.y_sat is None
+        assert sc.controller.resolve(sc.sim.dt, 2).y_sat == math.inf
 
     @pytest.mark.parametrize("path, value", [
         ("plant.map.y_star", "NaN"), ("plant.map.y_star", "-Infinity"),
@@ -221,6 +222,21 @@ class TestSchemaMatchesDataclasses:
 # every field of the schema that holds one number, by its dot-path
 NUMERIC_FIELDS = [f"{section}.{key}" for section, fields in _SCHEMA.items()
                   for key in fields if numeric_field(f"{section}.{key}")]
+# the numeric fields errors.positive refuses at 0 and below
+POSITIVE_FIELDS = [
+    *(f"controller.{key}" for key in ("p", "lambda", "epsilon_sw", "gamma",
+                                      "L_h", "T_s")),
+    "sim.dt", "sim.plant_eta", "analysis.delta", "analysis.c_bound"]
+
+
+def set_field(document: dict, path: str, value) -> str:
+    """Set the field at the dot-path ``path`` of ``document`` to
+    ``value``, in place; its last key."""
+    *sections, key = path.split(".")
+    for section in sections:
+        document = document[section]
+    document[key] = value
+    return key
 
 
 def build_record(path: str, value):
@@ -242,9 +258,10 @@ def build_record(path: str, value):
 class TestOneRuleForANumber:
     """A document and the library refuse the same numbers, naming the
     field: a valid number is a finite real that is not a bool or a
-    string (errors.real), or a rectangular array of them (errors.reals).
-    The one exception: the library takes ``y_sat = inf``, an unbounded
-    reference, which a document writes as null."""
+    string (errors.real), or a rectangular array of them (errors.reals);
+    one > 0 where the field is a gain, a band, a step or a time scale
+    (errors.positive); a whole number >= 1 for the log stride
+    (errors.whole)."""
 
     def test_fields_covered(self):
         assert NUMERIC_FIELDS == [
@@ -262,18 +279,25 @@ class TestOneRuleForANumber:
     @pytest.mark.parametrize("path", NUMERIC_FIELDS)
     def test_refused_by_document_and_record(self, benchmark_doc, path,
                                             value):
-        *sections, key = path.split(".")
-        node = benchmark_doc
-        for section in sections:
-            node = node[section]
-        node[key] = value
+        key = set_field(benchmark_doc, path, value)
         with pytest.raises(ScenarioError, match=rf"^{re.escape(path)}[: ]"):
             scenario_from_dict(benchmark_doc)
-        if path == "controller.y_sat" and value == math.inf:
-            assert build_record(path, value).y_sat == math.inf
-            return
         with pytest.raises(ConfigurationError, match=rf"^{key}[: ]"):
             build_record(path, value)
+
+    @pytest.mark.parametrize("path, value", [
+        # floats, as a document reads a number as one
+        *((path, value) for path in POSITIVE_FIELDS for value in (0.0, -1.0)),
+        ("sim.log_stride", 2.5), ("sim.log_stride", 0)])
+    def test_out_of_range_same_message(self, benchmark_doc, path, value):
+        key = set_field(benchmark_doc, path, value)
+        with pytest.raises(ScenarioError) as from_document:
+            scenario_from_dict(benchmark_doc)
+        with pytest.raises(ConfigurationError) as from_record:
+            build_record(path, value)
+        message = str(from_record.value)
+        assert message.startswith(f"{key} must be ")
+        assert str(from_document.value) == path[:-len(key)] + message
 
     @pytest.mark.parametrize("matrices, message", [
         ({"A": [["0", "1"], ["-4", "-2"]]}, "A[0][0]: expected a number, "

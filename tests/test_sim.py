@@ -147,7 +147,7 @@ class TestRunBookkeeping:
         # at plant_eta = inf the plant would never move, and nothing
         # but a numpy warning would say so
         with pytest.raises(ConfigurationError, match=r"^plant_eta( must be "
-                           r"finite and > 0|: expected a finite number)"):
+                           r"> 0|: expected a finite number)"):
             short_config(plant_eta=plant_eta)
 
     @pytest.mark.parametrize("field, value, shown", [
@@ -293,8 +293,8 @@ def closed_loops(draw, sub_steps):
                         -(root @ root.T + 0.5 * np.eye(n)))
     # a reference below its saturation ramps; one that starts at it
     # (p0 = y_sat) holds from step 0
-    y_sat = draw(st.sampled_from([3.0, math.inf]))
-    p0 = -2.0 if math.isinf(y_sat) else draw(st.sampled_from([-2.0, y_sat]))
+    y_sat = draw(st.sampled_from([3.0, None]))
+    p0 = -2.0 if y_sat is None else draw(st.sampled_from([-2.0, y_sat]))
     params = make_params(p0=p0, y_sat=y_sat, eta=draw(st.floats(0.05, 1.0)),
                          epsilon_sw=draw(st.floats(0.01, 0.2)))
     dt = min(1e-3, 0.9 * guard_limit(CascadePlant(lti, qmap), params,
@@ -508,6 +508,15 @@ class TestGuards:
         with pytest.raises(SimulationAbort, match="resolution guard"):
             run(benchmark_plant, benchmark_params, bad)
 
+    @pytest.mark.parametrize("plant_eta", [-0.01, 0.0, math.nan, math.inf,
+                                           True])
+    def test_dt_guard_limit_refuses_plant_eta(self, benchmark_plant,
+                                              benchmark_params, plant_eta):
+        # -0.01 would give the limit of +0.01; 0, NaN and inf only a
+        # numpy warning
+        with pytest.raises(ConfigurationError, match="^plant_eta[: ]"):
+            guard_limit(benchmark_plant, benchmark_params, plant_eta)
+
     def test_run_checks_no_hypothesis(self, benchmark_plant,
                                       benchmark_params, monkeypatch):
         # a plant meets H3 and H4 when built, so a run asks for no report
@@ -647,7 +656,7 @@ class TestTrackingSanity:
         plant = CascadePlant(benchmark_lti,
                              QuadraticMap(slope @ slope / (2 * c), slope / c,
                                           -c * np.eye(2)))
-        params = make_params(y_sat=math.inf)
+        params = make_params(y_sat=None)
         config = SimConfig(dt=1e-3, horizon=25.0, x0=[-1.0, -1.0],
                            v0=[0.0, 0.0], log_stride=10)
         traj = run(plant, params, config, backend=backend)
