@@ -26,7 +26,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, finite_escape, positive, real
+from .errors import ConfigurationError, finite_escape, positive, real, whole
 
 
 class StepTelemetry(NamedTuple):
@@ -102,7 +102,9 @@ class ControllerParams:
         """The constants of a run with step dt over n_dirs search
         directions, worked out once: the gains actually used are eta*p,
         eta*lambda and rho = eta/L_h*(p+lambda) + eta*gamma.
-        ConfigurationError unless T_s/n_dirs is a whole number of steps."""
+        ConfigurationError unless n_dirs is a whole number >= 1 and
+        T_s/n_dirs a whole number of steps."""
+        n_dirs = whole(n_dirs, "n_dirs")
         rho = self.eta / self.L_h * (self.p + self.lam) + self.eta * self.gamma
         sub_steps = whole_steps(self.T_s / n_dirs, dt,
                                 "controller.T_s / n_dirs")

@@ -1,5 +1,6 @@
 """Exception types shared across the package, and every rule for a
-valid input: a number, one > 0, a whole one, an array and a point."""
+valid input: a number, one > 0, a whole one, a flag, an array and a
+point."""
 
 import math
 import numbers
@@ -57,6 +58,14 @@ def whole(value, name: str) -> int:
     if int(value) < 1:
         raise ConfigurationError(f"{name} must be >= 1, got {int(value)}")
     return int(value)
+
+
+def flag(value, name: str) -> bool:
+    """``value``, a bool: True and False pass; 0, 1, "off" and None do
+    not."""
+    if isinstance(value, bool):
+        return value
+    raise ConfigurationError(f"{name}: expected true or false, got {value!r}")
 
 
 def reals(value, name: str) -> np.ndarray:

@@ -30,10 +30,10 @@ takes either an explicit "H" or, for the two-input benchmark family,
 "coupling" (the bowl h = y* - (z1^2 + z2^2 - 2*c*z1*z2)), not both.
 "A" must be Hurwitz; "dt_guard" is the one opt-out.  A number follows
 the rules of ``errors``, as in the records: finite, > 0 for a gain, a
-band, a step or a time scale, and whole for "log_stride".  A field the
-schema does not name is refused.  A Scenario keeps the document it was
-read from; a variant is that document overridden and read again
-(``with_overrides``).
+band, a step or a time scale, whole for "log_stride", and a boolean for
+"dt_guard".  A field the schema does not name is refused.  A Scenario
+keeps the document it was read from; a variant is that document
+overridden and read again (``with_overrides``).
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ import numpy as np
 
 from .analysis import AnalysisParams
 from .controller import ControllerParams
-from .errors import ConfigurationError, real, reals, vector, whole
+from .errors import ConfigurationError, flag, real, reals, vector, whole
 from .plant import CascadePlant, LtiSubsystem, QuadraticMap
 from .sim import SimConfig, resolve_v0
 
@@ -86,13 +86,6 @@ class Scenario:
         return CascadePlant(lti, make(**spec))
 
 
-def _flag(value, path: str) -> bool:
-    """A JSON boolean: true and false pass; 0, "off" and null do not."""
-    if not isinstance(value, bool):
-        raise ScenarioError(f"{path}: expected true or false, got {value!r}")
-    return value
-
-
 def _read(obj, path: str) -> dict:
     """The fields of the object ``obj`` at the dot-path ``path``, each
     checked and read as ``_SCHEMA[path]`` says; an omitted field is left
@@ -124,8 +117,9 @@ def _read(obj, path: str) -> dict:
 # The schema: for each object, by its dot-path, each field's reader and
 # presence.  A reader checks a value and returns what the field's
 # constructor takes (None: the value as it is; _read: a nested object;
-# real, whole, reals and vector: the rule for a number, a whole number
-# >= 1, an array of numbers and a 1-D array of numbers, from errors).
+# real, whole, flag, reals and vector: the rule for a number, a whole
+# number >= 1, a boolean, an array of numbers and a 1-D array of
+# numbers, from errors).
 # A field is required, optional, or optional with null meaning omitted.
 _SCHEMA = {
     "": {"name": (None, OPTIONAL), "description": (None, OPTIONAL),
@@ -145,7 +139,7 @@ _SCHEMA = {
     "sim": {"dt": (real, REQUIRED), "horizon": (real, REQUIRED),
             "x0": (vector, REQUIRED), "v0": (None, NULL_OMITS),
             "log_stride": (whole, OPTIONAL),
-            "plant_eta": (real, NULL_OMITS), "dt_guard": (_flag, OPTIONAL)},
+            "plant_eta": (real, NULL_OMITS), "dt_guard": (flag, OPTIONAL)},
     "analysis": {"delta": (real, NULL_OMITS),
                  "trailing_fraction": (real, OPTIONAL),
                  "c_bound": (real, OPTIONAL)},

@@ -40,7 +40,7 @@ from . import _fastpath, _tables
 from .controller import (ControllerConstants, ControllerParams,
                          ControllerState, controller_step, whole_steps)
 from .errors import (ConfigurationError, SimulationAbort, finite_escape,
-                     points, positive, real, vector, whole)
+                     flag, points, positive, real, vector, whole)
 from .plant import CascadePlant
 
 logger = logging.getLogger(__name__)
@@ -88,6 +88,7 @@ class SimConfig:
                                          f"'quasi_steady', got {self.v0!r}")
         elif self.v0 is not None:
             object.__setattr__(self, "v0", vector(self.v0, "v0"))
+        flag(self.dt_guard, "dt_guard")
 
     @property
     def n_steps(self) -> int:
@@ -131,21 +132,20 @@ class Trajectory:
     def __len__(self) -> int:
         return self.t.size
 
-    def columns(self) -> list[tuple[str, np.ndarray, str]]:
-        """(name, values, %-format) of every CSV column, in file order."""
-        g = "%.17g"
-        cols = [("t", self.t, g)]
+    def columns(self) -> list[tuple[str, np.ndarray]]:
+        """(name, values) of every CSV column, in file order."""
+        cols = [("t", self.t)]
         for prefix, block in (("v", self.v), ("x", self.x), ("z", self.z)):
-            cols += [(f"{prefix}{i+1}", c, g) for i, c in enumerate(block.T)]
-        cols += [("y", self.y, g), ("y_m", self.y_m, g), ("e", self.e, g),
-                 ("s", self.s, g)]
-        cols += [(f"u{i+1}", c, g) for i, c in enumerate(self.u.T)]
-        return cols + [("dir", self.dir_index, "%d"), ("rho", self.rho, g)]
+            cols += [(f"{prefix}{i+1}", c) for i, c in enumerate(block.T)]
+        cols += [("y", self.y), ("y_m", self.y_m), ("e", self.e),
+                 ("s", self.s)]
+        cols += [(f"u{i+1}", c) for i, c in enumerate(self.u.T)]
+        return cols + [("dir", self.dir_index), ("rho", self.rho)]
 
     @property
     def all_finite(self) -> bool:
         return all(bool(np.all(np.isfinite(values)))
-                   for _, values, _ in self.columns())
+                   for _, values in self.columns())
 
     def to_csv(self, path) -> None:
         """Write the log as CSV, 17 significant digits, in the order of

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -74,6 +75,20 @@ class TestEffectiveGains:
         with pytest.raises(ConfigurationError,
                            match=r"controller\.T_s / n_dirs"):
             params.resolve(3e-3, 2)
+
+    @pytest.mark.parametrize("n_dirs, message", [
+        (0, "n_dirs must be >= 1, got 0"), (-2, "n_dirs must be >= 1"),
+        (2.5, "n_dirs must be an integer, got 2.5"),
+        (True, "n_dirs must be an integer, got True"),
+        ("2", "n_dirs must be an integer, got '2'")])
+    def test_resolve_refuses_a_direction_count_not_whole(self, n_dirs,
+                                                         message):
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}"):
+            make_params().resolve(1e-3, n_dirs)
+
+    def test_resolve_takes_a_whole_float_direction_count_as_int(self):
+        constants = make_params().resolve(1e-3, 2.0)
+        assert type(constants.n_dirs) is int and constants.n_dirs == 2
 
 
 class TestReferenceRamp:

@@ -142,6 +142,15 @@ class TestRunBookkeeping:
         with pytest.raises(dataclasses.FrozenInstanceError):
             short_config().log_stride = 3
 
+    @pytest.mark.parametrize("dt_guard", ["off", 0, 1, None])
+    def test_dt_guard_must_be_a_bool(self, dt_guard):
+        # "off" would keep the guard on and 0 turn it off; a document
+        # refuses both with the same words
+        with pytest.raises(ConfigurationError, match=re.escape(
+                f"dt_guard: expected true or false, got {dt_guard!r}")):
+            short_config(dt_guard=dt_guard)
+        assert short_config(dt_guard=False).dt_guard is False
+
     @pytest.mark.parametrize("plant_eta", [0.0, -1.0, math.inf, math.nan])
     def test_plant_eta_must_be_finite_and_positive(self, plant_eta):
         # at plant_eta = inf the plant would never move, and nothing

@@ -6,16 +6,19 @@ the streaming writer replaced it, and the point-by-point loop that
 wrote the objective surface before it was evaluated in one batch.
 """
 
+import importlib.util
 import json
 import logging
 import os
 import tracemalloc
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from slidingesc import QuadraticMap, Trajectory, _tables, run
-from slidingesc._tables import BLOCK_ROWS, SPLIT_ROWS, format_runs
+from slidingesc._tables import BLOCK_ROWS, SPLIT_ROWS, format_rows
 from slidingesc.cli import EXIT_IO, EXIT_OK, _write_objective_surface, main
 from slidingesc.scenario import builtin_scenario_dict, scenario_from_dict
 
@@ -29,7 +32,7 @@ def reference_csv(traj, path) -> None:
     ])
     fmt = ["%.17g"] * (1 + m + 2 * n + 4 + m) + ["%d", "%.17g"]
     np.savetxt(path, table, fmt=fmt, delimiter=",",
-               header=",".join(name for name, _, _ in traj.columns()),
+               header=",".join(name for name, _ in traj.columns()),
                comments="")
 
 
@@ -83,30 +86,82 @@ def synthetic(rows: int, dim: int, seed: int = 0) -> Trajectory:
         rho=np.full(rows, rho))
 
 
+# values that the writer formats in Python: exponent forms below 1e-4
+# and from 1e17 on, inf and nan
+OUT_OF_RANGE = [9.999999999999999e-05, -5e-324, 1e17, -1.7976931348623157e308,
+                np.inf, -np.inf]
+
+
 def at_block_edge(traj: Trajectory, edge: int = BLOCK_ROWS) -> Trajectory:
     """Runs at a block edge (the first by default): u holds across it,
     rho steps from -0.0 to 0.0 at it, and y_m and s hold NaN across
-    it."""
+    it; y and x1 hold values out of the writer's range across it."""
     traj.u[edge - 5:edge + 5] = traj.u[edge - 5]
     traj.rho[edge - 2:edge] = -0.0
     traj.rho[edge:edge + 2] = 0.0
     traj.y_m[edge - 3:edge + 3] = np.nan
     traj.s[edge - 1:edge + 1] = np.nan
+    span = slice(edge - 3, edge + 3)
+    rows = len(traj.y[span])  # fewer where the log ends before edge + 3
+    traj.y[span] = OUT_OF_RANGE[:rows]
+    traj.x[span, 0] = OUT_OF_RANGE[::-1][:rows]
     return traj
 
 
-class TestFormatRuns:
-    def test_signed_zero_and_nan_runs(self):
-        values = np.array([0.0, -0.0, -0.0, 0.0, 0.0, np.nan, np.nan, -np.inf,
-                           1.5, 1.5, 1.5, -1.5])
-        for fmt in ("%.17g", "%.18e", "%d"):
-            finite = values if fmt != "%d" else values[np.isfinite(values)]
-            assert format_runs(finite, fmt) == [fmt % v for v in finite]
+def load_format_oracle():
+    """``tools/format_oracle.py`` as a module."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "format_oracle.py"
+    spec = importlib.util.spec_from_file_location("format_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
-    def test_single_and_all_distinct(self):
-        assert format_runs(np.array([-0.0]), "%.17g") == ["-0"]
-        values = np.random.default_rng(1).standard_normal(100)
-        assert format_runs(values, "%.18e") == ["%.18e" % v for v in values]
+
+def formatted(values) -> list[str]:
+    """The writer's text of each value, as one column."""
+    values = np.asarray(values, dtype=float)
+    text = format_rows(values[None], [0]).decode()
+    return text.split("\n")[1:]
+
+
+class TestFormatRows:
+    """The numpy pass against Python's %-formatting, value by value."""
+
+    oracle = load_format_oracle()
+
+    def test_matches_python_on_100k_seeded_values(self):
+        values = self.oracle.draw(100_000, seed=1)
+        assert values.size >= 100_000
+        assert self.oracle.first_mismatch(values) is None
+
+    def test_draws_cover_every_kind(self):
+        values = self.oracle.draw(100_000, seed=1)
+        mag = np.abs(values)
+        assert np.isnan(values).any() and np.isinf(values).any()
+        assert ((mag > 0) & (mag < 2.2250738585072014e-308)).any()
+        assert (mag < 1e-4).sum() > 1000 and (mag >= 1e17).sum() > 1000
+        ties = self.oracle.ties(np.random.default_rng(2), 1000)
+        for tie in ties.tolist():  # exactly half way at the 17th digit
+            assert (Fraction(tie) * 10 ** (16 - int(np.floor(np.log10(tie))))
+                    ).denominator == 2
+
+    def test_edges(self):
+        edges = [1e-4, 9.999999999999999e-05, 1e16, 99999999999999999.0,
+                 1e17, 0.0, -0.0, -1e-4, -99999999999999999.0]
+        assert formatted(edges) == ["%.17g" % v for v in edges]
+        assert formatted([0.0, -0.0]) == ["0", "-0"]
+
+    @pytest.mark.parametrize("k", range(-4, 18))
+    def test_no_value_in_range_rounds_into_the_next_decade(self, k):
+        # the premises of the writer's decade table: the double nearest
+        # 10**k is at least 10**k, and the double below it keeps the
+        # decade k - 1 at 17 significant digits
+        power = float(f"1e{k}")
+        assert Fraction(power) >= Fraction(10) ** k
+        below = float(np.nextafter(power, 0.0))
+        assert int(("%.16e" % below).split("e")[1]) == k - 1
+        assert formatted([below, power]) == ["%.17g" % below,
+                                             "%.17g" % power]
 
 
 class TestMatchesSavetxt:
@@ -127,11 +182,13 @@ class TestMatchesSavetxt:
         traj.z[5, 0] = -0.0  # z1's first block differs from x1's in one bit
         assert_matches_savetxt(tmp_path, traj)
 
-    @pytest.mark.parametrize("rows", [BLOCK_ROWS - 1, BLOCK_ROWS,
-                                      BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("rows", [2 * BLOCK_ROWS - 1, 2 * BLOCK_ROWS,
+                                      2 * BLOCK_ROWS + 1])
     def test_runs_at_block_edge(self, tmp_path, rows):
-        assert_matches_savetxt(tmp_path,
-                               at_block_edge(synthetic(rows, 2, seed=5)))
+        # at the edge of the second block, whose rows end before it, at
+        # it, or one row after it
+        traj = at_block_edge(synthetic(rows, 2, seed=5), edge=2 * BLOCK_ROWS)
+        assert_matches_savetxt(tmp_path, traj)
 
     def test_to_csv_alone(self, tmp_path):
         assert_matches_savetxt(tmp_path,
@@ -145,9 +202,9 @@ class TestMatchesSavetxt:
 
 
 # The writer's peak Python heap on a 2401-row log, measured with blocks
-# of 64, 128, 256 and 512 rows: 0.14, 0.26, 0.50 and 0.97 MB.  The bound
-# holds at BLOCK_ROWS = 256 and fails once the text of a block (or of
-# more than a block) grows to twice that.
+# of 64, 128, 256 and 512 rows: 0.23, 0.44, 0.84 and 1.65 MB.  The bound
+# holds at BLOCK_ROWS = 128 and fails once the working arrays of a block
+# (or of more than a block) grow to twice that.
 PEAK_HEAP_MB = 0.7
 
 
