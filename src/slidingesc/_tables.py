@@ -17,19 +17,22 @@ organised around what dominates it, turning a float into text:
   without an exponent: the 17 significant digits are the correctly
   rounded integer ``|v| * 10**(16 - e)`` (e the decade of v), whose
   exact value a Dekker two-product gives, and the text is assembled from
-  a table of 4-digit groups.  Every other value (an exponent form,
-  inf, nan) is ``'%.17g' % v`` in Python, one value at a time;
+  a table of 4-digit groups, built on the first use, not at import.
+  Every other value (an exponent form, inf, nan) is ``'%.17g' % v`` in
+  Python, once for each distinct value of a block;
 * a log of ``SPLIT_ROWS`` rows or more is written by two processes: the
   rows are cut at a block edge near the middle, and a forked child
   writes the second half into an anonymous temporary file, opened in
   the CSV's directory, which this process appends to the first half
   once the child has ended.  The bytes are those of one process.  Where
-  ``os.fork`` is missing or fails, one process writes all the rows and
-  a warning says so.
+  the process may run on one CPU only, one process writes all the rows;
+  where ``os.fork`` is missing or fails, so does one, and a warning
+  says so.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import os
 import shutil
@@ -135,12 +138,16 @@ _SCALES = np.array([float(f"1e{j}") for j in range(21)])
 _SPLIT = 2.0 ** 27 + 1
 _SCALES_HI = _SCALES * _SPLIT - (_SCALES * _SPLIT - _SCALES)
 _SCALES_LO = _SCALES - _SCALES_HI
-# the table that each cell's words are taken from: the groups (full,
-# then stripped) and word 0
-_TABLE = np.concatenate([_group_words(), _lead_words()])
-_LEADS = 20_000
-_FILL = _fill_words()
+_LEADS = 20_000  # the index of word 0's entries in the table
 _MARK_WORD = _words(np.frombuffer(b"," + _MARK + _NUL * 6, np.uint8)[None])
+
+
+@functools.cache
+def _lookup() -> tuple[np.ndarray, np.ndarray]:
+    """The table that each cell's words are taken from (the groups, full
+    then stripped, and word 0) and the fill words, built on the first
+    call: a process that writes no CSV never builds them."""
+    return np.concatenate([_group_words(), _lead_words()]), _fill_words()
 
 
 def _cells(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -148,6 +155,7 @@ def _cells(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     words (see above), and the mask of the values out of range, whose
     cells must be formatted in Python."""
     n = values.size
+    table, fill = _lookup()
     mag = np.abs(values)
     exact = (mag >= _LOW) & (mag < _HIGH)
     mag = np.where(exact, mag, 1.0)  # the cells out of range read "1"
@@ -192,8 +200,8 @@ def _cells(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     index[2] += 10_000 * low_zero
     index[3] += 10_000 * (groups[1, 1] == 0)
     index[4] += 10_000
-    words = _TABLE.take(index)
-    words[1:] |= _FILL.take(decade * 2 + fraction, axis=1)
+    words = table.take(index)
+    words[1:] |= fill.take(decade * 2 + fraction, axis=1)
     return words, ~(exact | zero)
 
 
@@ -215,20 +223,42 @@ def format_rows(block: np.ndarray, columns: Sequence[int]) -> bytes:
     if not in_python:
         return text
     rows, cols = np.nonzero(python.reshape(n_sources, n_rows)[columns].T)
-    python_text = [("%.17g" % v).encode()
-                   for v in block[np.asarray(columns)[cols], rows].tolist()]
+    values = block[np.asarray(columns)[cols], rows].tolist()
+    # each distinct value once: a nan, equal to no value, is a key of its
+    # own that the lookup finds by identity; +-0 never comes here
+    texts = {v: ("%.17g" % v).encode() for v in set(values)}
+    # the text between the marks, with each mark's text in its place
     parts = text.split(_MARK)
-    return b"".join(part for pair in zip(parts, python_text + [b""])
-                    for part in pair)
+    pieces = [b""] * (2 * len(parts) - 1)
+    pieces[::2] = parts
+    pieces[1::2] = map(texts.__getitem__, values)
+    return b"".join(pieces)
+
+
+def _bits(values: np.ndarray) -> np.ndarray:
+    """Integers that are equal exactly where the values are equal bit for
+    bit: an integer column itself, a float column's 64-bit words."""
+    return values if values.dtype.kind in "iu" else values.view(np.int64)
 
 
 def _source(sources: list, values) -> int:
-    """Index of the column in ``sources`` with these values, as floats,
-    bit for bit, appended if there is none yet."""
-    values = np.asarray(values, dtype=float)
-    bits = values.view(np.int64)
+    """Index of the column in ``sources`` with these values bit for bit,
+    appended if there is none yet.  An integer column is kept as it is
+    (a block of it is made floats when it is stacked), any other is
+    taken as floats.  Only a column of the same type whose first and
+    last values match is compared in full."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "iu":
+        values = np.asarray(values, dtype=float)
+    bits = _bits(values)
     for i, other in enumerate(sources):
-        if np.array_equal(other.view(np.int64), bits):
+        if other.dtype != values.dtype:
+            continue
+        other_bits = _bits(other)
+        if bits.size and (other_bits[0] != bits[0]
+                          or other_bits[-1] != bits[-1]):
+            continue
+        if np.array_equal(other_bits, bits):
             return i
     sources.append(values)
     return len(sources) - 1
@@ -241,7 +271,7 @@ def _write_rows(fh, columns, sources, start: int, stop: int) -> None:
     split of the rows writes the bytes of one call over them all."""
     for lo in range(start, stop, BLOCK_ROWS):
         hi = min(lo + BLOCK_ROWS, stop)
-        block = np.stack([values[lo:hi] for values in sources])
+        block = np.stack([values[lo:hi] for values in sources], dtype=float)
         fh.write(format_rows(block, columns))
 
 
@@ -281,10 +311,18 @@ def _write_split(path, fh, columns, sources, n_rows: int) -> None:
         shutil.copyfileobj(part, fh)
 
 
+def _one_cpu() -> bool:
+    """Whether this process may run on one CPU only, as far as the
+    platform tells (``os.sched_getaffinity``)."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return affinity is not None and len(affinity(0)) < 2
+
+
 def write_csv(path, columns: Sequence[tuple[str, np.ndarray]]) -> None:
     """Write (name, 1-D array) columns as CSV, each value under
     ``%.17g``, in one pass over the rows, the second half of them in a
-    forked child process from ``SPLIT_ROWS`` rows on.
+    forked child process from ``SPLIT_ROWS`` rows on where the process
+    may run on two CPUs or more.
 
     All columns have the same length.  A CSV whose writing raised is
     removed rather than left cut short.
@@ -295,10 +333,11 @@ def write_csv(path, columns: Sequence[tuple[str, np.ndarray]]) -> None:
     n_rows = lengths.pop()
     sources: list[np.ndarray] = []
     plan = [_source(sources, values) for _, values in columns]
+    _lookup()  # built here, so a forked child does not build its own
     with open(path, "wb") as fh:
         try:
             fh.write(",".join(name for name, _ in columns).encode())
-            if n_rows >= SPLIT_ROWS:
+            if n_rows >= SPLIT_ROWS and not _one_cpu():
                 _write_split(path, fh, plan, sources, n_rows)
             else:
                 _write_rows(fh, plan, sources, 0, n_rows)

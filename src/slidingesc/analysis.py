@@ -22,6 +22,10 @@ BAND_TOL_FRACTION = 0.25
 SLIDING_MIN_STEPS = 50
 # fd_gradient_oracle's step, scaled by max(1, ||v||) at each point v
 FD_STEP = 1e-5
+# the rows a scan of the log takes at a time: the working arrays of a
+# block, some 50 bytes a row for a two-dimensional z, stay well below a
+# megabyte however long the log is
+SCAN_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -103,8 +107,17 @@ def detect_sliding(t: np.ndarray, s: np.ndarray, epsilon_sw: float,
     if t.size == 0:
         return []
 
-    band = np.round(s / epsilon_sw)
-    inside = np.abs(s - band * epsilon_sw) <= BAND_TOL_FRACTION * epsilon_sw
+    # band is the one float column held; |s - band * epsilon_sw| is
+    # taken a block at a time, by the same ufuncs in the same order
+    band = np.divide(s, epsilon_sw)
+    np.round(band, out=band)
+    tol = BAND_TOL_FRACTION * epsilon_sw
+    inside = np.empty(s.size, dtype=bool)
+    for lo in range(0, s.size, SCAN_ROWS):
+        off = np.multiply(band[lo:lo + SCAN_ROWS], epsilon_sw)
+        np.subtract(s[lo:lo + SCAN_ROWS], off, out=off)
+        np.abs(off, out=off)
+        np.less_equal(off, tol, out=inside[lo:lo + SCAN_ROWS])
 
     # sample i continues the run of sample i-1 when both are inside on
     # one band (an inside sample has a finite band, and -0.0 == 0.0)
@@ -138,18 +151,24 @@ def convergence_metrics(traj: Trajectory, z_star, y_star: float, *,
     delta = math.sqrt(epsilon_sw) if params.delta is None else params.delta
 
     z_star = np.asarray(z_star, dtype=float)
-    dist = np.linalg.norm(traj.z - z_star, axis=1)
-    hits = np.nonzero(dist < delta)[0]
-    t_reach = float(traj.t[hits[0]]) if hits.size else None
+    t_reach = None
+    for lo in range(0, len(traj), SCAN_ROWS):  # up to the first hit
+        dist = np.linalg.norm(traj.z[lo:lo + SCAN_ROWS] - z_star, axis=1)
+        hits = np.flatnonzero(dist < delta)
+        if hits.size:
+            t_reach = float(traj.t[lo + hits[0]])
+            break
 
-    tail_dev = np.abs(traj.y[-params.trailing_samples(len(traj)):] - y_star)
-    segments = detect_sliding(traj.t, traj.s, epsilon_sw,
-                              min_duration=SLIDING_MIN_STEPS * dt)
+    tail_dev = traj.y[-params.trailing_samples(len(traj)):] - y_star
+    np.abs(tail_dev, out=tail_dev)
+    residual_amp, mean_residual = float(tail_dev.max()), float(tail_dev.mean())
+    del tail_dev  # a whole column at trailing_fraction 1: freed first
     return Metrics(
         t_reach_delta=t_reach,
-        residual_amp=float(tail_dev.max()),
-        mean_residual=float(tail_dev.mean()),
-        sliding_segments=segments,
+        residual_amp=residual_amp,
+        mean_residual=mean_residual,
+        sliding_segments=detect_sliding(traj.t, traj.s, epsilon_sw,
+                                        min_duration=SLIDING_MIN_STEPS * dt),
         bounded=traj.all_finite,
     )
 

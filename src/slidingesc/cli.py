@@ -95,7 +95,8 @@ def _run_one(scenario, outdir: Path, backend: str) -> dict:
     outdir.mkdir(parents=True, exist_ok=True)  # so an aborted run writes none
     traj.to_csv(outdir / "trajectory.csv")
     if traj.z.shape[1] == 2:
-        span = max(2.0, float(np.abs(traj.z).max()) * 1.1)
+        # max |z| without a copy of z
+        span = max(2.0, max(float(traj.z.max()), -float(traj.z.min())) * 1.1)
         _write_objective_surface(outdir / "objective_surface.dat", plant.map,
                                  span)
     with open(outdir / "metrics.json", "w", encoding="utf-8") as fh:

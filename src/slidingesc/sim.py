@@ -115,7 +115,12 @@ class SimConfig:
 
 @dataclass
 class Trajectory:
-    """Uniformly sampled log of every closed-loop signal."""
+    """Uniformly sampled log of every closed-loop signal.
+
+    From ``run``, ``rho`` is a read-only broadcast of the run's one
+    relay amplitude ``constants.rho`` to the log's length (one value in
+    memory, not a column of copies).
+    """
 
     t: np.ndarray
     v: np.ndarray
@@ -239,7 +244,7 @@ def run(plant: CascadePlant, params: ControllerParams, config: SimConfig, *,
     t, v, x, z, y, y_m, e, s, u, dir_index = loop(plant, constants, config,
                                                   v0, plant_eta)
     return Trajectory(t, v, x, z, y, y_m, e, s, u, dir_index,
-                      np.full(t.size, constants.rho))
+                      np.broadcast_to(constants.rho, t.shape))
 
 
 def _run_python(plant, constants, config, v0, plant_eta):

@@ -1,6 +1,7 @@
 """Sliding detection, metrics, the residual bound, and the gain oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from slidingesc import (AnalysisParams, CascadePlant, ConfigurationError,
                         LtiSubsystem, Metrics, QuadraticMap, Trajectory,
                         convergence_metrics, detect_sliding,
                         fd_gradient_oracle, residual_bound_check)
+from slidingesc import analysis
+from slidingesc.analysis import SLIDING_MIN_STEPS
 
 
 def reference_detect_sliding(t, s, epsilon_sw, min_duration):
@@ -213,6 +216,124 @@ class TestConvergenceMetrics:
             convergence_metrics(
                 traj, [0.0, 0.0], 2.0, epsilon_sw=0.02, dt=0.1,
                 params=AnalysisParams(trailing_fraction=trailing_fraction))
+
+
+def reference_metrics(traj, z_star, y_star, epsilon_sw, dt, params):
+    """``convergence_metrics`` as first written, on whole columns: the
+    vicinity entry, the residual amplitude and mean, and the sliding
+    segments of ``reference_detect_sliding``."""
+    delta = math.sqrt(epsilon_sw) if params.delta is None else params.delta
+    dist = np.linalg.norm(traj.z - np.asarray(z_star, dtype=float), axis=1)
+    hits = np.nonzero(dist < delta)[0]
+    tail_dev = np.abs(traj.y[-params.trailing_samples(len(traj)):] - y_star)
+    return (float(traj.t[hits[0]]) if hits.size else None,
+            float(tail_dev.max()), float(tail_dev.mean()),
+            reference_detect_sliding(traj.t, traj.s, epsilon_sw,
+                                     SLIDING_MIN_STEPS * dt))
+
+
+def random_log(rng, rows, dim, hit, edge):
+    """A log of ``rows`` rows whose z is outside the vicinity of 0 (or
+    NaN, or -0.0 in some columns) up to its first hit at row ``hit``
+    (None: no hit), and whose s holds runs on bands, off them,
+    at ties between them, at +-0, NaN and +-inf, one of them on a band
+    from 30 rows before row ``edge`` to 30 after it."""
+    z = rng.uniform(0.2, 3.0, (rows, dim)) * rng.choice([-1.0, 1.0],
+                                                         (rows, dim))
+    z[rng.random(rows) < 0.05] = np.nan
+    z[:, 1:][rng.random((rows, dim - 1)) < 0.3] = -0.0  # and 0.0 below
+    if hit is not None:
+        z[hit] = rng.uniform(-0.05, 0.05, dim)
+        z[hit, ::2] = -0.0
+        z[hit + 1:] = rng.uniform(-0.3, 0.3, (rows - hit - 1, dim))
+    s = np.concatenate([np.full(count, rng.choice(S_SPECIAL)
+                                if rng.random() < 0.5
+                                else rng.uniform(-0.1, 0.1))
+                        for count in rng.integers(1, 40, rows)])[:rows]
+    s[max(0, edge - 30):edge + 30] = 3 * EPS + 0.1 * EPS
+    t = np.cumsum(rng.choice([0.01, 0.01, 0.01, 0.02], rows))
+    y = rng.standard_normal(rows)
+    return synthetic_trajectory(t, z, y, s)
+
+
+class TestBlockScans:
+    """The scans of the log in blocks of ``SCAN_ROWS`` rows against the
+    whole-column reference: a first hit before, at and after a block
+    edge, on a last row alone in its block, or none; a segment across a
+    block edge; blocks down to one row."""
+
+    @pytest.mark.parametrize("scan_rows", [1, 2, 7, 64])
+    @pytest.mark.parametrize("where", [-1, 0, 1, "last", None])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_whole_columns(self, monkeypatch, scan_rows, where,
+                                   seed):
+        rng = np.random.default_rng(seed)
+        monkeypatch.setattr(analysis, "SCAN_ROWS", scan_rows)
+        # a block edge 40 rows or more from the start
+        blocks = 40 // scan_rows + 1
+        edge = scan_rows * int(rng.integers(blocks, blocks + 4))
+        if where == "last":
+            rows, hit = edge + 1, edge
+        else:
+            rows = edge + int(rng.integers(40, 300))
+            hit = None if where is None else edge + where
+        traj = random_log(rng, rows, int(rng.integers(1, 11)), hit, edge)
+        params = AnalysisParams(trailing_fraction=rng.choice([0.1, 1.0]))
+        with np.errstate(invalid="ignore"):  # inf - inf for infinite s
+            got = convergence_metrics(traj, np.zeros(traj.z.shape[1]), 0.5,
+                                      epsilon_sw=EPS, dt=1e-3, params=params)
+            want = reference_metrics(traj, np.zeros(traj.z.shape[1]), 0.5,
+                                     EPS, 1e-3, params)
+        assert (got.t_reach_delta, got.residual_amp,
+                got.mean_residual) == want[:3]
+        assert got.t_reach_delta == (None if hit is None else traj.t[hit])
+        assert [(g.t_start, g.t_end, g.band_index)
+                for g in got.sliding_segments] == want[3]
+        assert any(g.t_start <= traj.t[edge - 1] and traj.t[edge] <= g.t_end
+                   for g in got.sliding_segments)
+
+    def test_default_blocks(self):
+        # three blocks of the default size, the hit in the last one
+        rows = 2 * analysis.SCAN_ROWS + 500
+        traj = random_log(np.random.default_rng(7), rows, 2,
+                          2 * analysis.SCAN_ROWS + 3, analysis.SCAN_ROWS)
+        params = AnalysisParams()
+        with np.errstate(invalid="ignore"):
+            got = convergence_metrics(traj, [0.0, 0.0], 0.5, epsilon_sw=EPS,
+                                      dt=1e-3, params=params)
+            want = reference_metrics(traj, [0.0, 0.0], 0.5, EPS, 1e-3,
+                                     params)
+        assert got.t_reach_delta == traj.t[2 * analysis.SCAN_ROWS + 3]
+        assert (got.t_reach_delta, got.residual_amp, got.mean_residual,
+                [(g.t_start, g.t_end, g.band_index)
+                 for g in got.sliding_segments]) == want
+
+
+def test_heap_budget_of_convergence_metrics():
+    """Working memory of one float column and the rest, on top of the
+    log: the band of each sample (8 bytes a row), at most five boolean
+    columns (5 bytes a row), 41 bytes for each run of samples on a band
+    and a block's working arrays.  The log has a run on a band in 5 of
+    every 100 rows, as a dense coupled_bowl log has (2388 in 50001
+    rows), so they take some 2 bytes a row: 15 bytes a row in all,
+    within the budget of 16 bytes a row and half a megabyte."""
+    rows = 400_001
+    k = np.arange(rows)
+    r = np.linspace(1.0, 0.0, rows)  # enters the vicinity at 86 %
+    z = np.column_stack([r * np.cos(k / 500), r * np.sin(k / 500)])
+    s = EPS * (k // 2000)
+    s[np.isin(k % 100, (0, 3, 6, 9, 12))] += 0.5 * EPS  # off the band
+    traj = synthetic_trajectory(k * 1e-3, z, 2.0 - r ** 2, s)
+    args = dict(epsilon_sw=EPS, dt=1e-3, params=AnalysisParams())
+    convergence_metrics(traj, [0.0, 0.0], 2.0, **args)  # first-call costs
+    tracemalloc.start()
+    try:
+        metrics = convergence_metrics(traj, [0.0, 0.0], 2.0, **args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert metrics.t_reach_delta is not None and metrics.sliding_segments
+    assert peak <= 16 * rows + 0.5e6
 
 
 class TestResidualBound:

@@ -113,6 +113,18 @@ class TestRunBookkeeping:
         assert traj.t[0] == 0.0
         assert traj.t[-1] == pytest.approx(0.01)
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_rho_is_a_read_only_broadcast(self, benchmark_plant,
+                                          benchmark_params, backend):
+        traj = run(benchmark_plant, benchmark_params,
+                   short_config(horizon=0.1), backend=backend)
+        rho = benchmark_params.resolve(1e-3, 2).rho
+        assert traj.rho.shape == traj.t.shape and traj.rho.dtype == float
+        assert np.array_equal(traj.rho, np.full(len(traj), rho))
+        assert traj.rho.strides == (0,)  # one value, not a column
+        with pytest.raises(ValueError, match="read-only"):
+            traj.rho[0] = 0.0
+
     def test_time_strictly_increasing_uniform(self, benchmark_plant, benchmark_params):
         traj = run(benchmark_plant, benchmark_params, short_config(log_stride=5))
         diffs = np.diff(traj.t)

@@ -10,6 +10,8 @@ import importlib.util
 import json
 import logging
 import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -151,6 +153,13 @@ class TestFormatRows:
         assert formatted(edges) == ["%.17g" % v for v in edges]
         assert formatted([0.0, -0.0]) == ["0", "-0"]
 
+    def test_repeated_values_out_of_range(self):
+        # a value formatted in Python is formatted once a block, and
+        # every nan, of either sign, reads "nan"
+        values = ([1e-5] * 3 + [np.nan, -np.inf, -np.nan, 1e-5, 1e20, -np.inf]
+                  + OUT_OF_RANGE * 2)
+        assert formatted(values) == ["%.17g" % v for v in values]
+
     @pytest.mark.parametrize("k", range(-4, 18))
     def test_no_value_in_range_rounds_into_the_next_decade(self, k):
         # the premises of the writer's decade table: the double nearest
@@ -194,11 +203,74 @@ class TestMatchesSavetxt:
         assert_matches_savetxt(tmp_path,
                                at_block_edge(synthetic(BLOCK_ROWS + 1, 2, seed=6)))
 
+    def test_integer_columns(self, tmp_path):
+        # kept as they are and made floats a block at a time, alone or
+        # next to a float column of the same values
+        k = np.arange(BLOCK_ROWS + 3)
+        path = tmp_path / "ints.csv"
+        columns = [("a", k * 7 + 2), ("b", (k % 5).astype(np.int32)),
+                   ("c", k * 7.0 + 2)]
+        for chosen in (columns[:2], columns):
+            _tables.write_csv(path, chosen)
+            ref = np.column_stack([v.astype(float) for _, v in chosen])
+            np.savetxt(tmp_path / "ref.csv", ref, fmt="%.17g", delimiter=",",
+                       header=",".join(name for name, _ in chosen),
+                       comments="")
+            assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
     def test_ragged_columns_rejected(self, tmp_path):
         traj = synthetic(10, 2)
         traj.rho = traj.rho[:-1]
         with pytest.raises(ValueError, match="length"):
             traj.to_csv(tmp_path / "trajectory.csv")
+
+
+class TestSource:
+    """A column that repeats an earlier one bit for bit is formatted
+    once; any other, however close, is a source of its own."""
+
+    def test_same_ends_differ_inside(self):
+        first = np.linspace(-1.0, 1.0, 9)
+        inside = first.copy()
+        inside[4] = np.nextafter(inside[4], 1.0)
+        sources = []
+        plan = [_tables._source(sources, v)
+                for v in (first, inside, first.copy(), inside[::-1][::-1])]
+        assert plan == [0, 1, 0, 1]
+
+    def test_signed_zeros_kept_apart(self):
+        sources = []
+        plan = [_tables._source(sources, v) for v in
+                (np.zeros(5), np.full(5, -0.0), [0.0] * 5, [-0.0] * 5)]
+        assert plan == [0, 1, 0, 1]
+
+    def test_integers_kept_as_they_are(self):
+        ints = np.arange(6, dtype=np.int64)
+        sources = []
+        plan = [_tables._source(sources, v) for v in
+                (ints, ints.astype(float), ints.copy(), [True, False] * 3)]
+        assert plan == [0, 1, 0, 2]
+        assert sources[0] is ints and sources[2].dtype == float
+
+    def test_empty_columns(self, tmp_path):
+        sources = []
+        assert [_tables._source(sources, v) for v in
+                (np.empty(0), np.empty(0), np.empty(0, np.int64))] == [0, 0, 1]
+        path = tmp_path / "empty.csv"
+        _tables.write_csv(path, [("a", np.empty(0)), ("b", np.empty(0))])
+        assert path.read_bytes() == b"a,b\n"
+
+
+def test_import_builds_no_tables():
+    """The writer's tables are built on the first write, not when the
+    package is imported."""
+    code = ("import slidingesc, slidingesc._tables as t; "
+            "print(t._lookup.cache_info().currsize)")
+    src = Path(_tables.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, check=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.stdout == "0\n"
 
 
 # The writer's peak Python heap on a 2401-row log, measured with blocks
@@ -237,7 +309,11 @@ def split_case(rows: int) -> Trajectory:
 
 @pytest.fixture
 def forks(monkeypatch):
-    """The pids of the children ``os.fork`` starts in this process."""
+    """The pids of the children ``os.fork`` starts in this process, which
+    may run on two CPUs whatever the host gives it, so that the writer
+    splits a long log."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
     real_fork, pids = os.fork, []
 
     def fork():
@@ -308,6 +384,24 @@ class TestSplit:
         assert len(forks) == 1
         assert_reaped(forks)
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("cpus, split", [({0}, False), ({0, 1}, True),
+                                             (None, True)])
+    def test_one_process_on_one_cpu(self, tmp_path, monkeypatch, caplog,
+                                    forks, cpus, split):
+        # None: a platform without os.sched_getaffinity
+        traj = split_case(SPLIT_ROWS)
+        ref = tmp_path / "ref.csv"
+        reference_csv(traj, ref)
+        if cpus is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        with caplog.at_level(logging.WARNING, logger="slidingesc._tables"):
+            traj.to_csv(tmp_path / "trajectory.csv")
+        assert len(forks) == split
+        assert caplog.records == []
+        assert (tmp_path / "trajectory.csv").read_bytes() == ref.read_bytes()
 
     @pytest.mark.parametrize("fork", ["fails", "missing"])
     def test_without_fork_one_process(self, tmp_path, monkeypatch, caplog,
