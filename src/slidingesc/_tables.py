@@ -19,15 +19,14 @@ organised around what dominates it, turning a float into text:
   exact value a Dekker two-product gives, and the text is assembled from
   a table of 4-digit groups, built on the first use, not at import.
   Every other value (an exponent form, inf, nan) is ``'%.17g' % v`` in
-  Python, once for each distinct value of a block;
+  Python, one value at a time;
 * a log of ``SPLIT_ROWS`` rows or more is written by two processes: the
   rows are cut at a block edge near the middle, and a forked child
   writes the second half into an anonymous temporary file, opened in
   the CSV's directory, which this process appends to the first half
   once the child has ended.  The bytes are those of one process.  Where
-  the process may run on one CPU only, one process writes all the rows;
-  where ``os.fork`` is missing or fails, so does one, and a warning
-  says so.
+  ``os.fork`` is missing or fails, one process writes all the rows and
+  a warning says so.
 """
 
 from __future__ import annotations
@@ -223,16 +222,11 @@ def format_rows(block: np.ndarray, columns: Sequence[int]) -> bytes:
     if not in_python:
         return text
     rows, cols = np.nonzero(python.reshape(n_sources, n_rows)[columns].T)
-    values = block[np.asarray(columns)[cols], rows].tolist()
-    # each distinct value once: a nan, equal to no value, is a key of its
-    # own that the lookup finds by identity; +-0 never comes here
-    texts = {v: ("%.17g" % v).encode() for v in set(values)}
-    # the text between the marks, with each mark's text in its place
+    python_text = [("%.17g" % v).encode()
+                   for v in block[np.asarray(columns)[cols], rows].tolist()]
     parts = text.split(_MARK)
-    pieces = [b""] * (2 * len(parts) - 1)
-    pieces[::2] = parts
-    pieces[1::2] = map(texts.__getitem__, values)
-    return b"".join(pieces)
+    return b"".join(part for pair in zip(parts, python_text + [b""])
+                    for part in pair)
 
 
 def _bits(values: np.ndarray) -> np.ndarray:
@@ -245,20 +239,13 @@ def _source(sources: list, values) -> int:
     """Index of the column in ``sources`` with these values bit for bit,
     appended if there is none yet.  An integer column is kept as it is
     (a block of it is made floats when it is stacked), any other is
-    taken as floats.  Only a column of the same type whose first and
-    last values match is compared in full."""
+    taken as floats.  Only a column of the same type is compared."""
     values = np.asarray(values)
     if values.dtype.kind not in "iu":
         values = np.asarray(values, dtype=float)
     bits = _bits(values)
     for i, other in enumerate(sources):
-        if other.dtype != values.dtype:
-            continue
-        other_bits = _bits(other)
-        if bits.size and (other_bits[0] != bits[0]
-                          or other_bits[-1] != bits[-1]):
-            continue
-        if np.array_equal(other_bits, bits):
+        if other.dtype == values.dtype and np.array_equal(_bits(other), bits):
             return i
     sources.append(values)
     return len(sources) - 1
@@ -311,18 +298,10 @@ def _write_split(path, fh, columns, sources, n_rows: int) -> None:
         shutil.copyfileobj(part, fh)
 
 
-def _one_cpu() -> bool:
-    """Whether this process may run on one CPU only, as far as the
-    platform tells (``os.sched_getaffinity``)."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    return affinity is not None and len(affinity(0)) < 2
-
-
 def write_csv(path, columns: Sequence[tuple[str, np.ndarray]]) -> None:
     """Write (name, 1-D array) columns as CSV, each value under
     ``%.17g``, in one pass over the rows, the second half of them in a
-    forked child process from ``SPLIT_ROWS`` rows on where the process
-    may run on two CPUs or more.
+    forked child process from ``SPLIT_ROWS`` rows on.
 
     All columns have the same length.  A CSV whose writing raised is
     removed rather than left cut short.
@@ -337,7 +316,7 @@ def write_csv(path, columns: Sequence[tuple[str, np.ndarray]]) -> None:
     with open(path, "wb") as fh:
         try:
             fh.write(",".join(name for name, _ in columns).encode())
-            if n_rows >= SPLIT_ROWS and not _one_cpu():
+            if n_rows >= SPLIT_ROWS:
                 _write_split(path, fh, plan, sources, n_rows)
             else:
                 _write_rows(fh, plan, sources, 0, n_rows)

@@ -153,13 +153,6 @@ class TestFormatRows:
         assert formatted(edges) == ["%.17g" % v for v in edges]
         assert formatted([0.0, -0.0]) == ["0", "-0"]
 
-    def test_repeated_values_out_of_range(self):
-        # a value formatted in Python is formatted once a block, and
-        # every nan, of either sign, reads "nan"
-        values = ([1e-5] * 3 + [np.nan, -np.inf, -np.nan, 1e-5, 1e20, -np.inf]
-                  + OUT_OF_RANGE * 2)
-        assert formatted(values) == ["%.17g" % v for v in values]
-
     @pytest.mark.parametrize("k", range(-4, 18))
     def test_no_value_in_range_rounds_into_the_next_decade(self, k):
         # the premises of the writer's decade table: the double nearest
@@ -309,11 +302,7 @@ def split_case(rows: int) -> Trajectory:
 
 @pytest.fixture
 def forks(monkeypatch):
-    """The pids of the children ``os.fork`` starts in this process, which
-    may run on two CPUs whatever the host gives it, so that the writer
-    splits a long log."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
-                        raising=False)
+    """The pids of the children ``os.fork`` starts in this process."""
     real_fork, pids = os.fork, []
 
     def fork():
@@ -384,24 +373,6 @@ class TestSplit:
         assert len(forks) == 1
         assert_reaped(forks)
         assert list(tmp_path.iterdir()) == []
-
-    @pytest.mark.parametrize("cpus, split", [({0}, False), ({0, 1}, True),
-                                             (None, True)])
-    def test_one_process_on_one_cpu(self, tmp_path, monkeypatch, caplog,
-                                    forks, cpus, split):
-        # None: a platform without os.sched_getaffinity
-        traj = split_case(SPLIT_ROWS)
-        ref = tmp_path / "ref.csv"
-        reference_csv(traj, ref)
-        if cpus is None:
-            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        else:
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
-        with caplog.at_level(logging.WARNING, logger="slidingesc._tables"):
-            traj.to_csv(tmp_path / "trajectory.csv")
-        assert len(forks) == split
-        assert caplog.records == []
-        assert (tmp_path / "trajectory.csv").read_bytes() == ref.read_bytes()
 
     @pytest.mark.parametrize("fork", ["fails", "missing"])
     def test_without_fork_one_process(self, tmp_path, monkeypatch, caplog,
