@@ -107,28 +107,39 @@ def detect_sliding(t: np.ndarray, s: np.ndarray, epsilon_sw: float,
     if t.size == 0:
         return []
 
-    # band is the one float column held; |s - band * epsilon_sw| is
-    # taken a block at a time, by the same ufuncs in the same order
-    band = np.divide(s, epsilon_sw)
-    np.round(band, out=band)
+    # the log is read a block at a time, with the last sample of the
+    # block before in front (none before the first); a run still open
+    # at a block's end carries its start into the next
     tol = BAND_TOL_FRACTION * epsilon_sw
-    inside = np.empty(s.size, dtype=bool)
+    band, inside = np.zeros(1), np.zeros(1, dtype=bool)
+    carried = np.empty(0, dtype=np.intp)
+    segments = []
     for lo in range(0, s.size, SCAN_ROWS):
-        off = np.multiply(band[lo:lo + SCAN_ROWS], epsilon_sw)
-        np.subtract(s[lo:lo + SCAN_ROWS], off, out=off)
+        block = s[lo:lo + SCAN_ROWS]
+        band = np.concatenate((band[-1:], np.divide(block, epsilon_sw)))
+        np.round(band[1:], out=band[1:])
+        off = np.multiply(band[1:], epsilon_sw)
+        np.subtract(block, off, out=off)
         np.abs(off, out=off)
-        np.less_equal(off, tol, out=inside[lo:lo + SCAN_ROWS])
-
-    # sample i continues the run of sample i-1 when both are inside on
-    # one band (an inside sample has a finite band, and -0.0 == 0.0)
-    joined = inside[1:] & inside[:-1] & (band[1:] == band[:-1])
-    starts = np.flatnonzero(inside & np.concatenate(([True], ~joined)))
-    ends = np.flatnonzero(inside & np.concatenate((~joined, [True])))
-    keep = t[ends] - t[starts] >= min_duration
-    return [SlidingSegment(t_start, t_end, int(k))
-            for t_start, t_end, k in zip(t[starts[keep]].tolist(),
-                                         t[ends[keep]].tolist(),
-                                         band[starts[keep]].tolist())]
+        inside = np.concatenate((inside[-1:], off <= tol))
+        # sample i continues the run of sample i-1 when both are inside
+        # on one band (an inside sample has a finite band, and
+        # -0.0 == 0.0), so a run's band is that of its last sample
+        broken = ~(inside[1:] & inside[:-1] & (band[1:] == band[:-1]))
+        starts = np.concatenate(
+            (carried, lo + np.flatnonzero(inside[1:] & broken)))
+        # j in ends: a run ends on row lo - 1 + j, band[j]'s row
+        ends = np.flatnonzero(inside[:-1] & broken)
+        if lo + block.size == s.size and inside[-1]:
+            ends = np.append(ends, block.size)
+        carried, starts = starts[ends.size:], starts[:ends.size]
+        keep = t[lo - 1 + ends] - t[starts] >= min_duration
+        starts, ends = starts[keep], ends[keep]
+        segments += [SlidingSegment(t_start, t_end, int(k))
+                     for t_start, t_end, k in zip(t[starts].tolist(),
+                                                  t[lo - 1 + ends].tolist(),
+                                                  band[ends].tolist())]
+    return segments
 
 
 def convergence_metrics(traj: Trajectory, z_star, y_star: float, *,

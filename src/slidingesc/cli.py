@@ -3,9 +3,8 @@ parameters.
 
 Commands
 --------
-run     simulate one scenario; writes trajectory.csv, metrics.json,
-        scenario.json and, for a two-dimensional map, the gnuplot
-        surface objective_surface.dat into the output directory.
+run     simulate one scenario; writes trajectory.csv, metrics.json and
+        scenario.json into the output directory.
 verify  execute the oracle / scenario / sweep suites and print a
         pass-fail table.
 sweep   repeat a scenario over a list of values for one numeric field,
@@ -26,8 +25,6 @@ import logging
 import os
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from .analysis import convergence_metrics
 from .errors import ConfigurationError, SimulationAbort, whole
@@ -67,24 +64,6 @@ def _scenario_from_args(args):
     return scenario
 
 
-def _write_objective_surface(path: Path, qmap, span: float) -> None:
-    """h on a 61x61 grid over [-span, span]^2 as gnuplot splot blocks.
-
-    The grid is evaluated in one batch, bit-identical to evaluating
-    the points one by one.  The 61 grid labels are formatted once, not
-    on each of the 3721 lines.
-    """
-    grid = np.linspace(-span, span, 61)
-    values = qmap.eval(np.stack(np.meshgrid(grid, grid, indexing="ij"),
-                                axis=-1))
-    labels = [f"{g:.6g}" for g in grid.tolist()]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# z1 z2 h(z)   gnuplot splot blocks\n")
-        for z1, row in zip(labels, values.tolist()):
-            fh.writelines(f"{z1} {z2} {h:.6g}\n" for z2, h in zip(labels, row))
-            fh.write("\n")
-
-
 def _run_one(scenario, outdir: Path, backend: str) -> dict:
     plant = scenario.build_plant()
     traj = run_sim(plant, scenario.controller, scenario.sim, backend=backend)
@@ -94,11 +73,6 @@ def _run_one(scenario, outdir: Path, backend: str) -> dict:
         params=scenario.analysis)
     outdir.mkdir(parents=True, exist_ok=True)  # so an aborted run writes none
     traj.to_csv(outdir / "trajectory.csv")
-    if traj.z.shape[1] == 2:
-        # max |z| without a copy of z
-        span = max(2.0, max(float(traj.z.max()), -float(traj.z.min())) * 1.1)
-        _write_objective_surface(outdir / "objective_surface.dat", plant.map,
-                                 span)
     with open(outdir / "metrics.json", "w", encoding="utf-8") as fh:
         json.dump(metrics.to_flat_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -13,7 +13,7 @@ gain k_p(z) = G^T grad h(z) used by the analysis oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -159,20 +159,6 @@ class HypothesisCheck:
     detail: str
 
 
-@dataclass
-class HypothesisReport:
-    """The structural checks on a plant, which a caller can ask for with
-    ``CascadePlant.check_hypotheses``.  No run builds one; a run record
-    (ROADMAP direction 6) is where one is to be written.
-
-    Each check is "pass", for a hypothesis that every plant meets by
-    construction, or "assumed", for one the code cannot decide; the H5
-    and H6 rows give the gradient lower bound ``L_h`` the caller passed.
-    """
-
-    checks: list[HypothesisCheck] = field(default_factory=list)
-
-
 class CascadePlant:
     """Integrator + LTI block + static map, with explicit mutable state.
 
@@ -235,34 +221,35 @@ class CascadePlant:
         """
         return (self.lti.dc_gain.T @ self.map.gradient(z)[..., None])[..., 0]
 
-    def check_hypotheses(self, L_h: Optional[float] = None) -> HypothesisReport:
-        """Structural report: the stability of the LTI block and the
-        maximum's shape, which every plant has by construction, and the
-        assumptions that cannot be machine-verified."""
-        rep = HypothesisReport()
+    def check_hypotheses(self, L_h: Optional[float] = None
+                         ) -> list[HypothesisCheck]:
+        """The structural checks on the plant, for a caller that asks;
+        no run asks.
+
+        Each check is "pass", for a hypothesis that every plant meets by
+        construction (the stability of the LTI block, the maximum's
+        shape), or "assumed", for one the code cannot decide; the H5
+        and H6 rows give the gradient lower bound ``L_h`` passed.
+        """
         recorded = f"L_h={L_h if L_h is not None else 'unset'}"
-        rep.checks.append(HypothesisCheck(
-            "H1 parameter set", "assumed",
-            "uncertain plant parameters lie in a compact set; not machine-checkable"))
-        rep.checks.append(HypothesisCheck(
-            "H2 smoothness", "pass", "quadratic objective is smooth everywhere"))
-        eig_str = np.array2string(self.lti.eigenvalues, precision=4)
-        rep.checks.append(HypothesisCheck(
-            "H3 stable subsystem", "pass",
-            f"eigenvalues of A: {eig_str}, all with negative real part "
-            "(checked when the block is built)"))
-        rep.checks.append(HypothesisCheck(
-            "H4 unique maximum", "pass",
-            "curvature eigenvalues "
-            f"{np.array2string(self.map.curvature_eigs, precision=4)}, all "
-            "negative (checked when the map is built)"))
-        rep.checks.append(HypothesisCheck(
-            "H5 radial unboundedness", "assumed",
-            "boundedness of |y| must imply boundedness of the state; " + recorded))
-        rep.checks.append(HypothesisCheck(
-            "H6 gradient lower bound", "assumed",
-            "gradient norm at least L_h outside the vicinity; " + recorded))
-        return rep
+        eigs, curvature = (np.array2string(values, precision=4) for values
+                           in (self.lti.eigenvalues, self.map.curvature_eigs))
+        return [HypothesisCheck(*row) for row in (
+            ("H1 parameter set", "assumed", "uncertain plant parameters lie "
+             "in a compact set; not machine-checkable"),
+            ("H2 smoothness", "pass",
+             "quadratic objective is smooth everywhere"),
+            ("H3 stable subsystem", "pass",
+             f"eigenvalues of A: {eigs}, all with negative real part "
+             "(checked when the block is built)"),
+            ("H4 unique maximum", "pass",
+             f"curvature eigenvalues {curvature}, all negative (checked "
+             "when the map is built)"),
+            ("H5 radial unboundedness", "assumed", "boundedness of |y| must "
+             "imply boundedness of the state; " + recorded),
+            ("H6 gradient lower bound", "assumed",
+             "gradient norm at least L_h outside the vicinity; " + recorded),
+        )]
 
     def __repr__(self) -> str:
         return f"CascadePlant({self.lti!r}, map={type(self.map).__name__})"

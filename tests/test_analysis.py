@@ -308,21 +308,36 @@ class TestBlockScans:
                 [(g.t_start, g.t_end, g.band_index)
                  for g in got.sliding_segments]) == want
 
+    @pytest.mark.parametrize("rows", [151, 200])
+    def test_segment_across_three_blocks(self, monkeypatch, rows):
+        # from row 50 of the first block through the second to row 150
+        # of the third, the last row of the log or not
+        monkeypatch.setattr(analysis, "SCAN_ROWS", 64)
+        t = np.arange(rows) * 0.01
+        s = np.full(rows, 0.5 * EPS)
+        s[50:151] = -2 * EPS + 0.1 * EPS
+        s[20:40] = EPS  # and a run within the first block
+        got = detect_sliding(t, s, EPS, min_duration=0.1)
+        assert [(g.t_start, g.t_end, g.band_index) for g in got] == [
+            (t[20], t[39], 1), (t[50], t[150], -2)]
+        assert reference_detect_sliding(t, s, EPS, 0.1) == [
+            (g.t_start, g.t_end, g.band_index) for g in got]
 
-def test_heap_budget_of_convergence_metrics():
-    """Working memory of one float column and the rest, on top of the
-    log: the band of each sample (8 bytes a row), at most five boolean
-    columns (5 bytes a row), 41 bytes for each run of samples on a band
-    and a block's working arrays.  The log has a run on a band in 5 of
-    every 100 rows, as a dense coupled_bowl log has (2388 in 50001
-    rows), so they take some 2 bytes a row: 15 bytes a row in all,
-    within the budget of 16 bytes a row and half a megabyte."""
+
+@pytest.mark.parametrize("off_band, segments", [
+    ((0, 3, 6, 9, 12), 4000), (tuple(range(0, 100, 2)), 0)],
+    ids=["5_runs_in_100_rows", "every_other_row"])
+def test_heap_budget_of_convergence_metrics(off_band, segments):
+    """Working memory of a block's arrays and the kept segments on top
+    of the log, whether s steps onto a band now and then (a dense
+    coupled_bowl log has 2388 runs in 50001 rows) or every other
+    sample: within the budget of 16 bytes a row and half a megabyte."""
     rows = 400_001
     k = np.arange(rows)
     r = np.linspace(1.0, 0.0, rows)  # enters the vicinity at 86 %
     z = np.column_stack([r * np.cos(k / 500), r * np.sin(k / 500)])
     s = EPS * (k // 2000)
-    s[np.isin(k % 100, (0, 3, 6, 9, 12))] += 0.5 * EPS  # off the band
+    s[np.isin(k % 100, off_band)] += 0.5 * EPS
     traj = synthetic_trajectory(k * 1e-3, z, 2.0 - r ** 2, s)
     args = dict(epsilon_sw=EPS, dt=1e-3, params=AnalysisParams())
     convergence_metrics(traj, [0.0, 0.0], 2.0, **args)  # first-call costs
@@ -332,7 +347,8 @@ def test_heap_budget_of_convergence_metrics():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert metrics.t_reach_delta is not None and metrics.sliding_segments
+    assert metrics.t_reach_delta is not None
+    assert len(metrics.sliding_segments) == segments
     assert peak <= 16 * rows + 0.5e6
 
 

@@ -7,14 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from slidingesc import cli, load_scenario, save_scenario, scenario, sim
+from slidingesc import (QuadraticMap, cli, load_scenario, save_scenario,
+                        scenario, sim)
 from slidingesc.cli import EXIT_FAIL, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from slidingesc.verify import CheckResult
 
 SHORT = ["--override", "sim.horizon=20", "--override", "sim.log_stride=10"]
-# every file a run of a two-dimensional scenario writes
-OUTPUTS = ["metrics.json", "objective_surface.dat", "scenario.json",
-           "trajectory.csv"]
+# every file a run, or a sweep for each value, writes
+OUTPUTS = ["metrics.json", "scenario.json", "trajectory.csv"]
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 # set-ups a run refuses before any work, by the field the refusal
@@ -73,6 +73,17 @@ class TestRunCommand:
         assert files and files <= set(OUTPUTS)
         header = (out / "trajectory.csv").read_text().splitlines()[0]
         assert names <= set(header.split(","))
+
+        # the one splot of a function, not of a file: the builtins' bowl
+        # in gnuplot's x and y, whose ** is Python's
+        surfaces = [line.removeprefix("splot ") for line in re.findall(
+            r"^splot [^\"\n]*$", text, re.M)]
+        assert surfaces == ["2 - (x**2 + y**2 - x*y)"]
+        z = np.random.default_rng(0).uniform(-5.0, 5.0, (20, 2))
+        got = eval(surfaces[0], {"__builtins__": {}},
+                   {"x": z[:, 0], "y": z[:, 1]})
+        want = QuadraticMap.from_coupling(0.5).eval(z)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
 
     def test_scenario_json_is_the_saved_document(self, tmp_path):
         # the run writes the document it read, overrides applied, through
@@ -500,6 +511,9 @@ class TestSweepCommand:
         assert [row.split(",")[0] for row in rows] == ["0.01", "0.02"]
         assert sorted(p.name for p in out.iterdir() if p.is_dir()) == [
             "sim_plant_eta=0.01", "sim_plant_eta=0.02"]
+        for value in ("0.01", "0.02"):
+            assert sorted(p.name for p in (
+                out / f"sim_plant_eta={value}").iterdir()) == OUTPUTS
 
     def test_variants_keep_dt_guard(self, tmp_path):
         # each value's document is the base document, opt-out included:

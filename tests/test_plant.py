@@ -225,9 +225,10 @@ class TestCascadePlant:
 
 class TestHypothesisReport:
     def test_benchmark_plant_passes(self, benchmark_plant):
-        report = benchmark_plant.check_hypotheses(L_h=0.1)
-        by_name = {c.name: c for c in report.checks}
-        assert {c.status for c in report.checks} == {"pass", "assumed"}
+        checks = benchmark_plant.check_hypotheses(L_h=0.1)
+        assert [c.name[:2] for c in checks] == [f"H{k}" for k in range(1, 7)]
+        by_name = {c.name: c for c in checks}
+        assert {c.status for c in checks} == {"pass", "assumed"}
         assert by_name["H3 stable subsystem"].status == "pass"
         assert "checked when the block is built" in (
             by_name["H3 stable subsystem"].detail)

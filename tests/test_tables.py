@@ -1,9 +1,8 @@
 """The streaming CSV writer against ``np.savetxt``, byte for byte.
 
-``reference_csv`` and ``reference_surface`` are the oracle: the
-``np.savetxt`` call that ``Trajectory.to_csv`` was written with before
-the streaming writer replaced it, and the point-by-point loop that
-wrote the objective surface before it was evaluated in one batch.
+``reference_csv`` is the oracle: the ``np.savetxt`` call that
+``Trajectory.to_csv`` was written with before the streaming writer
+replaced it.
 """
 
 import importlib.util
@@ -19,9 +18,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from slidingesc import QuadraticMap, Trajectory, _tables, run
+from slidingesc import Trajectory, _tables, run
 from slidingesc._tables import BLOCK_ROWS, SPLIT_ROWS, format_rows
-from slidingesc.cli import EXIT_IO, EXIT_OK, _write_objective_surface, main
+from slidingesc.cli import EXIT_IO, EXIT_OK, main
 from slidingesc.scenario import builtin_scenario_dict, scenario_from_dict
 
 
@@ -36,17 +35,6 @@ def reference_csv(traj, path) -> None:
     np.savetxt(path, table, fmt=fmt, delimiter=",",
                header=",".join(name for name, _ in traj.columns()),
                comments="")
-
-
-def reference_surface(path, qmap, span) -> None:
-    grid = np.linspace(-span, span, 61)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# z1 z2 h(z)   gnuplot splot blocks\n")
-        for z1 in grid:
-            for z2 in grid:
-                fh.write(f"{z1:.6g} {z2:.6g} "
-                         f"{qmap.eval(np.array([z1, z2])):.6g}\n")
-            fh.write("\n")
 
 
 def assert_matches_savetxt(tmp_path, traj) -> None:
@@ -397,62 +385,29 @@ class TestSplit:
         assert alone.read_bytes() == one.read_bytes()
 
 
-class TestObjectiveSurface:
-    """The batched surface against the point-by-point oracle."""
-
-    @pytest.mark.parametrize("coupling", [0.0, 0.2, 0.5, -0.7, 0.95])
-    @pytest.mark.parametrize("z_star", [(0.0, 0.0), (0.37, -1.3)])
-    @pytest.mark.parametrize("span", [2.0, 2.2000000000000002, 5.5, 17.3])
-    def test_matches_pointwise(self, tmp_path, coupling, z_star, span):
-        qmap = QuadraticMap.from_coupling(coupling, 2.5, z_star)
-        _write_objective_surface(tmp_path / "ours.dat", qmap, span)
-        reference_surface(tmp_path / "ref.dat", qmap, span)
-        assert ((tmp_path / "ours.dat").read_bytes()
-                == (tmp_path / "ref.dat").read_bytes())
-
-    def test_matches_pointwise_general_curvature(self, tmp_path):
-        rng = np.random.default_rng(4)
-        for trial in range(5):
-            root = rng.normal(size=(2, 2))
-            qmap = QuadraticMap(rng.normal(), rng.normal(size=2),
-                                -(root @ root.T + 0.1 * np.eye(2)))
-            span = float(rng.uniform(0.5, 30.0))
-            _write_objective_surface(tmp_path / "ours.dat", qmap, span)
-            reference_surface(tmp_path / "ref.dat", qmap, span)
-            assert ((tmp_path / "ours.dat").read_bytes()
-                    == (tmp_path / "ref.dat").read_bytes()), trial
-
-
 LONG_RUN = ["--override", "sim.horizon=5", "--override", "sim.log_stride=1"]
 
 
 def test_cli_run_matches_reference(tmp_path, forks):
     """``run`` on coupled_bowl logging every step (5001 rows, the CSV
-    written by two processes) writes the CSV and the surface as the
-    oracle writes the same scenario's, and nothing else but its metrics
-    and scenario."""
+    written by two processes) writes the CSV as the oracle writes the
+    same scenario's, and nothing else but its metrics and scenario."""
     out = tmp_path / "run"
     assert main(["run", "--out", str(out), *LONG_RUN]) == EXIT_OK
     assert len(forks) == 1
     assert_reaped(forks)
     assert sorted(p.name for p in out.iterdir()) == [
-        "metrics.json", "objective_surface.dat", "scenario.json",
-        "trajectory.csv"]
+        "metrics.json", "scenario.json", "trajectory.csv"]
 
     doc = builtin_scenario_dict("coupled_bowl")
     doc["sim"]["horizon"] = 5
     doc["sim"]["log_stride"] = 1
     assert json.loads((out / "scenario.json").read_text()) == doc
     sc = scenario_from_dict(doc)
-    plant = sc.build_plant()
-    traj = run(plant, sc.controller, sc.sim)
-    ref = tmp_path / "ref"
-    ref.mkdir()
-    reference_csv(traj, ref / "trajectory.csv")
-    span = max(2.0, float(np.abs(traj.z).max()) * 1.1)
-    reference_surface(ref / "objective_surface.dat", plant.map, span)
-    for name in ("trajectory.csv", "objective_surface.dat"):
-        assert (out / name).read_bytes() == (ref / name).read_bytes(), name
+    traj = run(sc.build_plant(), sc.controller, sc.sim)
+    reference_csv(traj, tmp_path / "ref.csv")
+    assert ((out / "trajectory.csv").read_bytes()
+            == (tmp_path / "ref.csv").read_bytes())
 
 
 def test_cli_run_failed_child(tmp_path, monkeypatch, forks, capsys):
