@@ -29,8 +29,8 @@ CHUNK_MAX = 256
 
 def run_chunked(plant, constants, config, v0, plant_eta):
     """The closed loop of the reference ``sim._run_python``, with its
-    arguments, logged columns and finite-escape abort; the plant is
-    read, not moved.
+    arguments, logged columns (t, v, x, z, y, y_m, s, u, dir) and
+    finite-escape abort; the plant is read, not moved.
 
     While the relay sign and the search direction hold, u is constant
     and one Euler step of X = (v, x) is affine, X <- M X + b(u).  Each
@@ -167,8 +167,8 @@ def run_chunked(plant, constants, config, v0, plant_eta):
     code_log = np.empty(n_rec, np.int64)   # 2 * direction index + up
 
     def result(rec):
-        # t, z, e, u and dir from what was logged, in place where the
-        # log is no longer needed
+        # t, z, u and dir from what was logged, in place where the log
+        # is no longer needed
         t = np.arange(0.0, rec * stride, stride)
         t *= dt
         w_log[:rec, D] += z_star
@@ -178,7 +178,7 @@ def run_chunked(plant, constants, config, v0, plant_eta):
         code //= 2
         code += 1
         return (t, w_log[:rec, :m], w_log[:rec, m:N], w_log[:rec, D], y, y_m,
-                y - y_m, s, u, code)
+                s, u, code)
 
     # step 0, the first chunk's start row, is evaluated and logged here
     xt = np.zeros(P)

@@ -8,10 +8,8 @@ organised around what dominates it, turning a float into text:
 
 * the unit of work is the block of ``BLOCK_ROWS`` rows, so the text held
   in memory does not grow with the run length;
-* the distinct columns of a block are stacked and formatted together by
-  ``format_rows``, in one numpy pass over all of their cells; a column
-  that repeats another bit for bit (with ``C = I`` the output z repeats
-  the state x) is formatted once;
+* the columns of a block are stacked and formatted together by
+  ``format_rows``, in one numpy pass over all of their cells;
 * the pass writes ``%.17g`` exactly for every value v with
   ``1e-4 <= |v| < 1e17`` and for +-0, the values that ``%g`` writes
   without an exponent: the 17 significant digits are the correctly
@@ -204,65 +202,40 @@ def _cells(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return words, ~(exact | zero)
 
 
-def format_rows(block: np.ndarray, columns: Sequence[int]) -> bytes:
+def format_rows(block: np.ndarray) -> bytes:
     """The text of some rows of a CSV, each line begun with its newline.
-    ``block`` holds the table's distinct columns as its rows, and
-    ``columns`` gives the row of ``block`` that each column of the CSV
-    shows."""
-    n_sources, n_rows = block.shape
+    ``block`` holds the CSV's columns as its rows."""
     words, python = _cells(block.ravel())
     in_python = python.any()
     if in_python:  # a marker in place of the text
         words[:, python] = 0
         words[0, python] = _MARK_WORD
-    # words by (word, CSV column, row) to the cells of each row in turn
-    cells = words.reshape(5, n_sources, n_rows).take(columns, axis=1)
+    # words by (word, column, row) to the cells of each row in turn
+    cells = words.reshape(5, *block.shape)
     cells.view(np.uint8)[0, 0, ::8] = ord("\n")  # the first delimiter
     text = cells.transpose(2, 1, 0).tobytes().translate(None, _NUL)
     if not in_python:
         return text
-    rows, cols = np.nonzero(python.reshape(n_sources, n_rows)[columns].T)
+    # the values formatted in Python, row by row as the text has them
     python_text = [("%.17g" % v).encode()
-                   for v in block[np.asarray(columns)[cols], rows].tolist()]
+                   for v in block.T[python.reshape(block.shape).T].tolist()]
     parts = text.split(_MARK)
     return b"".join(part for pair in zip(parts, python_text + [b""])
                     for part in pair)
 
 
-def _bits(values: np.ndarray) -> np.ndarray:
-    """Integers that are equal exactly where the values are equal bit for
-    bit: an integer column itself, a float column's 64-bit words."""
-    return values if values.dtype.kind in "iu" else values.view(np.int64)
-
-
-def _source(sources: list, values) -> int:
-    """Index of the column in ``sources`` with these values bit for bit,
-    appended if there is none yet.  An integer column is kept as it is
-    (a block of it is made floats when it is stacked), any other is
-    taken as floats.  Only a column of the same type is compared."""
-    values = np.asarray(values)
-    if values.dtype.kind not in "iu":
-        values = np.asarray(values, dtype=float)
-    bits = _bits(values)
-    for i, other in enumerate(sources):
-        if other.dtype == values.dtype and np.array_equal(_bits(other), bits):
-            return i
-    sources.append(values)
-    return len(sources) - 1
-
-
-def _write_rows(fh, columns, sources, start: int, stop: int) -> None:
-    """Rows ``[start, stop)`` of the CSV whose columns are these indices
-    into ``sources``, block by block from ``start``, each line begun
-    with its newline.  A row's text is that of its own values, so any
-    split of the rows writes the bytes of one call over them all."""
+def _write_rows(fh, columns, start: int, stop: int) -> None:
+    """Rows ``[start, stop)`` of the CSV of these columns, block by block
+    from ``start``, each line begun with its newline.  A row's text is
+    that of its own values, so any split of the rows writes the bytes of
+    one call over them all."""
     for lo in range(start, stop, BLOCK_ROWS):
         hi = min(lo + BLOCK_ROWS, stop)
-        block = np.stack([values[lo:hi] for values in sources], dtype=float)
-        fh.write(format_rows(block, columns))
+        block = np.stack([values[lo:hi] for values in columns], dtype=float)
+        fh.write(format_rows(block))
 
 
-def _write_split(path, fh, columns, sources, n_rows: int) -> None:
+def _write_split(path, fh, columns, n_rows: int) -> None:
     """Rows ``[0, mid)`` here and ``[mid, n_rows)`` in a forked child,
     which writes them to an anonymous temporary file (in the directory
     of ``path``) that this process then appends.  The child ends with
@@ -276,18 +249,18 @@ def _write_split(path, fh, columns, sources, n_rows: int) -> None:
             pid = os.fork()
         except (AttributeError, OSError) as exc:  # no os.fork, or it failed
             logger.warning("%s written in one process: %r", path, exc)
-            _write_rows(fh, columns, sources, 0, n_rows)
+            _write_rows(fh, columns, 0, n_rows)
             return
         if pid == 0:
             status = 1
             try:
-                _write_rows(part, columns, sources, mid, n_rows)
+                _write_rows(part, columns, mid, n_rows)
                 part.flush()
                 status = 0
             finally:
                 os._exit(status)
         try:
-            _write_rows(fh, columns, sources, 0, mid)
+            _write_rows(fh, columns, 0, mid)
         finally:
             _, status = os.waitpid(pid, 0)
         code = os.waitstatus_to_exitcode(status)
@@ -310,16 +283,15 @@ def write_csv(path, columns: Sequence[tuple[str, np.ndarray]]) -> None:
     if len(lengths) != 1:
         raise ValueError(f"columns differ in length: {sorted(lengths)}")
     n_rows = lengths.pop()
-    sources: list[np.ndarray] = []
-    plan = [_source(sources, values) for _, values in columns]
+    arrays = [values for _, values in columns]
     _lookup()  # built here, so a forked child does not build its own
     with open(path, "wb") as fh:
         try:
             fh.write(",".join(name for name, _ in columns).encode())
             if n_rows >= SPLIT_ROWS:
-                _write_split(path, fh, plan, sources, n_rows)
+                _write_split(path, fh, arrays, n_rows)
             else:
-                _write_rows(fh, plan, sources, 0, n_rows)
+                _write_rows(fh, arrays, 0, n_rows)
             fh.write(b"\n")
         except BaseException:
             fh.close()

@@ -95,15 +95,18 @@ def detect_sliding(t: np.ndarray, s: np.ndarray, epsilon_sw: float,
     |s - k*epsilon| <= BAND_TOL_FRACTION*epsilon.  Runs of samples on
     the same band lasting at least min_duration are reported
     (``convergence_metrics`` passes SLIDING_MIN_STEPS steps).
-    ConfigurationError unless epsilon_sw is a finite number > 0 and
-    min_duration one >= 0.
+    ConfigurationError unless t and s are 1-D and of one length,
+    epsilon_sw is a finite number > 0 and min_duration one >= 0.
     """
+    t = np.asarray(t, dtype=float)
+    s = np.asarray(s, dtype=float)
+    if t.ndim != 1 or t.shape != s.shape:
+        raise ConfigurationError(f"t and s: expected 1-D arrays of one "
+                                 f"length, got shapes {t.shape} and {s.shape}")
     positive(epsilon_sw, "epsilon_sw")
     if real(min_duration, "min_duration") < 0.0:
         raise ConfigurationError(
             f"min_duration must be >= 0, got {min_duration}")
-    t = np.asarray(t, dtype=float)
-    s = np.asarray(s, dtype=float)
     if t.size == 0:
         return []
 

@@ -115,11 +115,10 @@ class SimConfig:
 
 @dataclass
 class Trajectory:
-    """Uniformly sampled log of every closed-loop signal.
+    """Uniformly sampled log of the closed-loop signals a loop computes.
 
-    From ``run``, ``rho`` is a read-only broadcast of the run's one
-    relay amplitude ``constants.rho`` to the log's length (one value in
-    memory, not a column of copies).
+    The tracking error is ``y - y_m``, and the relay amplitude rho is
+    ``|u|`` of the active input (``u`` has one nonzero entry, +-rho).
     """
 
     t: np.ndarray
@@ -128,11 +127,9 @@ class Trajectory:
     z: np.ndarray
     y: np.ndarray
     y_m: np.ndarray
-    e: np.ndarray
     s: np.ndarray
     u: np.ndarray
     dir_index: np.ndarray
-    rho: np.ndarray
 
     def __len__(self) -> int:
         return self.t.size
@@ -142,10 +139,9 @@ class Trajectory:
         cols = [("t", self.t)]
         for prefix, block in (("v", self.v), ("x", self.x), ("z", self.z)):
             cols += [(f"{prefix}{i+1}", c) for i, c in enumerate(block.T)]
-        cols += [("y", self.y), ("y_m", self.y_m), ("e", self.e),
-                 ("s", self.s)]
+        cols += [("y", self.y), ("y_m", self.y_m), ("s", self.s)]
         cols += [(f"u{i+1}", c) for i, c in enumerate(self.u.T)]
-        return cols + [("dir", self.dir_index), ("rho", self.rho)]
+        return cols + [("dir", self.dir_index)]
 
     @property
     def all_finite(self) -> bool:
@@ -241,16 +237,13 @@ def run(plant: CascadePlant, params: ControllerParams, config: SimConfig, *,
     logger.info("backend: requested %s, used %s", backend, used)
     # looked up at call time, so the kernel can be wrapped from outside
     loop = _run_python if used == "python" else _fastpath.run_chunked
-    t, v, x, z, y, y_m, e, s, u, dir_index = loop(plant, constants, config,
-                                                  v0, plant_eta)
-    return Trajectory(t, v, x, z, y, y_m, e, s, u, dir_index,
-                      np.broadcast_to(constants.rho, t.shape))
+    return Trajectory(*loop(plant, constants, config, v0, plant_eta))
 
 
 def _run_python(plant, constants, config, v0, plant_eta):
     """The reference loop, built from ``controller_step`` and a plant of
     its own on the caller's blocks, which it moves through the run;
-    returns the logged columns (t, v, x, z, y, y_m, e, s, u, dir).
+    returns the logged columns (t, v, x, z, y, y_m, s, u, dir).
 
     The Euler update is simultaneous: x advances with the pre-update v,
     v += dt*u and x += (dt/plant_eta)*(A x + B v).
@@ -259,7 +252,7 @@ def _run_python(plant, constants, config, v0, plant_eta):
     n_rec = n_steps // stride + 1
     m, n = plant.lti.m, plant.lti.n
 
-    t_log, y_log, ym_log, e_log, s_log = np.empty((5, n_rec))
+    t_log, y_log, ym_log, s_log = np.empty((4, n_rec))
     v_log, u_log = np.empty((2, n_rec, m))
     x_log, z_log = np.empty((2, n_rec, n))
     dir_log = np.empty(n_rec, dtype=np.int64)
@@ -284,7 +277,6 @@ def _run_python(plant, constants, config, v0, plant_eta):
                 z_log[rec] = z
                 y_log[rec] = y
                 ym_log[rec] = tel.y_m
-                e_log[rec] = tel.e
                 s_log[rec] = tel.s
                 u_log[rec] = u
                 dir_log[rec] = tel.dir_index
@@ -295,5 +287,4 @@ def _run_python(plant, constants, config, v0, plant_eta):
                 plant._x = plant._x + (dt * plant_rate) * dx
                 if not np.all(np.isfinite(plant._x)):
                     raise finite_escape(k, dt)
-    return (t_log, v_log, x_log, z_log, y_log, ym_log, e_log, s_log, u_log,
-            dir_log)
+    return t_log, v_log, x_log, z_log, y_log, ym_log, s_log, u_log, dir_log

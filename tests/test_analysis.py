@@ -1,6 +1,7 @@
 """Sliding detection, metrics, the residual bound, and the gain oracle."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -60,9 +61,9 @@ def synthetic_trajectory(t, z, y, s) -> Trajectory:
     z = np.asarray(z, dtype=float)
     return Trajectory(
         t=np.asarray(t, dtype=float), v=np.zeros((n, 2)), x=z.copy(), z=z,
-        y=np.asarray(y, dtype=float), y_m=np.zeros(n), e=np.zeros(n),
+        y=np.asarray(y, dtype=float), y_m=np.zeros(n),
         s=np.asarray(s, dtype=float), u=np.zeros((n, 2)),
-        dir_index=np.ones(n, dtype=np.int64), rho=np.full(n, 0.5))
+        dir_index=np.ones(n, dtype=np.int64))
 
 
 class TestDetectSliding:
@@ -111,6 +112,16 @@ class TestDetectSliding:
         args = {"epsilon_sw": 0.02, "min_duration": 0.5, name: value}
         with pytest.raises(ConfigurationError, match=f"^{name}[: ]"):
             detect_sliding(t, np.zeros(t.size), **args)
+
+    @pytest.mark.parametrize("t, s, shapes", [
+        (np.arange(3.0), np.zeros(5), "(3,) and (5,)"),
+        (np.arange(5.0), np.zeros(3), "(5,) and (3,)"),
+        (np.zeros((5, 1)), np.zeros(5), "(5, 1) and (5,)")])
+    def test_t_and_s_shapes_refused(self, t, s, shapes):
+        # t shorter or longer than s, or not 1-D: no one time per sample
+        with pytest.raises(ConfigurationError,
+                           match=rf"^t and s: .*shapes {re.escape(shapes)}$"):
+            detect_sliding(t, s, 0.02, 0.0)
 
     @given(s_runs, st.data())
     @settings(max_examples=300, deadline=None)

@@ -16,6 +16,7 @@ SHORT = ["--override", "sim.horizon=20", "--override", "sim.log_stride=10"]
 # every file a run, or a sweep for each value, writes
 OUTPUTS = ["metrics.json", "scenario.json", "trajectory.csv"]
 README = Path(__file__).resolve().parent.parent / "README.md"
+HEADER = "t,v1,v2,x1,x2,z1,z2,y,y_m,s,u1,u2,dir"
 
 # set-ups a run refuses before any work, by the field the refusal
 # names: the overrides that make one, and a sweep over a good value
@@ -55,8 +56,45 @@ class TestRunCommand:
         csv = out / "trajectory.csv"
         assert csv.exists()
         header = csv.read_text().splitlines()[0]
-        assert header == "t,v1,v2,x1,x2,z1,z2,y,y_m,e,s,u1,u2,dir,rho"
+        assert header == HEADER
         assert sorted(path.name for path in out.iterdir()) == OUTPUTS
+
+    @pytest.mark.parametrize("backend", sim.BACKENDS)
+    def test_exact_header_on_each_backend(self, tmp_path, backend):
+        # m = n = 2: every column a loop computes, and no column that
+        # one subtraction or one |u| gives
+        out = tmp_path / "run"
+        assert run_cli("run", "--out", str(out), "--backend", backend,
+                       *override_args(["sim.horizon=2",
+                                       "sim.log_stride=10"])) == EXIT_OK
+        with open(out / "trajectory.csv", encoding="utf-8") as fh:
+            assert fh.readline() == HEADER + "\n"
+
+    @pytest.mark.parametrize("name", scenario.builtin_scenario_names())
+    def test_readme_rho_formula(self, tmp_path, name):
+        # README gives rho, which the CSV does not hold, as a formula of
+        # scenario.json's controller fields: it is the controller's rho
+        # and |u| of the active input, bit for bit
+        formulas = set(re.findall(r"rho = `([^`]+)`",
+                                  README.read_text(encoding="utf-8")))
+        assert formulas == {"eta / L_h * (p + lambda) + eta * gamma"}
+        config, out = tmp_path / f"{name}.json", tmp_path / "run"
+        config.write_text(json.dumps(scenario.builtin_scenario_dict(name)))
+        assert run_cli("run", "--config", str(config), "--out", str(out),
+                       *override_args(["sim.horizon=2",
+                                       "sim.log_stride=10"])) == EXIT_OK
+        doc = json.loads((out / "scenario.json").read_text())
+        fields = {key.replace("lambda", "lambda_"): value
+                  for key, value in doc["controller"].items()}
+        rho = eval(formulas.pop().replace("lambda", "lambda_"),
+                   {"__builtins__": {}}, fields)
+        params = scenario.scenario_from_dict(doc).controller
+        assert rho == params.resolve(doc["sim"]["dt"], 2).rho
+        lines = (out / "trajectory.csv").read_text().splitlines()
+        columns = lines[0].split(",")
+        u = [[float(row.split(",")[columns.index(f"u{i}")]) for i in (1, 2)]
+             for row in lines[1:]]
+        assert np.abs(u).max(axis=1).tolist() == [rho] * len(u)
 
     def test_readme_gnuplot_names_exist(self, tmp_path):
         # README's gnuplot block draws the paper's views from a run's
@@ -111,7 +149,7 @@ class TestRunCommand:
         run_cli("run", "--out", str(out), *SHORT)
         lines = (out / "trajectory.csv").read_text().splitlines()
         widths = {len(line.split(",")) for line in lines}
-        assert widths == {15}
+        assert widths == {13}
         t = np.array([float(line.split(",")[0]) for line in lines[1:]])
         assert np.all(np.diff(t) > 0)
 

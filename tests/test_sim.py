@@ -113,18 +113,6 @@ class TestRunBookkeeping:
         assert traj.t[0] == 0.0
         assert traj.t[-1] == pytest.approx(0.01)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_rho_is_a_read_only_broadcast(self, benchmark_plant,
-                                          benchmark_params, backend):
-        traj = run(benchmark_plant, benchmark_params,
-                   short_config(horizon=0.1), backend=backend)
-        rho = benchmark_params.resolve(1e-3, 2).rho
-        assert traj.rho.shape == traj.t.shape and traj.rho.dtype == float
-        assert np.array_equal(traj.rho, np.full(len(traj), rho))
-        assert traj.rho.strides == (0,)  # one value, not a column
-        with pytest.raises(ValueError, match="read-only"):
-            traj.rho[0] = 0.0
-
     def test_time_strictly_increasing_uniform(self, benchmark_plant, benchmark_params):
         traj = run(benchmark_plant, benchmark_params, short_config(log_stride=5))
         diffs = np.diff(traj.t)
@@ -269,8 +257,7 @@ class TestDeterminismAndBackends:
 
 
 def assert_same_trajectory(first, second) -> None:
-    for name in ("t", "v", "x", "z", "y", "y_m", "e", "s", "u", "dir_index",
-                 "rho"):
+    for name in ("t", "v", "x", "z", "y", "y_m", "s", "u", "dir_index"):
         assert np.array_equal(getattr(first, name),
                               getattr(second, name)), name
 
@@ -283,7 +270,7 @@ def assert_chunked_agrees(reference, chunked) -> None:
     for name in ("t", "y_m", "u", "dir_index"):
         assert np.array_equal(getattr(reference, name),
                               getattr(chunked, name)), name
-    for name in ("v", "x", "z", "y", "e", "s"):
+    for name in ("v", "x", "z", "y", "s"):
         np.testing.assert_allclose(getattr(chunked, name),
                                    getattr(reference, name),
                                    rtol=0.0, atol=1e-9, err_msg=name)
@@ -682,9 +669,10 @@ class TestTrackingSanity:
                            v0=[0.0, 0.0], log_stride=10)
         traj = run(plant, params, config, backend=backend)
         gains = params.resolve(config.dt, 2)
-        late = traj.e[traj.t >= 20.0]
+        e = traj.y - traj.y_m
+        late = e[traj.t >= 20.0]
         assert np.abs(late).max() <= 2 * params.epsilon_sw + \
             gains.lambda_eff * config.dt
         # before settling the error magnitude came down monotonically-ish
-        early = np.abs(traj.e[traj.t <= 2.0])
+        early = np.abs(e[traj.t <= 2.0])
         assert early[-1] <= early[0] + 1e-9

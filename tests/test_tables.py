@@ -28,10 +28,10 @@ def reference_csv(traj, path) -> None:
     m = traj.v.shape[1]
     n = traj.x.shape[1]
     table = np.column_stack([
-        traj.t, traj.v, traj.x, traj.z, traj.y, traj.y_m, traj.e,
-        traj.s, traj.u, traj.dir_index.astype(float), traj.rho,
+        traj.t, traj.v, traj.x, traj.z, traj.y, traj.y_m, traj.s, traj.u,
+        traj.dir_index.astype(float),
     ])
-    fmt = ["%.17g"] * (1 + m + 2 * n + 4 + m) + ["%d", "%.17g"]
+    fmt = ["%.17g"] * (1 + m + 2 * n + 3 + m) + ["%d"]
     np.savetxt(path, table, fmt=fmt, delimiter=",",
                header=",".join(name for name, _ in traj.columns()),
                comments="")
@@ -48,9 +48,9 @@ def assert_matches_savetxt(tmp_path, traj) -> None:
 
 
 def synthetic(rows: int, dim: int, seed: int = 0) -> Trajectory:
-    """A log with all-distinct columns (t, v, x, z, y, e, s), long
-    constant runs (u, dir, rho, the saturated tail of y_m) and -0.0 next
-    to 0.0 (in u, in e and in the piecewise-constant s)."""
+    """A log with all-distinct columns (t, v, x, z, y, s), long constant
+    runs (u, dir, the saturated tail of y_m) and -0.0 next to 0.0 (in u,
+    in y and in the piecewise-constant s)."""
     rng = np.random.default_rng(seed)
     k = np.arange(rows)
     rho = 0.25
@@ -59,9 +59,9 @@ def synthetic(rows: int, dim: int, seed: int = 0) -> Trajectory:
     u = np.zeros((rows, dim))
     u[k, dir_index - 1] = rho * sign
     u[k % 11 == 3] = -0.0
-    e = rng.standard_normal(rows)
-    e[::4] = 0.0
-    e[1::4] = -0.0
+    y = rng.standard_normal(rows)
+    y[::4] = 0.0
+    y[1::4] = -0.0
     s = np.repeat(rng.standard_normal(rows // 3 + 1), 3)[:rows]
     s[k % 13 == 0] = -0.0
     s[k % 13 == 1] = 0.0
@@ -70,10 +70,7 @@ def synthetic(rows: int, dim: int, seed: int = 0) -> Trajectory:
         v=rng.standard_normal((rows, dim)),
         x=rng.standard_normal((rows, dim)) * 1e3,
         z=rng.standard_normal((rows, dim)) * 1e-3,
-        y=rng.standard_normal(rows),
-        y_m=np.minimum(k * 1e-2, 2.5),
-        e=e, s=s, u=u, dir_index=dir_index,
-        rho=np.full(rows, rho))
+        y=y, y_m=np.minimum(k * 1e-2, 2.5), s=s, u=u, dir_index=dir_index)
 
 
 # values that the writer formats in Python: exponent forms below 1e-4
@@ -84,11 +81,11 @@ OUT_OF_RANGE = [9.999999999999999e-05, -5e-324, 1e17, -1.7976931348623157e308,
 
 def at_block_edge(traj: Trajectory, edge: int = BLOCK_ROWS) -> Trajectory:
     """Runs at a block edge (the first by default): u holds across it,
-    rho steps from -0.0 to 0.0 at it, and y_m and s hold NaN across
-    it; y and x1 hold values out of the writer's range across it."""
+    u2 steps from -0.0 to 0.0 at it, and y_m and s hold NaN across it;
+    y and x1 hold values out of the writer's range across it."""
     traj.u[edge - 5:edge + 5] = traj.u[edge - 5]
-    traj.rho[edge - 2:edge] = -0.0
-    traj.rho[edge:edge + 2] = 0.0
+    traj.u[edge - 2:edge, 1] = -0.0
+    traj.u[edge:edge + 2, 1] = 0.0
     traj.y_m[edge - 3:edge + 3] = np.nan
     traj.s[edge - 1:edge + 1] = np.nan
     span = slice(edge - 3, edge + 3)
@@ -110,7 +107,7 @@ def load_format_oracle():
 def formatted(values) -> list[str]:
     """The writer's text of each value, as one column."""
     values = np.asarray(values, dtype=float)
-    text = format_rows(values[None], [0]).decode()
+    text = format_rows(values[None]).decode()
     return text.split("\n")[1:]
 
 
@@ -165,7 +162,8 @@ class TestMatchesSavetxt:
         assert_matches_savetxt(tmp_path, synthetic(rows, dim))
 
     def test_equal_columns_share_text(self, tmp_path):
-        # with C = I the output z repeats the state x bit for bit
+        # with C = I the output z repeats the state x bit for bit; each
+        # column is formatted as it is, one bit apart or not
         traj = synthetic(BLOCK_ROWS + 1, 2, seed=3)
         traj.x[5, 0] = 0.0
         traj.z = traj.x.copy()
@@ -185,8 +183,8 @@ class TestMatchesSavetxt:
                                at_block_edge(synthetic(BLOCK_ROWS + 1, 2, seed=6)))
 
     def test_integer_columns(self, tmp_path):
-        # kept as they are and made floats a block at a time, alone or
-        # next to a float column of the same values
+        # made floats a block at a time, alone or next to a float column
+        # of the same values
         k = np.arange(BLOCK_ROWS + 3)
         path = tmp_path / "ints.csv"
         columns = [("a", k * 7 + 2), ("b", (k % 5).astype(np.int32)),
@@ -201,45 +199,15 @@ class TestMatchesSavetxt:
 
     def test_ragged_columns_rejected(self, tmp_path):
         traj = synthetic(10, 2)
-        traj.rho = traj.rho[:-1]
+        traj.s = traj.s[:-1]
         with pytest.raises(ValueError, match="length"):
             traj.to_csv(tmp_path / "trajectory.csv")
 
 
-class TestSource:
-    """A column that repeats an earlier one bit for bit is formatted
-    once; any other, however close, is a source of its own."""
-
-    def test_same_ends_differ_inside(self):
-        first = np.linspace(-1.0, 1.0, 9)
-        inside = first.copy()
-        inside[4] = np.nextafter(inside[4], 1.0)
-        sources = []
-        plan = [_tables._source(sources, v)
-                for v in (first, inside, first.copy(), inside[::-1][::-1])]
-        assert plan == [0, 1, 0, 1]
-
-    def test_signed_zeros_kept_apart(self):
-        sources = []
-        plan = [_tables._source(sources, v) for v in
-                (np.zeros(5), np.full(5, -0.0), [0.0] * 5, [-0.0] * 5)]
-        assert plan == [0, 1, 0, 1]
-
-    def test_integers_kept_as_they_are(self):
-        ints = np.arange(6, dtype=np.int64)
-        sources = []
-        plan = [_tables._source(sources, v) for v in
-                (ints, ints.astype(float), ints.copy(), [True, False] * 3)]
-        assert plan == [0, 1, 0, 2]
-        assert sources[0] is ints and sources[2].dtype == float
-
-    def test_empty_columns(self, tmp_path):
-        sources = []
-        assert [_tables._source(sources, v) for v in
-                (np.empty(0), np.empty(0), np.empty(0, np.int64))] == [0, 0, 1]
-        path = tmp_path / "empty.csv"
-        _tables.write_csv(path, [("a", np.empty(0)), ("b", np.empty(0))])
-        assert path.read_bytes() == b"a,b\n"
+def test_empty_columns(tmp_path):
+    path = tmp_path / "empty.csv"
+    _tables.write_csv(path, [("a", np.empty(0)), ("b", np.empty(0))])
+    assert path.read_bytes() == b"a,b\n"
 
 
 def test_import_builds_no_tables():
@@ -283,7 +251,7 @@ def split_case(rows: int) -> Trajectory:
     columns with repeated neighbours and in columns without."""
     mid = split_point(rows)
     traj = at_block_edge(synthetic(rows, 2, seed=9), edge=mid)
-    traj.e[mid - 1:mid + 1] = -0.0, np.nan
+    traj.v[mid - 1:mid + 1, 1] = -0.0, np.nan
     traj.z[mid - 1:mid + 1, 0] = np.nan, -0.0
     return traj
 

@@ -64,7 +64,7 @@ def first_mismatch(values: np.ndarray):
     or None."""
     for lo in range(0, values.size, CHUNK):
         chunk = values[lo:lo + CHUNK]
-        ours = format_rows(chunk[None], [0]).decode()
+        ours = format_rows(chunk[None]).decode()
         for value, text in zip(chunk.tolist(), ours.split("\n")[1:]):
             if text != "%.17g" % value:
                 return value, text, "%.17g" % value
