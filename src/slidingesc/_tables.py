@@ -54,9 +54,10 @@ BLOCK_ROWS = 128
 # median 10.7 ms against 12.7 ms for one (faster in 10 of 15 alternating
 # rounds), all 50001 rows in 79 against 109 ms (15 of 15), and 2048 rows
 # in 6.2 against 4.5 ms (1 of 15); perfbench dense_log total_s read
-# 0.109 s with the split and 0.130 s without it (10 of 10 pairs).  While
-# the host gives the two processes one core's time, the split is slower
-# at every size.
+# 0.109 s with the split and 0.130 s without it (10 of 10 pairs), and
+# 0.187 s against 0.202 s for one process at 192-row blocks (10 of 10,
+# BENCH_writer.json).  While the host gives the two processes one core's
+# time, the split is slower at every size.
 SPLIT_ROWS = 4096
 
 # A cell is 40 bytes, five 64-bit words, that hold its delimiter and
